@@ -1,8 +1,11 @@
+import hashlib
+
+import numpy as np
 import pytest
 
 from gridpursuit.errors import ResourceLimitError
-from gridpursuit.grid import cube, grid, torus
-from gridpursuit.engine import run_match
+from gridpursuit.grid import cube, grid, parse_graph, torus
+from gridpursuit.engine import run_match, trace_to_jsonl
 from gridpursuit.solver import cop_number, extract_policies, solve_game
 
 
@@ -111,3 +114,46 @@ def test_statistics_populated():
     assert res.states_explored == 2 * 4 * 4  # configs x vertices x sides
     assert res.transitions > 0
     assert res.elapsed >= 0
+
+
+# --------------------------------------------------------------------------
+# Pinned tables and witness traces: the settle order is the policy rank, so
+# any change to it shows here before it reaches a trace
+# --------------------------------------------------------------------------
+
+
+def _rank_matrix(table):
+    """cop_rank as int64, row-major over (configuration, robber vertex)."""
+    return np.array(table.cop_rank, dtype=np.int64)
+
+
+def _win_matrix(table):
+    return np.array(table.cop_win, dtype=bool)
+
+
+@pytest.mark.parametrize("text, k, transitions, rank_sha256", [
+    ("grid:3x3", 2, 4869, "5d8d9a53aad1d367c2231da879539e326c5d6b2c3ad204a33d1d666a18e5758b"),
+    ("torus:3x3", 2, 1791, "b189793a04b20d503542820862e14bbab2bea8bf52e8f9e9dac2bf2022de0745"),
+    ("cube:4", 3, 227680, "01e95ab40e1ca8f2ed2025421a2d19efd5accf36bc8b85d6ca442a1efe7b3450"),
+    ("grid:4x4", 3, 124788, "158493bf899e38098fdef3569b7679b6c5e01acb50e09cb21d23d1f7d7f01b68"),
+])
+def test_table_matches_pinned_settle_order(text, k, transitions, rank_sha256):
+    res = solve_game(parse_graph(text), k)
+    assert res.transitions == transitions
+    ranks = _rank_matrix(res.table)
+    assert hashlib.sha256(ranks.tobytes()).hexdigest() == rank_sha256
+    # a cops-to-move state is won exactly when it was given a settle rank
+    assert np.array_equal(_win_matrix(res.table), ranks > 0)
+
+
+@pytest.mark.parametrize("text, k, trace_sha256", [
+    ("grid:3x3", 2, "d14d664f62f39cbd1a1ffcfc8ce642bce651d353bb5d78f0ff1f9a47f81558d8"),
+    ("cube:3", 2, "8a5616f95cc28af9e263dae120e2bc2db8f99a4d1672c4e2c15aa3bbec614611"),
+])
+def test_witness_trace_is_pinned(text, k, trace_sha256):
+    g = parse_graph(text)
+    res = solve_game(g, k)
+    cop_policy, robber_policy = extract_policies(res)
+    trace = run_match(g, cop_policy, robber_policy, k, max_rounds=res.states_explored + 4, seed=0)
+    assert trace.outcome == "capture"
+    assert hashlib.sha256(trace_to_jsonl(trace).encode()).hexdigest() == trace_sha256
