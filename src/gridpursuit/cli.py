@@ -4,7 +4,8 @@ Subcommands: match, solve, copnum, count, bound, table, render, replay.
 Outputs are single JSON objects (JSON-lines for traces); seeds always
 appear in outputs, defaulted or not, so every run can be reproduced.
 
-Exit codes: 0 completed (either side may have won), 2 strategy fault,
+Exit codes: 0 completed (either side may have won), 1 replay mismatch (a
+trace, or a solver's witness, that does not replay), 2 strategy fault,
 3 configuration/usage error, 4 resource cap exceeded.
 """
 from __future__ import annotations
@@ -167,7 +168,7 @@ def cmd_table(args) -> int:
                 "predicted": predicted,
                 "cop_number": res.cop_number,
                 "witness": [list(v) for v in res.witness_placement] if res.witness_placement else None,
-                "replay_verified": res.cop_number is not None,
+                "replay_verified": bool(res.per_k) and res.per_k[-1].witness_verified,
                 "millis": round(res.elapsed * 1000, 3),
             }
         )

@@ -2,14 +2,24 @@
 
 States are (cop multiset, robber vertex, side to move): cop identity never
 matters for the game value, so configurations are canonicalized to sorted
-index tuples, dividing the space by up to k!.  The fixed point is computed
-attractor-style with per-component safe-move counters, so each state is
-settled exactly once:
+index tuples, dividing the space by up to k!.  A configuration's index is
+its rank in the lexicographic order of sorted tuples, computed with the
+combinatorial number system, so no array of V^k entries is ever built.
+The fixed point is computed attractor-style with per-component safe-move
+counters, so each state is settled exactly once:
 
 * a cops-to-move state wins when some joint move captures or reaches a
   settled robber-to-move state;
 * all robber-to-move states sharing one cop-free component settle together,
   when their last safe destination disappears.
+
+The table is held in numpy arrays.  The successors of every configuration
+form one int32 CSR table (sorted rows, no repeats), built in chunks of
+CHUNK_MOVES joint moves.  Per-state arrays use a (robber vertex,
+configuration) layout, so the column of one robber vertex over all
+configurations is contiguous.  The queue is first in, first out, and each
+queue item relaxes all its predecessors with a few array operations, in the
+order a one-state-at-a-time loop would.
 
 Settling order doubles as a progress measure: along table-optimal cop play
 the order strictly decreases every half-move, which bounds capture time and
@@ -19,38 +29,61 @@ results are deterministic.
 from __future__ import annotations
 
 import time
-from array import array
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, product
+from functools import cached_property
+from itertools import chain, combinations_with_replacement
 from math import comb
 
+import numpy as np
+
 from .engine import CopStrategy, RobberStrategy, run_match
-from .errors import ResourceLimitError, StrategyFault
-from .grid import GraphSpec, lattice
+from .errors import ReplayError, ResourceLimitError, StrategyFault
+from .grid import GraphSpec
 
 __all__ = ["SolveResult", "CopNumberResult", "solve_game", "cop_number", "extract_policies"]
 
 DEFAULT_STATE_CAP = 100_000_000
+# tables index states with int32, so no instance may have more states
+INDEX_STATE_LIMIT = 2 * (2**31 - 1)
+# joint moves (or configuration-vertex cells) handled per chunk of the
+# table build: bounds its temporaries to a few MiB whatever V and k are
+CHUNK_MOVES = 1 << 16
 
 
 @dataclass
 class _Table:
-    """Solved game table for one (graph, k) instance."""
+    """Solved game table for one (graph, k) instance.
+
+    Arrays indexed [r, ci] hold the state (configuration ci, robber vertex r).
+    Components are numbered globally, in the order (configuration, smallest
+    member vertex); comp_id is the sentinel n_comp where a cop stands on r.
+    comp_members lists each component's states ci * V + r, r ascending,
+    starting at comp_start[c].
+    """
 
     graph: GraphSpec
     k: int
-    configs: list
-    cfg_index: dict
-    nbhd: list  # closed neighborhood index lists, per vertex
-    cop_win: list  # bytearray per config, indexed by robber vertex
-    cop_rank: list  # settle order per (config, robber vertex)
-    comp_id: list
-    comp_members: list
+    configs: np.ndarray  # (n_cfg, k) sorted vertex indices, lexicographic order
+    index: object  # coordinate columns of sorted configurations -> their ranks
+    nbhd: list  # closed neighborhood index lists, sorted, per vertex
+    cop_win: np.ndarray  # [r, ci] bool: the cops-to-move state is won
+    cop_rank: np.ndarray  # [r, ci] settle order from 1, 0 where unsettled
+    comp_id: np.ndarray  # [r, ci] component of r in G - configs[ci]
+    comp_start: np.ndarray
+    comp_members: np.ndarray
+    witness: int | None  # first configuration winning against every robber start
     transitions: int = 0
 
-    def config_of(self, cops):
-        return tuple(sorted(self.graph.index(c) for c in cops))
+    def config_index(self, cops):
+        return int(self.index(sorted(self.graph.index(c) for c in cops)))
+
+    @cached_property
+    def comp_key(self):
+        """Per component, the largest settle order among its members
+        (unsettled members count 0)."""
+        key = np.zeros(len(self.comp_start), dtype=np.int64)  # last slot: the sentinel
+        np.maximum.at(key, self.comp_id.ravel(), self.cop_rank.ravel())
+        return key
 
 
 @dataclass
@@ -63,6 +96,7 @@ class SolveResult:
     transitions: int
     elapsed: float
     table: _Table = field(repr=False, default=None)
+    witness_verified: bool = False  # the witness replay ran and captured
 
 
 @dataclass
@@ -81,6 +115,120 @@ def _state_estimate(vertex_count: int, k: int) -> int:
     return comb(vertex_count + k - 1, k) * vertex_count * 2
 
 
+def _config_ranker(n_vertices, k):
+    """Lexicographic ranks of sorted configurations given as their k
+    coordinate columns (a sorted tuple, or a (k, ...) array): with
+    n = V + k - 1, rank = C(n, k) - 1 - sum_i C(n - 1 - (a_i + i), k - i)."""
+    n = n_vertices + k - 1
+    top = comb(n, k) - 1
+    weights = [np.array([comb(n - 1 - (a + i), k - i) for a in range(n_vertices)], dtype=np.int32)
+               for i in range(k)]
+
+    def index(columns):
+        rank = top
+        for column, weight in zip(columns, weights):
+            rank = rank - weight[column]
+        return rank
+
+    return index
+
+
+def _closed_neighborhoods(g: GraphSpec):
+    """Sorted closed neighborhoods, and the same padded with the vertex itself
+    to a (V, max size) array."""
+    nbhd = []
+    for i in range(g.vertex_count):
+        nbhd.append(sorted([i] + [g.index(w) for w in g.neighbors(g.vertex_at(i))]))
+    width = max(len(nb) for nb in nbhd)
+    padded = np.array([nb + [i] * (width - len(nb)) for i, nb in enumerate(nbhd)], dtype=np.int32)
+    return nbhd, padded
+
+
+def _chunks(total, per_item):
+    step = max(1, CHUNK_MOVES // per_item)
+    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+
+
+def _successors(configs, padded, index):
+    """CSR table of each configuration's successors: sorted, no repeats.
+
+    Two passes over the same chunks, counting then filling, so that one
+    int32 buffer of the exact size is the only full-size allocation.
+    """
+    n_cfg, k = configs.shape
+    width = padded.shape[1]
+    moves = width**k
+    chunks = _chunks(n_cfg, moves)
+
+    def ranked(lo, hi):
+        m = hi - lo
+        columns = []
+        for i in range(k):
+            shape = [m] + [1] * k
+            shape[i + 1] = width
+            columns.append(padded[configs[lo:hi, i]].reshape(shape))
+        # sort each joint move's coordinates: odd-even transposition network
+        for step in range(k):
+            for i in range(step % 2, k - 1, 2):
+                a, b = columns[i], columns[i + 1]
+                columns[i], columns[i + 1] = np.minimum(a, b), np.maximum(a, b)
+        succ = index(columns).reshape(m, moves)
+        succ.sort(axis=1)
+        first = np.ones(succ.shape, dtype=bool)
+        np.not_equal(succ[:, 1:], succ[:, :-1], out=first[:, 1:])
+        return succ, first
+
+    ptr = np.zeros(n_cfg + 1, dtype=np.int64)
+    for lo, hi in chunks:
+        ptr[lo + 1:hi + 1] = ranked(lo, hi)[1].sum(axis=1)
+    np.cumsum(ptr, out=ptr)
+    flat = np.empty(ptr[-1], dtype=np.int32)
+    for lo, hi in chunks:
+        succ, first = ranked(lo, hi)
+        flat[ptr[lo]:ptr[hi]] = succ[first]
+    return ptr, flat
+
+
+def _components(configs, padded):
+    """Component of every robber vertex in G minus every configuration.
+
+    Returns comp_id [r, ci] (global ids in (configuration, smallest member)
+    order, the sentinel n_comp under a cop) and the number of components.
+    Components come from min-label propagation with pointer jumping, so each
+    label settles on its component's smallest vertex.
+    """
+    n_cfg, _ = configs.shape
+    n_vertices, width = padded.shape
+    comp_id = np.empty((n_vertices, n_cfg), dtype=np.int32)
+    counts = np.zeros(n_cfg + 1, dtype=np.int64)
+    vertices = np.arange(n_vertices + 1, dtype=np.int32)  # label n_vertices: under a cop
+    for lo, hi in _chunks(n_cfg, n_vertices * width):
+        m = hi - lo
+        blocked = np.zeros((m, n_vertices + 1), dtype=bool)
+        blocked[np.arange(m)[:, None], configs[lo:hi]] = True
+        blocked[:, n_vertices] = True
+        label = np.where(blocked, n_vertices, vertices).astype(np.int32)
+        while True:
+            nxt = label.copy()
+            for j in range(width):
+                np.minimum(nxt[:, :n_vertices], label[:, padded[:, j]], out=nxt[:, :n_vertices])
+            nxt[blocked] = n_vertices
+            nxt = np.take_along_axis(nxt, nxt, axis=1)
+            if np.array_equal(nxt, label):
+                break
+            label = nxt
+        label = label[:, :n_vertices]
+        root = label == vertices[:n_vertices]
+        ordinal = np.cumsum(root, axis=1) - 1
+        local = np.take_along_axis(ordinal, np.minimum(label, n_vertices - 1), axis=1)
+        comp_id[:, lo:hi] = np.where(blocked[:, :n_vertices], -1, local).T
+        counts[lo + 1:hi + 1] = root.sum(axis=1)
+    np.cumsum(counts, out=counts)
+    n_comp = int(counts[-1])
+    comp_id = np.where(comp_id >= 0, comp_id + counts[:-1].astype(np.int32), n_comp)
+    return comp_id.astype(np.int32), n_comp
+
+
 def solve_game(g: GraphSpec, k: int, cap: int = DEFAULT_STATE_CAP, verify_witness: bool = True) -> SolveResult:
     """Decide whether k cops capture an infinitely fast robber on g.
 
@@ -93,108 +241,88 @@ def solve_game(g: GraphSpec, k: int, cap: int = DEFAULT_STATE_CAP, verify_witnes
     if k == 0:
         return SolveResult(g, 0, n_vertices == 0, None, 0, 0, time.perf_counter() - start)
     estimate = _state_estimate(n_vertices, k)
-    if estimate > cap:
+    limit = min(cap, INDEX_STATE_LIMIT)
+    if estimate > limit:
         raise ResourceLimitError(
-            f"state estimate {estimate} exceeds cap {cap} for k={k}", estimate=estimate, cap=cap
+            f"state estimate {estimate} exceeds cap {limit} for k={k}", estimate=estimate, cap=limit
         )
 
-    lat = lattice(g)
-    nbhd = []
-    for i in range(n_vertices):
-        v = g.vertex_at(i)
-        nbhd.append(sorted([i] + [g.index(w) for w in g.neighbors(v)]))
+    nbhd, padded = _closed_neighborhoods(g)
+    n_cfg = comb(n_vertices + k - 1, k)
+    cells = combinations_with_replacement(range(n_vertices), k)
+    configs = np.fromiter(chain.from_iterable(cells), dtype=np.int32, count=n_cfg * k)
+    configs = configs.reshape(n_cfg, k)
+    index = _config_ranker(n_vertices, k)
+    comp_id, n_comp = _components(configs, padded)
+    ptr, succ = _successors(configs, padded, index)
 
-    configs = list(combinations_with_replacement(range(n_vertices), k))
-    cfg_index = {c: i for i, c in enumerate(configs)}
-    n_cfg = len(configs)
+    # members of each component, grouped by component and ascending inside
+    by_comp = comp_id.T.ravel()
+    members = np.argsort(by_comp, kind="stable").astype(np.int32)
+    sizes = np.bincount(by_comp, minlength=n_comp + 1)
+    comp_start = np.zeros(n_comp + 1, dtype=np.int64)
+    np.cumsum(sizes[:n_comp], out=comp_start[1:])
+    members = members[:comp_start[-1]]
+    # safe destinations left per component; the sentinel never reaches zero
+    safe = sizes.astype(np.int64)
+    safe[n_comp] = np.iinfo(np.int64).max
 
-    comp_id = []
-    comp_members = []
-    safe_count = []
-    for cfg in configs:
-        blocked = 0
-        for i in cfg:
-            blocked |= 1 << i
-        ids = [-1] * n_vertices
-        members = []
-        for comp in lat.components(blocked):
-            mem = []
-            m = comp
-            while m:
-                low = m & -m
-                idx = low.bit_length() - 1
-                ids[idx] = len(members)
-                mem.append(idx)
-                m ^= low
-            members.append(mem)
-        comp_id.append(ids)
-        comp_members.append(members)
-        safe_count.append([len(m) for m in members])
+    # every robber-to-move state enters the queue at most once: the capture
+    # states first, each configuration's in the iteration order of set(cfg)
+    queue = np.empty(n_cfg * n_vertices, dtype=np.int32)
+    seeds = [ci * n_vertices + r
+             for ci, cfg in enumerate(combinations_with_replacement(range(n_vertices), k))
+             for r in set(cfg)]
+    queue[:len(seeds)] = seeds
+    head, tail = 0, len(seeds)
 
-    cop_win = [bytearray(n_vertices) for _ in range(n_cfg)]
-    cop_rank = [array("l", [0] * n_vertices) for _ in range(n_cfg)]
-
-    succ_cache = [None] * n_cfg
-
-    def succs(ci):
-        cached = succ_cache[ci]
-        if cached is None:
-            out = set()
-            for joint in product(*(nbhd[v] for v in configs[ci])):
-                out.add(cfg_index[tuple(sorted(joint))])
-            cached = sorted(out)
-            succ_cache[ci] = cached
-        return cached
-
-    queue = deque()
-    for ci, cfg in enumerate(configs):
-        for r in set(cfg):
-            queue.append((ci, r))
-
+    cop_rank = np.zeros((n_vertices, n_cfg), dtype=np.int32)
+    rank_rows, comp_rows = list(cop_rank), list(comp_id)
+    bounds = ptr.tolist()
+    starts = comp_start.tolist()
     order = 0
-    transitions = 0
-    while queue:
-        ci, r = queue.popleft()
+    while head < tail:
+        ci, r = divmod(int(queue[head]), n_vertices)
+        head += 1
         # joint moves are reversible, so predecessors of a configuration
         # are exactly its successors
-        for pi in succs(ci):
-            transitions += 1
-            row = cop_win[pi]
-            if row[r]:
-                continue
-            row[r] = 1
-            order += 1
-            cop_rank[pi][r] = order
-            cid = comp_id[pi][r]
-            if cid >= 0:
-                safe_count[pi][cid] -= 1
-                if safe_count[pi][cid] == 0:
-                    for r2 in comp_members[pi][cid]:
-                        queue.append((pi, r2))
+        preds = succ[bounds[ci]:bounds[ci + 1]]
+        ranks = rank_rows[r]
+        new = preds[ranks[preds] == 0]
+        if not len(new):
+            continue
+        ranks[new] = np.arange(order + 1, order + 1 + len(new))
+        order += len(new)
+        comps = comp_rows[r][new]
+        left = safe[comps] - 1
+        safe[comps] = left
+        for c in comps[left == 0].tolist():
+            lo, hi = starts[c], starts[c + 1]
+            queue[tail:tail + hi - lo] = members[lo:hi]
+            tail += hi - lo
+    transitions = int(np.diff(ptr)[queue[:tail] // n_vertices].sum())
 
-    witness_ci = None
-    for ci, cfg in enumerate(configs):
-        occupied = set(cfg)
-        row = cop_win[ci]
-        if all(row[r] for r in range(n_vertices) if r not in occupied):
-            witness_ci = ci
-            break
+    settled_or_taken = (cop_rank > 0) | (comp_id == n_comp)
+    winning = settled_or_taken.all(axis=0)
+    witness_ci = int(winning.argmax()) if winning.any() else None
 
     table = _Table(
         graph=g,
         k=k,
         configs=configs,
-        cfg_index=cfg_index,
+        index=index,
         nbhd=nbhd,
-        cop_win=cop_win,
+        cop_win=cop_rank > 0,
         cop_rank=cop_rank,
         comp_id=comp_id,
-        comp_members=comp_members,
+        comp_start=comp_start,
+        comp_members=members,
+        witness=witness_ci,
         transitions=transitions,
     )
     witness = None
     if witness_ci is not None:
-        witness = tuple(g.vertex_at(i) for i in configs[witness_ci])
+        witness = tuple(g.vertex_at(int(i)) for i in configs[witness_ci])
 
     result = SolveResult(
         graph=g,
@@ -208,6 +336,7 @@ def solve_game(g: GraphSpec, k: int, cap: int = DEFAULT_STATE_CAP, verify_witnes
     )
     if result.cops_win and verify_witness:
         _verify_witness(result)
+        result.witness_verified = True
         result.elapsed = time.perf_counter() - start
     return result
 
@@ -219,7 +348,7 @@ def _verify_witness(result: SolveResult):
         result.graph, cop_policy, robber_policy, result.k, max_rounds=limit, record_events=False
     )
     if trace.outcome != "capture":
-        raise AssertionError(
+        raise ReplayError(
             f"witness replay failed: {trace.outcome} from {result.witness_placement}"
         )
 
@@ -279,33 +408,29 @@ class TableCops(CopStrategy):
 
     def place(self, graph, k):
         t = self.table
-        for ci, cfg in enumerate(t.configs):
-            occupied = set(cfg)
-            if all(t.cop_win[ci][r] for r in range(graph.vertex_count) if r not in occupied):
-                return [graph.vertex_at(i) for i in cfg]
-        return [graph.vertex_at(i) for i in t.configs[0]]
+        cfg = t.configs[t.witness if t.witness is not None else 0]
+        return [graph.vertex_at(int(i)) for i in cfg]
 
     def move(self, state):
         t = self.table
         g = state.graph
         r = g.index(state.robber)
-        best = None
-        best_key = None
-        for joint in product(*(t.nbhd[g.index(c)] for c in state.cops)):
-            if r in joint:
-                best = joint  # immediate capture
-                break
-            ci = t.cfg_index[tuple(sorted(joint))]
-            if t.cop_win[ci][r]:
-                cid = t.comp_id[ci][r]
-                # settle order of the successor robber-state: the flip
-                # order of its component is the max settle order inside
-                key = max(t.cop_rank[ci][r2] for r2 in t.comp_members[ci][cid])
-                if best_key is None or key < best_key:
-                    best, best_key = joint, key
-        if best is None:
-            return list(state.cops)
-        return [g.vertex_at(i) for i in best]
+        # every joint move, in the order of itertools.product over the cops
+        axes = np.meshgrid(*(t.nbhd[g.index(c)] for c in state.cops), indexing="ij")
+        joints = np.stack(axes, axis=-1).reshape(-1, len(state.cops))
+        capture = (joints == r).any(axis=1)
+        if capture.any():
+            best = joints[capture.argmax()]
+        else:
+            succ = t.index(np.sort(joints, axis=1).T)
+            won = t.cop_win[r, succ]
+            if not won.any():
+                return list(state.cops)
+            # settle order of the successor robber-state: the flip order of
+            # its component is the max settle order inside
+            key = np.where(won, t.comp_key[t.comp_id[r, succ]], np.iinfo(np.int64).max)
+            best = joints[key.argmin()]
+        return [g.vertex_at(int(i)) for i in best]
 
 
 class TableRobber(RobberStrategy):
@@ -319,27 +444,27 @@ class TableRobber(RobberStrategy):
         self.table = table
 
     def _pick(self, cfg_i, options):
+        """options: candidate vertices, ascending."""
         t = self.table
-        surviving = [r for r in options if not t.cop_win[cfg_i][r]]
-        if surviving:
-            return min(surviving)
-        return max(options, key=lambda r: (t.cop_rank[cfg_i][r], -r))
+        won = t.cop_win[options, cfg_i]
+        if not won.all():
+            return int(options[won.argmin()])
+        return int(options[t.cop_rank[options, cfg_i].argmax()])
 
     def place(self, graph, cops):
         t = self.table
-        ci = t.cfg_index[t.config_of(cops)]
-        occupied = {graph.index(c) for c in cops}
-        options = [r for r in range(graph.vertex_count) if r not in occupied]
-        if not options:
+        ci = t.config_index(cops)
+        options = np.flatnonzero(t.comp_id[:, ci] != len(t.comp_start) - 1)
+        if not len(options):
             raise StrategyFault("no free vertex", side="robber")
         return graph.vertex_at(self._pick(ci, options))
 
     def move(self, state):
         t = self.table
         g = state.graph
-        ci = t.cfg_index[t.config_of(state.cops)]
-        r = g.index(state.robber)
-        options = t.comp_members[ci][t.comp_id[ci][r]]
+        ci = t.config_index(state.cops)
+        comp = t.comp_id[g.index(state.robber), ci]
+        options = t.comp_members[t.comp_start[comp]:t.comp_start[comp + 1]] % g.vertex_count
         return g.vertex_at(self._pick(ci, options))
 
 

@@ -5,7 +5,7 @@ explicit adjacency built by pairwise coordinate comparison, plain BFS, and
 set-based flood fill.  Nothing imports the library's graph arithmetic.
 """
 from collections import deque
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 
 def all_vertices(dims):
@@ -86,3 +86,81 @@ def boundary_vertices(adj, box_set):
 def dims_of(graph_spec):
     """Convert a library GraphSpec into plain (length, wrap) pairs."""
     return [(d.length, d.wrap) for d in graph_spec.dims]
+
+
+def cops_win_naive(dims, k):
+    """Whether k cops catch an infinitely fast robber, by a plain least fixed
+    point over ordered cop tuples.
+
+    win[C] is the set of robber vertices r from which the cops, at C and to
+    move, capture.  The cops win at (C, r) when some joint move C' lands on r
+    or leaves r's component of G - C' inside win[C'].  Sets are bitmasks over
+    the lexicographic vertex list.
+    """
+    adj = explicit_adjacency(dims)
+    verts = all_vertices(dims)
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    full = (1 << len(verts)) - 1
+    configs = list(product(verts, repeat=k))
+    occupied = {C: sum(bit[v] for v in set(C)) for C in configs}
+    comps = {C: [sum(bit[v] for v in comp) for comp in all_components(adj, set(C))]
+             for C in configs}
+    moves = {C: list(product(*([v] + sorted(adj[v]) for v in C))) for C in configs}
+    win = dict.fromkeys(configs, 0)
+    changed = True
+    while changed:
+        # robber-to-move at C: lost on the cops' vertices and in every
+        # component all of whose vertices are cop wins
+        lost = {C: occupied[C] | sum(m for m in comps[C] if m & ~win[C] == 0) for C in configs}
+        changed = False
+        for C in configs:
+            w = 0
+            for D in moves[C]:
+                w |= lost[D]
+            if w != win[C]:
+                win[C] = w
+                changed = True
+    return any(win[C] | occupied[C] == full for C in configs)
+
+
+def robber_certificate_violations(dims, k, safe):
+    """Check a claimed robber win: `safe` is a set of cops-to-move states
+    (sorted cop tuple, robber vertex), robber off the cops.  It proves k
+    cops lose when it is closed:
+
+    * every placement of the cops leaves the robber a start in `safe`;
+    * from every state in `safe`, no joint move lands on the robber, and
+      every joint move C' leaves some r2 in the robber's component of
+      G - C' with (sorted C', r2) in `safe`.
+
+    Returns the violations found (empty when the certificate holds).
+    """
+    adj = explicit_adjacency(dims)
+    verts = all_vertices(dims)
+    configs = list(combinations_with_replacement(verts, k))
+    violations = []
+    # per configuration: each free vertex's component, and whether that
+    # component holds a safe state
+    comp_of = {}
+    for C in configs:
+        lookup = {}
+        for comp in all_components(adj, set(C)):
+            holds_safe = any((C, r) in safe for r in comp)
+            for r in comp:
+                lookup[r] = holds_safe
+        comp_of[C] = lookup
+    for C in configs:
+        if not any((C, r) in safe for r in verts if r not in C):
+            violations.append(f"placement {C} leaves no safe start")
+    for C, r in safe:
+        if r in C:
+            violations.append(f"state {(C, r)} has the robber on a cop")
+            continue
+        for D in product(*([v] + sorted(adj[v]) for v in C)):
+            if r in D:
+                violations.append(f"state {(C, r)}: joint move {D} captures")
+                break
+            if not comp_of[tuple(sorted(D))][r]:
+                violations.append(f"state {(C, r)}: joint move {D} leaves no safe state")
+                break
+    return violations

@@ -158,3 +158,13 @@ def test_table_includes_resolved_4x4(capsys):
     assert rows["grid:4x4"]["replay_verified"] is True
     assert rows["torus:3x3"]["cop_number"] == 3
     assert rows["cube:3"]["cop_number"] == 2
+
+
+def test_solve_exits_1_when_the_witness_replay_fails(capsys, monkeypatch):
+    from gridpursuit.solver import TableCops
+
+    monkeypatch.setattr(TableCops, "move", lambda self, state: list(state.cops))
+    code, out, err = run_cli(capsys, "solve", "--graph", "grid:3x3", "--k", "2")
+    assert code == 1
+    assert out == ""
+    assert "witness replay failed" in err

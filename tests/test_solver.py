@@ -3,10 +3,21 @@ import hashlib
 import numpy as np
 import pytest
 
-from gridpursuit.errors import ResourceLimitError
-from gridpursuit.grid import cube, grid, parse_graph, torus
-from gridpursuit.engine import run_match, trace_to_jsonl
-from gridpursuit.solver import cop_number, extract_policies, solve_game
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gridpursuit.errors import ReplayError, ResourceLimitError
+from gridpursuit.grid import cube, grid, parse_graph, product, torus
+from gridpursuit.engine import GameState, Phase, run_match, trace_to_jsonl
+from gridpursuit.solver import TableCops, cop_number, extract_policies, solve_game
+
+from oracles import (
+    cops_win_naive,
+    dims_of,
+    explicit_adjacency,
+    flood,
+    robber_certificate_violations,
+)
 
 
 def test_single_vertex_one_cop_wins():
@@ -124,11 +135,11 @@ def test_statistics_populated():
 
 def _rank_matrix(table):
     """cop_rank as int64, row-major over (configuration, robber vertex)."""
-    return np.array(table.cop_rank, dtype=np.int64)
+    return np.ascontiguousarray(table.cop_rank.T, dtype=np.int64)
 
 
 def _win_matrix(table):
-    return np.array(table.cop_win, dtype=bool)
+    return table.cop_win.T
 
 
 @pytest.mark.parametrize("text, k, transitions, rank_sha256", [
@@ -157,3 +168,106 @@ def test_witness_trace_is_pinned(text, k, trace_sha256):
     trace = run_match(g, cop_policy, robber_policy, k, max_rounds=res.states_explored + 4, seed=0)
     assert trace.outcome == "capture"
     assert hashlib.sha256(trace_to_jsonl(trace).encode()).hexdigest() == trace_sha256
+
+
+# --------------------------------------------------------------------------
+# Verdicts against an independent fixed point, losses against a checked
+# robber certificate, and the table policy against the table
+# --------------------------------------------------------------------------
+
+SMALL_PRODUCTS = [f"grid:{a}x{b}" for a in range(1, 4) for b in range(1, 5)] + [
+    "torus:3x3", "cube:2", "cube:3", "product:3,4w",
+]
+
+
+@pytest.mark.parametrize("text", SMALL_PRODUCTS)
+def test_verdicts_agree_with_naive_fixed_point(text):
+    g = parse_graph(text)
+    for k in range(1, 4):
+        assert solve_game(g, k).cops_win == cops_win_naive(dims_of(g), k), k
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 6), st.booleans()), min_size=1, max_size=3)
+       .map(lambda dims: [(n, wrap and n >= 3) for n, wrap in dims])
+       .filter(lambda dims: np.prod([n for n, _ in dims]) <= 12),
+       st.integers(1, 3))
+def test_verdicts_agree_with_naive_fixed_point_on_random_products(dims, k):
+    assert solve_game(product(dims), k).cops_win == cops_win_naive(dims, k)
+
+
+def _unsettled_states(res):
+    """The loss table's unsettled cops-to-move states, robber off the cops,
+    as (sorted cop coordinates, robber coordinates)."""
+    g, t = res.graph, res.table
+    states = set()
+    for ci, cfg in enumerate(t.configs.tolist()):
+        cops = tuple(g.vertex_at(i) for i in cfg)
+        for r in np.flatnonzero(~t.cop_win[:, ci]).tolist():
+            if r not in cfg:
+                states.add((cops, g.vertex_at(r)))
+    return states
+
+
+@pytest.mark.parametrize("text, k", [
+    ("grid:3x3", 1), ("grid:3x4", 2), ("cube:4", 3), ("grid:4x4", 3),
+])
+def test_loss_tables_leave_a_closed_robber_certificate(text, k):
+    res = solve_game(parse_graph(text), k)
+    assert res.cops_win is False
+    assert robber_certificate_violations(dims_of(res.graph), k, _unsettled_states(res)) == []
+
+
+def test_robber_certificate_check_rejects_a_cop_win():
+    res = solve_game(grid(3, 3), 2)
+    assert res.cops_win is True
+    assert robber_certificate_violations(dims_of(res.graph), 2, _unsettled_states(res))
+
+
+@pytest.mark.parametrize("text, k, states", [
+    ("grid:3x3", 2, 324), ("cube:3", 2, 224), ("torus:3x3", 3, 1080), ("grid:3x4", 3, 3432),
+])
+def test_table_cops_capture_or_enter_a_settled_component(text, k, states):
+    g = parse_graph(text)
+    res = solve_game(g, k)
+    t = res.table
+    adj = explicit_adjacency(dims_of(g))
+    cop_policy, _ = extract_policies(res)
+    checked, violations = 0, []
+    for ci, cfg in enumerate(t.configs.tolist()):
+        cops = tuple(g.vertex_at(i) for i in cfg)
+        for r in np.flatnonzero(t.cop_win[:, ci]).tolist():
+            if r in cfg:
+                continue
+            checked += 1
+            robber = g.vertex_at(r)
+            dests = tuple(cop_policy.move(GameState(g, cops, robber, Phase.COP_TURN)))
+            assert all(d == c or d in adj[c] for c, d in zip(cops, dests))
+            if robber in dests:
+                continue
+            after = t.config_index(dests)
+            if not all(t.cop_win[g.index(v), after] for v in flood(adj, set(dests), robber)):
+                violations.append((cops, robber, dests))
+    assert checked == states
+    assert violations == []
+
+
+# --------------------------------------------------------------------------
+# Witness verification is reported truthfully
+# --------------------------------------------------------------------------
+
+
+def _stand_still(self, state):
+    return list(state.cops)
+
+
+def test_witness_verified_only_after_a_replay():
+    assert solve_game(grid(3, 3), 2).witness_verified is True
+    assert solve_game(grid(3, 3), 2, verify_witness=False).witness_verified is False
+    assert solve_game(grid(3, 3), 1).witness_verified is False
+
+
+def test_failed_witness_replay_raises_replay_error(monkeypatch):
+    monkeypatch.setattr(TableCops, "move", _stand_still)
+    with pytest.raises(ReplayError, match="witness replay failed"):
+        solve_game(grid(3, 3), 2)
