@@ -193,9 +193,10 @@ def _components(configs, padded):
     """Component of every robber vertex in G minus every configuration.
 
     Returns comp_id [r, ci] (global ids in (configuration, smallest member)
-    order, the sentinel n_comp under a cop) and the number of components.
-    Components come from min-label propagation with pointer jumping, so each
-    label settles on its component's smallest vertex.
+    order, the sentinel n_comp under a cop), and the members of each
+    component as the CSR pair comp_start, comp_members (states ci * V + r,
+    r ascending).  Components come from min-label propagation with pointer
+    jumping, so each label settles on its component's smallest vertex.
     """
     n_cfg, _ = configs.shape
     n_vertices, width = padded.shape
@@ -226,7 +227,15 @@ def _components(configs, padded):
     np.cumsum(counts, out=counts)
     n_comp = int(counts[-1])
     comp_id = np.where(comp_id >= 0, comp_id + counts[:-1].astype(np.int32), n_comp)
-    return comp_id.astype(np.int32), n_comp
+    comp_id = comp_id.astype(np.int32, copy=False)
+
+    by_comp = comp_id.T.ravel()
+    comp_start = np.zeros(n_comp + 1, dtype=np.int64)
+    np.cumsum(np.bincount(by_comp, minlength=n_comp + 1)[:n_comp], out=comp_start[1:])
+    # a stable sort keeps each component's states in (ci, r) order; the
+    # states under a cop sort last and are cut off
+    members = np.argsort(by_comp, kind="stable")[:comp_start[-1]].astype(np.int32)
+    return comp_id, comp_start, members
 
 
 def solve_game(g: GraphSpec, k: int, cap: int = DEFAULT_STATE_CAP, verify_witness: bool = True) -> SolveResult:
@@ -253,19 +262,12 @@ def solve_game(g: GraphSpec, k: int, cap: int = DEFAULT_STATE_CAP, verify_witnes
     configs = np.fromiter(chain.from_iterable(cells), dtype=np.int32, count=n_cfg * k)
     configs = configs.reshape(n_cfg, k)
     index = _config_ranker(n_vertices, k)
-    comp_id, n_comp = _components(configs, padded)
+    comp_id, comp_start, members = _components(configs, padded)
+    n_comp = len(comp_start) - 1
     ptr, succ = _successors(configs, padded, index)
 
-    # members of each component, grouped by component and ascending inside
-    by_comp = comp_id.T.ravel()
-    members = np.argsort(by_comp, kind="stable").astype(np.int32)
-    sizes = np.bincount(by_comp, minlength=n_comp + 1)
-    comp_start = np.zeros(n_comp + 1, dtype=np.int64)
-    np.cumsum(sizes[:n_comp], out=comp_start[1:])
-    members = members[:comp_start[-1]]
     # safe destinations left per component; the sentinel never reaches zero
-    safe = sizes.astype(np.int64)
-    safe[n_comp] = np.iinfo(np.int64).max
+    safe = np.append(np.diff(comp_start), np.iinfo(np.int64).max)
 
     # every robber-to-move state enters the queue at most once: the capture
     # states first, each configuration's in the iteration order of set(cfg)
