@@ -4,9 +4,13 @@ Subcommands: match, solve, copnum, count, bound, table, render, replay.
 Outputs are single JSON objects (JSON-lines for traces); seeds always
 appear in outputs, defaulted or not, so every run can be reproduced.
 
-Exit codes: 0 completed (either side may have won), 1 replay mismatch (a
-trace, or a solver's witness, that does not replay), 2 strategy fault,
-3 configuration/usage error, 4 resource cap exceeded.
+Exit codes: 0 completed (either side may have won); 1 replay mismatch: a
+trace, or a solver's witness, that does not replay (an illegal or divergent
+move, a header whose version, k or graph disagrees with the events, or no
+final capture/timeout/fault event); 2 strategy fault; 3 configuration/usage
+error, including a malformed trace (a line that is not JSON, or a record
+missing a field); 4 resource cap exceeded (the solver's state cap, or a
+match or replay graph above the engine's vertex cap).
 """
 from __future__ import annotations
 
@@ -29,12 +33,14 @@ from .errors import (
     GridPursuitError,
     ReplayError,
     ResourceLimitError,
+    TraceFormatError,
 )
 from .grid import format_graph, parse_graph
 from .robbers import make_robber_strategy
 from .solver import cop_number, solve_game
 
 EXIT_OK = 0
+EXIT_REPLAY = 1
 EXIT_FAULT = 2
 EXIT_CONFIG = 3
 EXIT_RESOURCE = 4
@@ -296,16 +302,16 @@ def main(argv=None) -> int:
     except ResourceLimitError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ConfigurationError, GraphFormatError) as err:
+    except (ConfigurationError, GraphFormatError, TraceFormatError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except ReplayError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
+        return EXIT_REPLAY
     except GridPursuitError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .counts import level_closed_form
 from .engine import CopStrategy, GameState
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require
 from .grid import CoordMap, GraphSpec
 
 __all__ = [
@@ -30,13 +30,8 @@ __all__ = [
 ]
 
 
-def _require(cond, msg):
-    if not cond:
-        raise ConfigurationError(msg)
-
-
 def _require_grid_2d(graph):
-    _require(
+    require(
         graph.ndim == 2 and not any(d.wrap for d in graph.dims),
         f"strategy needs a two-dimensional grid, got {graph.dims}",
     )
@@ -55,7 +50,7 @@ class RowSweepCops(CopStrategy):
     def place(self, graph, k):
         _require_grid_2d(graph)
         width = graph.dims[0].length
-        _require(k >= width, f"row sweep needs k >= {width}, got {k}")
+        require(k >= width, f"row sweep needs k >= {width}, got {k}")
         return [(x, 0) for x in range(width)] + [(0, 0)] * (k - width)
 
     def move(self, state):
@@ -78,12 +73,12 @@ class TorusTwoRowsCops(CopStrategy):
         self._turns = 0
 
     def place(self, graph, k):
-        _require(
+        require(
             graph.ndim == 2 and all(d.wrap for d in graph.dims),
             f"strategy needs a two-dimensional torus, got {graph.dims}",
         )
         width, height = graph.lengths
-        _require(k >= 2 * width, f"torus pincer needs k >= {2 * width}, got {k}")
+        require(k >= 2 * width, f"torus pincer needs k >= {2 * width}, got {k}")
         wall = [(x, 0) for x in range(width)]
         wall += [(x, height - 1) for x in range(width)]
         return wall + [(0, 0)] * (k - 2 * width)
@@ -129,9 +124,9 @@ class DiagonalPairsCops(CopStrategy):
     def place(self, graph, k):
         _require_grid_2d(graph)
         n = graph.dims[0].length
-        _require(n == graph.dims[1].length, "diagonal pairs needs a square grid")
-        _require(n % 2 == 1 and n >= 3, f"diagonal pairs needs odd n >= 3, got {n}")
-        _require(k >= n - 1, f"diagonal pairs needs k >= {n - 1}, got {k}")
+        require(n == graph.dims[1].length, "diagonal pairs needs a square grid")
+        require(n % 2 == 1 and n >= 3, f"diagonal pairs needs odd n >= 3, got {n}")
+        require(k >= n - 1, f"diagonal pairs needs k >= {n - 1}, got {k}")
         pairs = []
         for j in range((n - 1) // 2):
             pairs += [(2 * j + 1, 2 * j + 1)] * 2
@@ -252,14 +247,14 @@ class _LevelBlockadeCops(CopStrategy):
         raise NotImplementedError
 
     def _validate(self, graph, k):
-        _require(
+        require(
             len({d.length for d in graph.dims}) == 1 and not any(d.wrap for d in graph.dims),
             f"blockade needs an equal-sided grid, got {graph.dims}",
         )
         n = graph.dims[0].length
         if not self.allow_understaffed:
-            _require(n % 2 == 1, f"blockade is only guaranteed for odd side lengths, got {n}")
-            _require(
+            require(n % 2 == 1, f"blockade is only guaranteed for odd side lengths, got {n}")
+            require(
                 k >= self.required_cops(n),
                 f"blockade needs k >= {self.required_cops(n)}, got {k}",
             )
@@ -367,7 +362,7 @@ class Blockade3DCops(_LevelBlockadeCops):
         return blockade_3d_cop_count(n)
 
     def _validate(self, graph, k):
-        _require(graph.ndim == 3, f"blockade-3d needs three dimensions, got {graph.ndim}")
+        require(graph.ndim == 3, f"blockade-3d needs three dimensions, got {graph.ndim}")
         return super()._validate(graph, k)
 
 

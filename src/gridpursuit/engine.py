@@ -16,17 +16,28 @@ import json
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import chain as _chain
 
 from .errors import (
     ConfigurationError,
     InvalidVertexError,
     ReplayError,
+    ResourceLimitError,
     RuleViolation,
     StrategyFault,
+    TraceFormatError,
 )
 from .grid import GraphSpec, format_graph, lattice, parse_graph
 
 TRACE_VERSION = 1
+
+# Largest graph run_match accepts.  Every turn floods bitboards of one bit
+# per vertex, and the lattice behind them holds a mask of that size per
+# dimension, so cost grows with the vertex count: at the cap (grid:1024x1024
+# or cube:20) one round takes about 1-3 s and a random robber's move decode
+# about 400 MiB, and cube:30 would need 8 GiB before the first move.  The
+# largest graph the tests, demos and benchmark play is cube:14 (16384).
+MAX_MATCH_VERTICES = 1 << 20
 
 
 class Phase(Enum):
@@ -70,11 +81,15 @@ def initial_state(g: GraphSpec) -> GameState:
     return GameState(g, (), None, Phase.COP_PLACEMENT)
 
 
-def reachable_set(g: GraphSpec, cops, frm) -> set:
-    """Vertices the robber at frm can reach through cop-free paths.
+def reachable_mask(g: GraphSpec, cops, frm, stop: int = 0) -> int:
+    """Bitboard of the vertices the robber at frm can reach through cop-free
+    paths: the connected component of frm after deleting every cop-occupied
+    vertex, frm included.
 
-    This is the connected component of frm after deleting all cop-occupied
-    vertices; it always contains frm itself.
+    This is the engine's one reachability primitive.  frm must be a free
+    vertex.  With a nonzero stop mask the flood fill ends as soon as it
+    meets stop: the result is then only the part found so far, but it meets
+    stop exactly when the whole component does.
     """
     g.check_vertex(frm)
     lat = lattice(g)
@@ -82,41 +97,18 @@ def reachable_set(g: GraphSpec, cops, frm) -> set:
     start = g.index(frm)
     if blocked >> start & 1:
         raise RuleViolation(f"source {frm} is occupied by a cop")
-    return lat.set_of(lat.component(start, blocked))
+    return lat.component(start, blocked, stop)
 
 
-def reachable_mask(g: GraphSpec, cops, frm) -> int:
-    """Bitboard variant of reachable_set (internal fast path)."""
-    lat = lattice(g)
-    blocked = lat.mask_of(cops)
-    start = g.index(frm)
-    if blocked >> start & 1:
-        raise RuleViolation(f"source {frm} is occupied by a cop")
-    return lat.component(start, blocked)
-
-
-def _can_reach(g: GraphSpec, cops, src, dst) -> bool:
-    """Early-exit flood fill: stop as soon as dst joins the component."""
-    lat = lattice(g)
-    blocked = lat.mask_of(cops)
-    start = g.index(src)
-    if blocked >> start & 1:
-        raise RuleViolation(f"source {src} is occupied by a cop")
-    target = 1 << g.index(dst)
-    if blocked & target:
-        return False
-    comp = frontier = 1 << start
-    free = lat.full & ~blocked
-    while frontier and not comp & target:
-        frontier = lat.expand(frontier) & free & ~comp
-        comp |= frontier
-    return bool(comp & target)
+def reachable_set(g: GraphSpec, cops, frm) -> set:
+    """Vertices the robber at frm can reach (see reachable_mask)."""
+    return lattice(g).set_of(reachable_mask(g, cops, frm))
 
 
 def place_cops(state: GameState, positions) -> GameState:
     if state.phase is not Phase.COP_PLACEMENT:
         raise RuleViolation(f"cannot place cops during {state.phase.value}")
-    positions = tuple(tuple(p) for p in positions)
+    positions = tuple(map(tuple, positions))
     for p in positions:
         state.graph.check_vertex(p)
     return replace(state, cops=positions, phase=Phase.ROBBER_PLACEMENT)
@@ -136,19 +128,22 @@ def apply_cop_move(state: GameState, dests) -> GameState:
     """Joint cop move: dests[i] must lie in the closed neighborhood of cop i."""
     if state.phase is not Phase.COP_TURN:
         raise RuleViolation(f"not a cop turn: {state.phase.value}")
-    dests = tuple(tuple(d) for d in dests)
+    dests = tuple(map(tuple, dests))
     if len(dests) != len(state.cops):
         raise RuleViolation(
             f"expected {len(state.cops)} destinations, got {len(dests)}"
         )
     g = state.graph
     for i, (src, dst) in enumerate(zip(state.cops, dests)):
-        g.check_vertex(dst)
-        if dst != src and g.distance(src, dst) != 1:
-            raise RuleViolation(f"cop {i} cannot step {src} -> {dst}", cop_index=i)
+        # a cop that stays put needs no check: its position is a vertex
+        if dst != src:
+            g.check_vertex(dst)
+            if not g.adjacent(src, dst):
+                raise RuleViolation(f"cop {i} cannot step {src} -> {dst}", cop_index=i)
+    # direct construction: dataclasses.replace costs twice as much per turn
     if state.robber in dests:
-        return replace(state, cops=dests, phase=Phase.OVER, winner="cops")
-    return replace(state, cops=dests, phase=Phase.ROBBER_TURN)
+        return GameState(g, dests, state.robber, Phase.OVER, state.round, "cops")
+    return GameState(g, dests, state.robber, Phase.ROBBER_TURN, state.round)
 
 
 def apply_robber_move(state: GameState, dest) -> GameState:
@@ -156,13 +151,15 @@ def apply_robber_move(state: GameState, dest) -> GameState:
     if state.phase is not Phase.ROBBER_TURN:
         raise RuleViolation(f"not a robber turn: {state.phase.value}")
     dest = tuple(dest)
-    state.graph.check_vertex(dest)
+    g = state.graph
+    g.check_vertex(dest)
     if dest in state.cops:
         raise RuleViolation(f"robber destination {dest} is cop-occupied")
     if dest != state.robber:
-        if not _can_reach(state.graph, state.cops, state.robber, dest):
+        target = 1 << g.index(dest)
+        if not reachable_mask(g, state.cops, state.robber, target) & target:
             raise RuleViolation(f"no cop-free path from {state.robber} to {dest}")
-    return replace(state, robber=dest, phase=Phase.COP_TURN, round=state.round + 1)
+    return GameState(g, state.cops, dest, Phase.COP_TURN, state.round + 1)
 
 
 # --------------------------------------------------------------------------
@@ -251,11 +248,21 @@ def _event(state: GameState, phase: Phase, round_no: int, tag=None, notes=None):
     return {
         "round": round_no,
         "phase": phase.value,
-        "cops": [list(c) for c in state.cops],
+        "cops": list(map(list, state.cops)),
         "robber": list(state.robber) if state.robber is not None else None,
         "event": tag,
         "annotations": {str(k): str(v) for k, v in (notes or {}).items()},
     }
+
+
+def _check_size(graph: GraphSpec):
+    if graph.vertex_count > MAX_MATCH_VERTICES:
+        raise ResourceLimitError(
+            f"{format_graph(graph)} has {graph.vertex_count} vertices; matches are "
+            f"capped at {MAX_MATCH_VERTICES}",
+            estimate=graph.vertex_count,
+            cap=MAX_MATCH_VERTICES,
+        )
 
 
 def run_match(
@@ -277,6 +284,7 @@ def run_match(
     """
     if k < 1:
         raise ConfigurationError(f"cop count must be >= 1, got {k}")
+    _check_size(graph)
     if max_rounds is None:
         max_rounds = 4 * graph.vertex_count
     if max_rounds < 1:
@@ -386,16 +394,70 @@ def trace_to_jsonl(trace: MatchTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
+_HEADER_FIELDS = {"graph": str, "k": int, "max_rounds": int, "version": int}
+_EVENT_FIELDS = {"round", "phase", "event", "cops", "robber", "annotations"}
+_TERMINAL = ("capture", "timeout", "fault")
+_PHASES = {p.value: p for p in Phase}
+_INT, _LIST = {int}, {list}
+
+
+def _is_point(value) -> bool:
+    return type(value) is list and _INT.issuperset(map(type, value))
+
+
+def _is_points(value) -> bool:
+    return (
+        type(value) is list
+        and _LIST.issuperset(map(type, value))
+        and _INT.issuperset(map(type, _chain.from_iterable(value)))
+    )
+
+
+def _check_event(ev, line_no):
+    """Raise TraceFormatError unless ev has the fields and types _event writes."""
+    if type(ev) is not dict:
+        raise TraceFormatError(f"trace line {line_no}: event is not a JSON object")
+    if not ev.keys() >= _EVENT_FIELDS:
+        missing = ", ".join(sorted(_EVENT_FIELDS - ev.keys()))
+        raise TraceFormatError(f"trace line {line_no}: event lacks {missing}")
+    if not (
+        type(ev["round"]) is int
+        and type(ev["phase"]) is str
+        and (ev["event"] is None or type(ev["event"]) is str)
+        and _is_points(ev["cops"])
+        and (ev["robber"] is None or _is_point(ev["robber"]))
+        and type(ev["annotations"]) is dict
+    ):
+        raise TraceFormatError(f"trace line {line_no}: event field of the wrong type")
+
+
 def trace_from_jsonl(text: str) -> MatchTrace:
+    """Parse a JSON-lines trace: a header line, then one line per event.
+
+    Raises TraceFormatError when a line is not JSON or a record lacks a
+    field or has one of the wrong type.  Legality is replay_trace's job.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ReplayError("empty trace")
-    header = json.loads(lines[0])
+    records = []
+    for line_no, ln in enumerate(lines, 1):
+        try:
+            records.append(json.loads(ln))  # events stay in list-of-lists form, byte-stable
+        except json.JSONDecodeError as err:
+            raise TraceFormatError(f"trace line {line_no} is not JSON: {err}") from None
+    header = records[0]
+    if type(header) is not dict or any(
+        type(header.get(key)) is not kind for key, kind in _HEADER_FIELDS.items()
+    ):
+        raise TraceFormatError(
+            f"trace header needs {', '.join(_HEADER_FIELDS)} (string graph, integer rest)"
+        )
     trace = MatchTrace(header=header)
-    for ln in lines[1:]:
-        ev = json.loads(ln)  # events stay in list-of-lists form, byte-stable
+    for line_no, ev in enumerate(records[1:], 2):
+        _check_event(ev, line_no)
         trace.events.append(ev)
-        if ev["event"] in ("capture", "timeout", "fault"):
+        if ev["event"] in _TERMINAL:
             trace.outcome = ev["event"]
             trace.rounds = ev["round"]
             if ev["event"] == "fault":
@@ -406,36 +468,71 @@ def trace_from_jsonl(text: str) -> MatchTrace:
 def replay_trace(trace: MatchTrace) -> GameState:
     """Re-drive the engine with the recorded actions, checking every state.
 
-    Raises ReplayError on the first divergence; returns the final state.
+    Raises ReplayError on the first divergence: an illegal move, a state or
+    round the engine does not reach, a header whose version, k or graph
+    disagrees with the events, or a trace that does not end in exactly one
+    capture, timeout or fault event.  A header graph above the match cap
+    raises ResourceLimitError.  Returns the final state.
     """
-    graph = parse_graph(trace.header["graph"])
+    header = trace.header
+    if header["version"] != TRACE_VERSION:
+        raise ReplayError(f"trace version {header['version']}, expected {TRACE_VERSION}")
+    events = trace.events
+    if not events or events[-1]["event"] not in _TERMINAL:
+        raise ReplayError("trace does not end in a capture, timeout or fault event")
+    graph = parse_graph(header["graph"])
+    _check_size(graph)
+    k = header["k"]
+    last = len(events) - 1
     state = initial_state(graph)
-    for ev in trace.events:
-        phase = ev["phase"]
-        cops = tuple(tuple(c) for c in ev["cops"])
+    for i, ev in enumerate(events):
+        phase, tag = _PHASES.get(ev["phase"]), ev["event"]
+        cops = tuple(map(tuple, ev["cops"]))
         robber = tuple(ev["robber"]) if ev["robber"] is not None else None
-        if ev["event"] == "fault":
-            break  # positions on a fault line are the pre-fault state
-        if phase == Phase.COP_PLACEMENT.value:
-            state = place_cops(state, cops)
-        elif phase == Phase.ROBBER_PLACEMENT.value:
-            if ev["event"] == "capture":  # no free vertex existed
-                state = replace(state, phase=Phase.OVER, winner="cops")
+        where = f"round {ev['round']} ({ev['phase']})"
+        if phase is None:
+            raise ReplayError(f"unknown phase at {where}")
+        if tag is not None and (tag not in _TERMINAL or i != last):
+            raise ReplayError(f"unexpected {tag!r} event at {where}")
+        if ev["round"] != state.round:
+            raise ReplayError(f"{where} recorded, engine is at round {state.round}")
+        if tag == "fault":
+            # positions on a fault line are the pre-fault state
+            if state.cops != cops or state.robber != robber:
+                raise ReplayError(f"fault at {where} records positions the engine never reached")
+            break
+        if len(cops) != k:
+            raise ReplayError(f"{where} has {len(cops)} cops, header says k={k}")
+        try:
+            if phase is Phase.COP_PLACEMENT:
+                state = place_cops(state, cops)
+            elif phase is Phase.ROBBER_PLACEMENT:
+                if tag == "capture":  # no free vertex existed
+                    if state.phase is not Phase.ROBBER_PLACEMENT or (
+                        len(set(state.cops)) < graph.vertex_count
+                    ):
+                        raise ReplayError(f"{where} records capture, but a free vertex exists")
+                    state = replace(state, phase=Phase.OVER, winner="cops")
+                else:
+                    state = place_robber(state, robber)
+            elif phase is Phase.COP_TURN:
+                state = apply_cop_move(state, cops)
+            elif phase is Phase.ROBBER_TURN:
+                state = apply_robber_move(state, robber)
             else:
-                state = place_robber(state, robber)
-        elif phase == Phase.COP_TURN.value:
-            state = apply_cop_move(state, cops)
-        elif phase == Phase.ROBBER_TURN.value:
-            state = apply_robber_move(state, robber)
-        else:
-            raise ReplayError(f"unknown phase {phase!r} in trace")
+                raise ReplayError(f"no action is recorded in phase {phase.value} at {where}")
+        except (RuleViolation, InvalidVertexError) as err:
+            raise ReplayError(f"illegal action at {where} on {header['graph']}: {err}") from None
         if state.cops != cops or state.robber != robber:
             raise ReplayError(
-                f"replay diverged at round {ev['round']} ({phase}): "
+                f"replay diverged at {where}: "
                 f"engine {state.cops}/{state.robber} vs trace {cops}/{robber}"
             )
-        if ev["event"] == "capture" and state.winner != "cops":
+        if tag == "capture" and state.winner != "cops":
             raise ReplayError(f"trace records capture at round {ev['round']}, engine disagrees")
+        if tag == "timeout" and (phase is not Phase.ROBBER_TURN
+                                 or ev["round"] != header["max_rounds"]):
+            raise ReplayError(f"timeout at {where}, header says max_rounds={header['max_rounds']}")
     return state
 
 

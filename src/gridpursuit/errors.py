@@ -41,6 +41,12 @@ class ConfigurationError(GridPursuitError, ValueError):
     """A strategy or command was asked to run outside its preconditions."""
 
 
+def require(cond, msg):
+    """Raise ConfigurationError(msg) unless cond holds."""
+    if not cond:
+        raise ConfigurationError(msg)
+
+
 class ResourceLimitError(GridPursuitError, RuntimeError):
     """A computation would exceed its configured size cap."""
 
@@ -50,5 +56,12 @@ class ResourceLimitError(GridPursuitError, RuntimeError):
         self.cap = cap
 
 
+class TraceFormatError(GridPursuitError, ValueError):
+    """A trace is not well-formed JSON lines: a line is not JSON, or the
+    header or an event lacks a field or has one of the wrong type."""
+
+
 class ReplayError(GridPursuitError, RuntimeError):
-    """A recorded trace does not reproduce under the engine."""
+    """A recorded trace does not reproduce under the engine: an illegal or
+    divergent move, a header that disagrees with the events, or a missing
+    final event."""

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .engine import GameState, Phase, RobberStrategy, reachable_mask
-from .errors import ConfigurationError, StrategyFault
+from .errors import ConfigurationError, StrategyFault, require
 from .grid import CoordMap, GraphSpec, format_graph, is_hypercube, lattice, parse_graph
 
 __all__ = [
@@ -42,11 +42,6 @@ __all__ = [
     "ROBBER_STRATEGIES",
     "make_robber_strategy",
 ]
-
-
-def _require(cond, msg):
-    if not cond:
-        raise ConfigurationError(msg)
 
 
 # --------------------------------------------------------------------------
@@ -82,12 +77,8 @@ class RandomRobber(RobberStrategy):
         return self.rng.choice(free)
 
     def move(self, state):
-        options = sorted(
-            lattice(state.graph).set_of(
-                reachable_mask(state.graph, state.cops, state.robber)
-            )
-        )
-        return self.rng.choice(options)
+        reach = reachable_mask(state.graph, state.cops, state.robber)
+        return self.rng.choice(lattice(state.graph).vertices_of(reach))
 
 
 class MaxComponentRobber(RobberStrategy):
@@ -181,7 +172,7 @@ class Grid2DEvader(RobberStrategy):
 
     def reset(self, graph, rng):
         super().reset(graph, rng)
-        _require(
+        require(
             graph.ndim == 2
             and not any(d.wrap for d in graph.dims)
             and graph.dims[0].length == graph.dims[1].length,
@@ -316,7 +307,6 @@ class Grid2DEvader(RobberStrategy):
 
 
 def _line_masks(g, axis):
-    lat = lattice(g)
     masks = [0] * g.dims[axis].length
     for v in g.vertices():
         masks[v[axis]] |= 1 << g.index(v)
@@ -397,14 +387,14 @@ class TorusEvader(RobberStrategy):
 
     def reset(self, graph, rng):
         super().reset(graph, rng)
-        _require(
+        require(
             graph.ndim == 2
             and all(d.wrap for d in graph.dims)
             and graph.dims[0].length == graph.dims[1].length,
             f"torus evader needs a square torus, got {format_graph(graph)}",
         )
         self._n = graph.dims[0].length
-        _require(self._n >= 18, f"torus evader needs n >= 18, got {self._n}")
+        require(self._n >= 18, f"torus evader needs n >= 18, got {self._n}")
         self._fallback.reset(graph, rng)
         self.fallback_moves = 0
         self._pending = False
@@ -573,14 +563,14 @@ class Grid3DEvader(RobberStrategy):
 
     def reset(self, graph, rng):
         super().reset(graph, rng)
-        _require(
+        require(
             graph.ndim == 3
             and not any(d.wrap for d in graph.dims)
             and len({d.length for d in graph.dims}) == 1,
             f"3d evader needs a cubic grid, got {format_graph(graph)}",
         )
         self._n = graph.dims[0].length
-        _require(self._n % 10 == 0, f"3d evader needs n divisible by 10, got {self._n}")
+        require(self._n % 10 == 0, f"3d evader needs n divisible by 10, got {self._n}")
         self._fallback.reset(graph, rng)
         self.fallback_moves = 0
         self.component_failures = 0
@@ -766,7 +756,7 @@ def potential(g: GraphSpec, cops, v) -> Fraction:
     rational arithmetic: the 1/2 threshold the evader plays against is
     sharp.
     """
-    _require(is_hypercube(g), "potential is defined on hypercubes only")
+    require(is_hypercube(g), "potential is defined on hypercubes only")
     n = g.ndim
     total = Fraction(0)
     for c in cops:
@@ -784,7 +774,7 @@ class PotentialLedger:
 
 
 def potential_ledger(g: GraphSpec, cops, v) -> PotentialLedger:
-    _require(is_hypercube(g), "potential is defined on hypercubes only")
+    require(is_hypercube(g), "potential is defined on hypercubes only")
     n = g.ndim
     per = []
     for c in cops:
@@ -815,7 +805,7 @@ class PotentialEvader(RobberStrategy):
 
     def reset(self, graph, rng):
         super().reset(graph, rng)
-        _require(is_hypercube(graph), f"potential evader needs a hypercube, got {format_graph(graph)}")
+        require(is_hypercube(graph), f"potential evader needs a hypercube, got {format_graph(graph)}")
         n = graph.ndim
         self._n = n
         size = 1 << n
@@ -849,7 +839,7 @@ class PotentialEvader(RobberStrategy):
 
     def _pick(self, graph, cops, allowed_mask):
         scores = self._scores(graph, cops)
-        allowed = _mask_to_bools(allowed_mask, len(self._idx))
+        allowed = lattice(graph).bits_of(allowed_mask)
         blocked_score = self._lcm * (len(cops) + 1) + 1
         scores = np.where(allowed, scores, blocked_score)
         i = int(np.argmin(scores))
@@ -874,12 +864,6 @@ class PotentialEvader(RobberStrategy):
         return self._pick(state.graph, state.cops, reach)
 
 
-def _mask_to_bools(mask: int, size: int) -> np.ndarray:
-    data = mask.to_bytes((size + 7) // 8, "little")
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-    return bits[:size].astype(bool)
-
-
 # --------------------------------------------------------------------------
 # Retraction lift
 # --------------------------------------------------------------------------
@@ -887,12 +871,12 @@ def _mask_to_bools(mask: int, size: int) -> np.ndarray:
 
 def clamp_retraction(outer: GraphSpec, inner: GraphSpec):
     """Coordinatewise clamp onto a lower corner subgrid of the same arity."""
-    _require(outer.ndim == inner.ndim, "clamp needs matching dimension counts")
-    _require(
+    require(outer.ndim == inner.ndim, "clamp needs matching dimension counts")
+    require(
         not any(d.wrap for d in outer.dims) and not any(d.wrap for d in inner.dims),
         "clamp retraction applies to products of paths",
     )
-    _require(
+    require(
         all(i.length <= o.length for i, o in zip(inner.dims, outer.dims)),
         "inner graph must fit inside the outer graph",
     )
@@ -946,7 +930,7 @@ class RetractLift(RobberStrategy):
 
     def reset(self, graph, rng):
         super().reset(graph, rng)
-        _require(graph == self.outer, "retract lift bound to a different graph")
+        require(graph == self.outer, "retract lift bound to a different graph")
         self.inner_strategy.reset(self.inner, rng)
         self.inner_strategy.check_invariants = self.check_invariants
         self._prev_images = None

@@ -168,3 +168,123 @@ def test_solve_exits_1_when_the_witness_replay_fails(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "witness replay failed" in err
+
+
+# -- bad traces and oversized graphs ---------------------------------------------
+
+
+def _recorded_trace(tmp_path, capsys):
+    """Lines of a diagonal-pairs capture on grid:7x7 with k=6."""
+    path = tmp_path / "good.jsonl"
+    code, _, _ = run_cli(
+        capsys,
+        "match", "--graph", "grid:7x7", "--cop", "diagonal-pairs", "--robber", "random",
+        "--k", "6", "--seed", "8", "--trace", str(path),
+    )
+    assert code == 0
+    return path.read_text().splitlines()
+
+
+def _replay_lines(tmp_path, capsys, lines):
+    path = tmp_path / "edited.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return run_cli(capsys, "replay", "--trace", str(path))
+
+
+def _edit(line, **fields):
+    record = json.loads(line)
+    record.update(fields)
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def test_replay_rejects_a_trace_without_its_final_event(tmp_path, capsys):
+    lines = _recorded_trace(tmp_path, capsys)
+    assert json.loads(lines[-1])["event"] == "capture"
+    code, out, err = _replay_lines(tmp_path, capsys, lines[:-1])
+    assert code == 1 and out == ""
+    assert "does not end" in err
+
+
+@pytest.mark.parametrize("field, value", [("k", 9), ("k", 5), ("graph", "grid:5x5"),
+                                          ("graph", "torus:7x7x7"), ("version", 2)])
+def test_replay_rejects_a_header_that_disagrees_with_the_events(tmp_path, capsys, field, value):
+    lines = _recorded_trace(tmp_path, capsys)
+    code, out, err = _replay_lines(tmp_path, capsys, [_edit(lines[0], **{field: value})] + lines[1:])
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+
+
+def test_replay_rejects_an_illegal_move(tmp_path, capsys):
+    lines = _recorded_trace(tmp_path, capsys)
+    turn = next(i for i, ln in enumerate(lines) if json.loads(ln).get("phase") == "cop-turn")
+    x, y = json.loads(lines[turn - 1])["cops"][0]
+    cops = json.loads(lines[turn])["cops"]
+    cops[0] = [x + 2 if x < 5 else x - 2, y]  # two steps in one turn
+    code, out, err = _replay_lines(
+        tmp_path, capsys, lines[:turn] + [_edit(lines[turn], cops=cops)] + lines[turn + 1:])
+    assert code == 1 and out == ""
+    assert "cop 0 cannot step" in err
+
+
+def test_replay_rejects_an_edited_round(tmp_path, capsys):
+    lines = _recorded_trace(tmp_path, capsys)
+    code, _, err = _replay_lines(tmp_path, capsys, lines[:-1] + [_edit(lines[-1], round=99)])
+    assert code == 1
+    assert "round 99" in err
+
+
+@pytest.mark.parametrize("line", [
+    "not json",
+    '{"round": 1, "phase": "cop-turn"',
+    "[1, 2]",
+])
+def test_replay_of_a_non_json_line_is_a_usage_error(tmp_path, capsys, line):
+    lines = _recorded_trace(tmp_path, capsys)
+    code, out, err = _replay_lines(tmp_path, capsys, lines[:2] + [line] + lines[2:])
+    assert code == 3 and out == ""
+    assert "line 3" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["event", "phase", "cops", "robber", "round", "annotations"])
+def test_replay_of_an_event_missing_a_field_is_a_usage_error(tmp_path, capsys, field):
+    lines = _recorded_trace(tmp_path, capsys)
+    record = json.loads(lines[2])
+    del record[field]
+    code, out, err = _replay_lines(tmp_path, capsys, lines[:2] + [json.dumps(record)] + lines[3:])
+    assert code == 3 and out == ""
+    assert field in err
+
+
+@pytest.mark.parametrize("cops, robber", [
+    ([["a", 1]] * 6, [0, 0]),
+    ([[1.5, 1]] * 6, [0, 0]),
+    ([1, 2, 3, 4, 5, 6], [0, 0]),
+    ([[1, 1]] * 6, "here"),
+    ({"0": [1, 1]}, [0, 0]),
+])
+def test_replay_of_badly_typed_positions_is_a_usage_error(tmp_path, capsys, cops, robber):
+    lines = _recorded_trace(tmp_path, capsys)
+    code, out, err = _replay_lines(
+        tmp_path, capsys, lines[:2] + [_edit(lines[2], cops=cops, robber=robber)] + lines[3:])
+    assert code == 3 and out == ""
+    assert "wrong type" in err
+
+
+def test_replay_of_a_non_utf8_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "binary.jsonl"
+    path.write_bytes(b"\xff\xfe\x00garbage\n")
+    code, out, _ = run_cli(capsys, "replay", "--trace", str(path))
+    assert code == 3 and out == ""
+
+
+def test_match_on_an_oversized_graph_is_a_resource_error(capsys):
+    code, out, err = run_cli(
+        capsys, "match", "--graph", "cube:30", "--cop", "random", "--robber", "random", "--k", "1")
+    assert code == 4 and out == ""
+    assert "1073741824 vertices" in err
+
+
+def test_replay_on_an_oversized_graph_is_a_resource_error(tmp_path, capsys):
+    lines = _recorded_trace(tmp_path, capsys)
+    code, out, _ = _replay_lines(tmp_path, capsys, [_edit(lines[0], graph="cube:40")] + lines[1:])
+    assert code == 4 and out == ""

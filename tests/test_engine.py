@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridpursuit.engine import (
+    MAX_MATCH_VERTICES,
     GameState,
     Phase,
     apply_cop_move,
@@ -20,8 +22,14 @@ from gridpursuit.engine import (
     trace_from_jsonl,
     trace_to_jsonl,
 )
-from gridpursuit.errors import RuleViolation
-from gridpursuit.grid import cube, grid, torus
+from gridpursuit.errors import (
+    InvalidVertexError,
+    ReplayError,
+    ResourceLimitError,
+    RuleViolation,
+    TraceFormatError,
+)
+from gridpursuit.grid import cube, grid, parse_graph, torus
 
 import oracles
 
@@ -110,6 +118,32 @@ def test_cop_move_diagonal_rejected_with_index():
     with pytest.raises(RuleViolation) as err:
         apply_cop_move(s, [(2, 2), (1, 1)])
     assert err.value.cop_index == 1
+
+
+def test_cop_move_off_the_graph_rejected():
+    s = make_state(grid(3, 3), [(2, 2), (0, 0)], (1, 1))
+    for bad in [(3, 2), (2, -1), (2, 2, 0), (2,)]:
+        with pytest.raises(InvalidVertexError):
+            apply_cop_move(s, [bad, (0, 0)])
+
+
+def test_cop_move_long_step_rejected_with_index():
+    s = make_state(grid(5, 5), [(0, 0), (4, 4), (2, 2)], (0, 4))
+    with pytest.raises(RuleViolation) as err:
+        apply_cop_move(s, [(0, 0), (4, 4), (4, 2)])
+    assert err.value.cop_index == 2
+
+
+@pytest.mark.parametrize("g, legal", [(torus(4, 5), True), (grid(4, 5), False)])
+def test_cop_wrap_step_legal_only_on_a_cycle(g, legal):
+    s = make_state(g, [(0, 2), (1, 4)], (2, 2))
+    dests = [(3, 2), (1, 0)]  # each cop crosses the seam of its own axis
+    if legal:
+        assert apply_cop_move(s, dests).cops == tuple(dests)
+    else:
+        with pytest.raises(RuleViolation) as err:
+            apply_cop_move(s, dests)
+        assert err.value.cop_index == 0
 
 
 def test_cop_move_wrong_arity_rejected():
@@ -296,6 +330,51 @@ def test_robber_fault_on_unreachable_or_garbage_move():
     assert trace.outcome == "fault" and trace.fault_side == "robber"
 
 
+# -- pinned traces --------------------------------------------------------------
+
+# SHA-256 of trace_to_jsonl for small matches over every graph family, with
+# random, greedy, max-component and guaranteed-pursuit sides.  Traces are part
+# of the replay contract: an engine or bitboard rewrite must leave them
+# byte-identical.
+PINNED_TRACES = [
+    ("grid:6x5", "random", "max-component", 3, 7, 40,
+     "770498f93f5e16e963aaff28fce433a261900bbe0edd296f5ec219ef7ff81687"),
+    ("torus:5x6", "greedy", "random", 2, 3, 40,
+     "c27769ace58ad058760f9cd4aa5ab4f2fdf025fc34f670e2c4dc8cb5bd225517"),
+    # the robber starts above the wall, so the cops play reflected
+    ("grid:5x5x5", "blockade-3d", "random", 22, 0, None,
+     "8a32e2d962736b0055aa4aa876260f9d2595e99a7cbe5d192f087c368de36b6c"),
+    ("grid:5x5x5", "blockade-3d", "max-component", 22, 0, None,
+     "ee7c5f01be4cc31802080447b0cda1933d85fc7405645c276f140b6358656024"),
+    ("grid:3x3x3x3", "blockade-ddim", "max-component", 22, 2, None,
+     "c2976db6abfb5d6d504ddfac559fca9ee0810e29a38d29d38d34a80304cacb52"),
+    ("cube:6", "greedy", "max-component", 3, 4, 30,
+     "327c4ae832baf56c6e74df8ff097f425c7985704f117709f4b255dcf566a7d02"),
+    ("product:4w,3,2", "random", "random", 2, 5, 30,
+     "3d15419737a60393fd1d1c99e4d1f07bb46dcf812465bef64a1886330ec35d57"),
+    ("product:5,1,3w", "greedy", "random", 1, 9, 30,
+     "808d6a639742ae42ed1ccbc1386724ab312aee50f0031f215b483bfe8b431013"),
+    ("grid:7x7", "diagonal-pairs", "random", 6, 8, None,
+     "b436cf6417b42723f646b50fdef9792503b7e26dd21e576c752aabeeaac46db3"),
+    ("grid:9x9", "diagonal-pairs", "max-component", 8, 1, None,
+     "f94d14d77944c9efa909c8f673ddb3184e8b784c158a9ae9a1124b63e6588949"),
+    ("torus:6x6", "torus-two-rows", "max-component", 12, 0, None,
+     "5556859de740d447edd0061a1b822ecf6ac38888d7c2a35480cd6e110edce1d7"),
+]
+
+
+@pytest.mark.parametrize("text, cop, robber, k, seed, max_rounds, sha256", PINNED_TRACES)
+def test_trace_is_pinned(text, cop, robber, k, seed, max_rounds, sha256):
+    from gridpursuit.cops import make_cop_strategy
+    from gridpursuit.robbers import make_robber_strategy
+
+    trace = run_match(parse_graph(text), make_cop_strategy(cop), make_robber_strategy(robber),
+                      k, max_rounds=max_rounds, seed=seed)
+    text_out = trace_to_jsonl(trace)
+    assert hashlib.sha256(text_out.encode()).hexdigest() == sha256
+    replay_trace(trace_from_jsonl(text_out))
+
+
 # -- rendering -----------------------------------------------------------------
 
 
@@ -319,3 +398,86 @@ def test_render_3d_plane_blocks():
     text = render_ascii(s)
     assert "z=0" in text and "z=1" in text
     assert text.splitlines()[1][0] == "C"
+
+
+# -- replay and parse errors -----------------------------------------------------
+
+
+def _greedy_trace():
+    from gridpursuit.cops import GreedyCops
+    from gridpursuit.robbers import RandomRobber
+
+    return run_match(grid(4, 4), GreedyCops(), RandomRobber(), 2, max_rounds=30, seed=3)
+
+
+def test_replay_requires_a_final_event():
+    trace = _greedy_trace()
+    trace.events.pop()
+    with pytest.raises(ReplayError, match="does not end"):
+        replay_trace(trace)
+    trace.events = []
+    with pytest.raises(ReplayError):
+        replay_trace(trace)
+
+
+def test_replay_rejects_events_after_the_final_one():
+    trace = _greedy_trace()
+    trace.events.append(dict(trace.events[-1]))
+    with pytest.raises(ReplayError, match="unexpected"):
+        replay_trace(trace)
+
+
+def test_replay_checks_the_timeout_round_against_the_header():
+    from gridpursuit.cops import GreedyCops
+    from gridpursuit.robbers import MaxComponentRobber
+
+    trace = run_match(cube(2), GreedyCops(), MaxComponentRobber(), 1, max_rounds=6)
+    assert trace.outcome == "timeout"
+    replay_trace(trace)
+    trace.header["max_rounds"] = 7
+    with pytest.raises(ReplayError, match="max_rounds"):
+        replay_trace(trace)
+
+
+def test_replay_rejects_a_false_no_free_vertex_capture():
+    from gridpursuit.cops import RowSweepCops
+    from gridpursuit.robbers import StationaryRobber
+
+    trace = run_match(grid(2, 1), RowSweepCops(), StationaryRobber(), 2, max_rounds=5)
+    assert trace.rounds == 0
+    replay_trace(trace)
+    trace.header["graph"] = "grid:2x2"
+    with pytest.raises(ReplayError, match="free vertex"):
+        replay_trace(trace)
+
+
+def test_replay_maps_engine_errors_to_replay_errors():
+    trace = _greedy_trace()
+    trace.events[0]["cops"] = [[0, 9], [0, 0]]  # off the graph
+    with pytest.raises(ReplayError, match="illegal action"):
+        replay_trace(trace)
+
+
+def test_trace_from_jsonl_rejects_malformed_lines():
+    text = trace_to_jsonl(_greedy_trace())
+    header, first, rest = text.split("\n", 2)
+    for bad in ["{", '"just a string"', '{"phase": "cop-placement"}']:
+        with pytest.raises(TraceFormatError, match="line 2"):
+            trace_from_jsonl("\n".join([header, bad, rest]))
+    for bad_header in ["[]", '{"graph": "grid:4x4"}', header.replace('"k":2', '"k":"2"')]:
+        with pytest.raises(TraceFormatError, match="header"):
+            trace_from_jsonl("\n".join([bad_header, first, rest]))
+    assert trace_to_jsonl(trace_from_jsonl(text)) == text
+
+
+def test_run_match_caps_the_vertex_count_before_building_a_lattice():
+    from gridpursuit.cops import RandomCops
+    from gridpursuit.grid import lattice
+    from gridpursuit.robbers import RandomRobber
+
+    assert MAX_MATCH_VERTICES >= cube(14).vertex_count  # the largest graph played anywhere
+    misses = lattice.cache_info().misses
+    with pytest.raises(ResourceLimitError) as err:
+        run_match(cube(21), RandomCops(), RandomRobber(), 1)
+    assert err.value.estimate == 2**21 and err.value.cap == MAX_MATCH_VERTICES
+    assert lattice.cache_info().misses == misses

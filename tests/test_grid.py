@@ -73,6 +73,21 @@ def test_adjacency_symmetry_and_distance_one(g):
         assert (g.distance(u, v) == 1) == (u in g.neighbors(v))
 
 
+@pytest.mark.parametrize("g", [grid(4, 3), torus(3, 5), cube(3),
+                               product([(4, True), (1, False), (2, False)])])
+def test_adjacent_matches_explicit_adjacency(g):
+    adj = oracles.explicit_adjacency(oracles.dims_of(g))
+    for u in g.vertices():
+        for v in g.vertices():
+            assert g.adjacent(u, v) == (v in adj[u])
+
+
+def test_identity_coordmap_returns_tuples():
+    cm = CoordMap(grid(3, 4))
+    assert cm.identity and not CoordMap(grid(3, 3), perm=(1, 0)).identity
+    assert cm.apply([2, 1]) == (2, 1) and cm.invert([0, 3]) == (0, 3)
+
+
 @pytest.mark.parametrize("g,lo,hi", [(grid(3, 3), 2, 4), (grid(2, 2, 2), 3, 3)])
 def test_grid_degree_bounds(g, lo, hi):
     d = g.ndim
@@ -248,6 +263,39 @@ def test_bitboard_component_matches_flood(g):
         src = rng.choice(free)
         mask = lat.component(g.index(src), lat.mask_of(blocked))
         assert lat.set_of(mask) == oracles.flood(adj, blocked, src)
+
+
+@st.composite
+def graphs_and_masks(draw):
+    dims = draw(st.lists(
+        st.one_of(st.tuples(st.integers(1, 6), st.just(False)),
+                  st.tuples(st.integers(3, 6), st.just(True))),
+        min_size=1, max_size=4))
+    g = product(dims)
+    mask = draw(st.integers(0, (1 << g.vertex_count) - 1))
+    return g, mask
+
+
+@given(graphs_and_masks())
+@settings(max_examples=150, deadline=None)
+def test_mask_conversions_match_per_vertex_reference(case):
+    g, mask = case
+    lat = lattice(g)
+    members = {g.vertex_at(i) for i in range(g.vertex_count) if mask >> i & 1}
+    assert lat.set_of(mask) == members
+    assert lat.mask_of(members) == mask
+    assert lat.mask_of(sorted(members) * 2) == mask  # stacked cops set one bit
+    assert lat.mask_of([]) == 0 and lat.set_of(0) == set()
+
+
+@given(graphs_and_masks())
+@settings(max_examples=100, deadline=None)
+def test_vertices_of_lists_members_in_index_order(case):
+    g, mask = case
+    members = [g.vertex_at(i) for i in range(g.vertex_count) if mask >> i & 1]
+    listed = lattice(g).vertices_of(mask)
+    assert listed == members == sorted(members)
+    assert all(type(c) is int for v in listed for c in v)  # traces serialize them
 
 
 def test_bitboard_components_partition():
