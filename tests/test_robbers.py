@@ -1,12 +1,13 @@
+import hashlib
 import math
 from fractions import Fraction
 
 import pytest
 
-from gridpursuit.cops import GreedyCops, RandomCops
-from gridpursuit.engine import GameState, Phase, run_match
+from gridpursuit.cops import Blockade3DCops, GreedyCops, RandomCops
+from gridpursuit.engine import GameState, Phase, run_match, trace_to_jsonl
 from gridpursuit.errors import ConfigurationError
-from gridpursuit.grid import cube, grid, torus
+from gridpursuit.grid import cube, grid, parse_graph, torus
 from gridpursuit.robbers import (
     Grid2DEvader,
     Grid3DEvader,
@@ -237,6 +238,92 @@ def test_potential_evader_survives_greedy_small_cube():
     trace = run_match(g, GreedyCops(), evader, k, max_rounds=300, check_invariants=True)
     assert trace.outcome == "timeout"
     assert evader.violations == []
+
+
+# -- proof-evader pins -------------------------------------------------------------
+
+# (graph, cops, robber, k, seed, max_rounds, trace SHA-256, fallback_moves,
+# component_failures, violations with invariants checked).  The trace and the
+# counters must not depend on check_invariants; unchecked play records no
+# violations.
+EVADER_PINS = [
+    ("grid:3x3", RandomCops, lambda g: Grid2DEvader(), 1, 2, 20,
+     "81be06c246359da541ab21ba208f866f164bf3576355aa5405269c03c3e0677b", 21, None, 0),
+    ("grid:8x8", RandomCops, lambda g: Grid2DEvader(), 6, 1, 60,
+     "012c28806e42a57f188517475cab155d3a94d2983dcb8f2e09c642af125fc32e", 0, None, 0),
+    ("grid:8x8", RandomCops, lambda g: Grid2DEvader(allow_excess_cops=True), 10, 1, 60,
+     "470cf0ce2958a146a8e755ce0d6066717da08e0bd36b3abc83087d26e3bea6a5", 11, None, 2),
+    ("grid:8x8", GreedyCops, lambda g: Grid2DEvader(allow_excess_cops=True), 9, 0, 60,
+     "4f440e2dd301bd1217fa5e395a7a847f48e24ed7fa83b8ace06b77f7f46a12e4", 7, None, 0),
+    ("torus:18x18", RandomCops, lambda g: TorusEvader(), 11, 4, 60,
+     "0723c35f6eaa5c920ba5534594a7a569022ecd6eabe1fa77a17f15464d420b75", 0, None, 0),
+    ("torus:18x18", RandomCops, lambda g: TorusEvader(allow_excess_cops=True), 16, 1, 60,
+     "f3774e87ee12ab832c72f08a74987c27610ac5c46e75bdc133c65b4a28dc4b85", 21, None, 0),
+    ("grid:10x10x10", GreedyCops, lambda g: Grid3DEvader(), 71, 1, 30,
+     "541a2ebbe0b295acd2263b4fbb9826429965c8f71bae4c8693f7b769666bc88b", 31, 0, 0),
+    ("grid:10x10x10", lambda: Blockade3DCops(allow_understaffed=True),
+     lambda g: Grid3DEvader(), 71, 1, 30,
+     "b5405a8a0a1e370a0132af85a568ff5e7792b7c066c7465e125803185b5b7235", 0, 0, 0),
+    ("grid:10x10x10", RandomCops, lambda g: Grid3DEvader(allow_excess_cops=True), 80, 1, 30,
+     "7d4bdcb1253e792161dcfc3fe904c7eba80d264674e70cf72ccb2d7aefbbca55", 28, 0, 0),
+    ("cube:6", GreedyCops, lambda g: PotentialEvader(allow_excess_cops=True), 4, 4, 30,
+     "070afee7cb25ce3aa2c665dabd1ceea5c4ba2d13f7687529d5abd211a6198adf", None, None, 0),
+    ("grid:9x9", RandomCops,
+     lambda g: make_robber_strategy("retract:grid2d-evader/grid:7x7", g), 5, 3, 40,
+     "067e234c4e6acfed8c5708650799055db6a1d2ab5a938d20843177d59a6a0da0", 0, None, 0),
+]
+
+
+@pytest.mark.parametrize("checked", [False, True])
+@pytest.mark.parametrize(
+    "text, cops, robber, k, seed, max_rounds, sha256, fallbacks, component_failures, violations",
+    EVADER_PINS,
+    ids=[f"{pin[0]}-k{pin[3]}-{i}" for i, pin in enumerate(EVADER_PINS)],
+)
+def test_proof_evader_is_pinned(text, cops, robber, k, seed, max_rounds, sha256, fallbacks,
+                                component_failures, violations, checked):
+    g = parse_graph(text)
+    strategy = robber(g)
+    trace = run_match(g, cops(), strategy, k, max_rounds=max_rounds, seed=seed,
+                      check_invariants=checked)
+    evader = getattr(strategy, "inner_strategy", strategy)
+    assert hashlib.sha256(trace_to_jsonl(trace).encode()).hexdigest() == sha256
+    assert getattr(evader, "fallback_moves", None) == fallbacks
+    assert getattr(evader, "component_failures", None) == component_failures
+    assert len(strategy.violations) == (violations if checked else 0)
+
+
+def _after_cops_answer(evader, g, cops):
+    """Place against no cops with checks on, then move after `cops` arrive."""
+    evader.check_invariants = True
+    evader.reset(g, None)
+    v = evader.place(g, ())
+    evader.move(robber_turn_state(g, cops, v))
+    return v
+
+
+def test_grid2d_post_move_check_flags_no_free_row():
+    g = grid(6, 6)
+    evader = Grid2DEvader(allow_excess_cops=True)
+    _after_cops_answer(evader, g, tuple((0, y) for y in range(6)))
+    assert evader.violations[0] == "round 1: no free row reachable from (4, 0)"
+
+
+def test_torus_post_move_check_flags_no_nearly_empty_row():
+    g = torus(18, 18)
+    evader = TorusEvader(allow_excess_cops=True)
+    _after_cops_answer(evader, g, tuple((x, y) for y in range(18) for x in (9, 12)))
+    assert evader.violations[0] == "round 1: no nearly empty row reachable from (1, 1)"
+
+
+def test_grid3d_post_move_check_counts_component_failure():
+    g = grid(10, 10, 10)
+    evader = Grid3DEvader(allow_excess_cops=True)
+    # a wall at z = 5 leaves the robber at z = 7 the smaller side
+    v = _after_cops_answer(evader, g, tuple((x, y, 5) for x in range(10) for y in range(10)))
+    assert v == (6, 7, 7)
+    assert evader.component_failures == 1
+    assert f"round 1: {v} not in a largest component" in evader.violations
 
 
 # -- retraction -------------------------------------------------------------------
