@@ -74,10 +74,12 @@ class GraphSpec:
         return _iproduct(*(range(d.length) for d in self.dims))
 
     def contains(self, v) -> bool:
+        """Whether v is a vertex: a tuple of in-range Python ints (a float
+        or a bool coordinate is not one, as in a trace)."""
         return (
             isinstance(v, tuple)
             and len(v) == len(self.dims)
-            and all(0 <= c < d.length for c, d in zip(v, self.dims))
+            and all(type(c) is int and 0 <= c < d.length for c, d in zip(v, self.dims))
         )
 
     def check_vertex(self, v):

@@ -3,10 +3,26 @@
 Each evader implements the selection rule of one evasion proof and keeps
 that proof's per-turn guarantees as checkable predicates: with
 check_invariants set, every turn that breaks a guarantee appends an entry
-to .violations (the move emitted stays legal either way).  A strategy
-asked to play outside its guarantee (too many cops, graph too small)
-either refuses at construction or, when built with allow_excess_cops,
-degrades to the max-component heuristic with a trace annotation.
+to .violations (the move emitted stays legal either way).
+
+The grid, torus and 3D evaders share one turn loop and one contract for
+turns outside their guarantee:
+
+* more cops than the proof's budget raise ConfigurationError, unless the
+  evader is built with allow_excess_cops (a 2D board with n <= 3 has no
+  guarantee at all and is always played this way);
+* outside the budget, a turn whose selection finds no target, or a target
+  the robber cannot reach, is played by the max-component heuristic with a
+  `fallback` annotation and counted in fallback_moves;
+* within the budget such a turn is a StrategyFault for the grid and torus
+  evaders; the 3D guarantee is asymptotic, so the 3D evader falls back;
+* after the cops answer one of the proof's moves, the grid evader checks
+  that a cop-free row is reachable, the torus evader a nearly empty row,
+  and the 3D evader that the robber is in a largest cop-free component
+  (each miss also counts in component_failures).
+
+The hypercube potential evader refuses excess cops the same way but has no
+fallback: it always plays its minimizer.
 """
 from __future__ import annotations
 
@@ -72,13 +88,17 @@ class RandomRobber(RobberStrategy):
     name = "random"
 
     def place(self, graph, cops):
-        occupied = set(cops)
-        free = [v for v in graph.vertices() if v not in occupied]
-        return self.rng.choice(free)
+        lat = lattice(graph)
+        return self._draw(graph, lat.full & ~lat.mask_of(cops))
 
     def move(self, state):
-        reach = reachable_mask(state.graph, state.cops, state.robber)
-        return self.rng.choice(lattice(state.graph).vertices_of(reach))
+        return self._draw(state.graph, reachable_mask(state.graph, state.cops, state.robber))
+
+    def _draw(self, graph, mask):
+        # randrange(count) is the draw rng.choice makes over the members in
+        # index order; only the drawn member is decoded
+        i = self.rng.randrange(mask.bit_count())
+        return graph.vertex_at(int(np.flatnonzero(lattice(graph).bits_of(mask))[i]))
 
 
 class MaxComponentRobber(RobberStrategy):
@@ -130,6 +150,111 @@ class MaxComponentRobber(RobberStrategy):
 
 
 # --------------------------------------------------------------------------
+# Proof-evader scaffold
+# --------------------------------------------------------------------------
+
+
+def _within_budget(cops, budget, allow_excess_cops):
+    """Whether len(cops) is within the proof's budget; over it, refuse
+    unless allow_excess_cops."""
+    if len(cops) <= budget:
+        return True
+    if not allow_excess_cops:
+        raise ConfigurationError(f"{len(cops)} cops exceed the evasion budget {budget}")
+    return False
+
+
+class _ProofEvader(RobberStrategy):
+    """Turn loop of the grid, torus and 3D evaders (see the module doc).
+
+    A subclass gives the proof's cop budget (budget: n -> cops), its
+    selection rule (select(graph, cops) -> (target or None, annotations))
+    and the guarantee it checks after the cops answer a proof move
+    (post_move_check(state, reach)).  The default post-move check is the
+    row guarantee of the 2D and torus evaders: some row of kind `_row` that
+    the proof keeps safe is reachable (`_row_reachable`), and while one is,
+    the target is reachable too.  Every target is checked for an adjacent
+    cop.
+    """
+
+    _row = None
+
+    def __init__(self, allow_excess_cops=False):
+        super().__init__()
+        self.allow_excess_cops = allow_excess_cops
+        self._fallback = MaxComponentRobber()
+        self.fallback_moves = 0
+
+    def reset(self, graph, rng):
+        super().reset(graph, rng)
+        self._n = graph.dims[0].length
+        self._fallback.reset(graph, rng)
+        self.fallback_moves = 0
+        self._pending = False  # the last move was the proof's: check it
+
+    def _in_budget(self, cops):
+        return _within_budget(cops, self.budget(self._n), self.allow_excess_cops)
+
+    def _give_up(self, in_budget, why):
+        """A turn without a usable target: a fault within the budget, where
+        the proof rules it out; otherwise a fallback move follows."""
+        if in_budget:
+            raise StrategyFault(why, side="robber")
+        self.fallback_moves += 1
+        self.last_annotations = {"fallback": 1}
+
+    def place(self, graph, cops):
+        in_budget = self._in_budget(cops)
+        v, cert = self.select(graph, cops)
+        if v is None:
+            self._give_up(in_budget, f"{self.name} found no admissible target")
+            return self._fallback.place(graph, cops)
+        if self.check_invariants and any(graph.distance(v, c) <= 1 for c in cops):
+            self.violations.append(f"placement {v} adjacent to a cop")
+        self.last_annotations = cert
+        self._pending = True
+        return v
+
+    def move(self, state):
+        g, cops = state.graph, state.cops
+        in_budget = self._in_budget(cops)
+        reach = reachable_mask(g, cops, state.robber)
+        if self.check_invariants and self._pending:
+            self.post_move_check(state, reach)
+        self._pending = False
+
+        v, cert = self.select(g, cops)
+        if v is None:
+            self._give_up(in_budget, f"{self.name} found no admissible target")
+            return self._fallback.move(state)
+        reached = reach >> g.index(v) & 1
+        if self.check_invariants:
+            if any(g.distance(v, c) <= 1 for c in cops):
+                self.violations.append(f"round {state.round}: target {v} adjacent to a cop")
+            if not reached and self._row_reachable(cops, reach):
+                self.violations.append(
+                    f"round {state.round}: {self._row} reachable but target {v} is not"
+                )
+        if not reached:
+            self._give_up(in_budget, f"selected target {v} unreachable")
+            return self._fallback.move(state)
+        self.last_annotations = cert
+        self._pending = True
+        return v
+
+    def post_move_check(self, state, reach):
+        if not self._row_reachable(state.cops, reach):
+            self.violations.append(
+                f"round {state.round}: no {self._row} reachable from {state.robber}"
+            )
+
+    def _row_reachable(self, cops, reach):
+        """Whether a row the proof keeps safe meets reach (an evader whose
+        guarantee is not a row has none)."""
+        return False
+
+
+# --------------------------------------------------------------------------
 # Two-dimensional grid evader
 # --------------------------------------------------------------------------
 
@@ -138,7 +263,7 @@ def grid2d_cop_budget(n: int) -> int:
     return n - 2
 
 
-class Grid2DEvader(RobberStrategy):
+class Grid2DEvader(_ProofEvader):
     """Evades n-2 cops on an n x n grid (n >= 4).
 
     Selection each turn (after the cops move):
@@ -163,12 +288,8 @@ class Grid2DEvader(RobberStrategy):
     """
 
     name = "grid2d-evader"
-
-    def __init__(self, allow_excess_cops=False):
-        super().__init__()
-        self.allow_excess_cops = allow_excess_cops
-        self._fallback = MaxComponentRobber()
-        self.fallback_moves = 0
+    budget = staticmethod(grid2d_cop_budget)
+    _row = "free row"
 
     def reset(self, graph, rng):
         super().reset(graph, rng)
@@ -178,97 +299,22 @@ class Grid2DEvader(RobberStrategy):
             and graph.dims[0].length == graph.dims[1].length,
             f"grid evader needs a square grid, got {format_graph(graph)}",
         )
-        self._fallback.reset(graph, rng)
-        self.fallback_moves = 0
-        self._n = graph.dims[0].length
         self._degraded = self._n <= 3
-        self._pending = False
-        self._row_masks = _line_masks(graph, axis=1)
+        self._row_masks = _row_masks(graph)
 
-    def _check_budget(self, cops):
-        if len(cops) > grid2d_cop_budget(self._n) and not self._degraded:
-            if not self.allow_excess_cops:
-                raise ConfigurationError(
-                    f"{len(cops)} cops exceed the evasion budget {grid2d_cop_budget(self._n)}"
-                )
-            return False
-        return not self._degraded
+    def _in_budget(self, cops):
+        # boards with n <= 3 have no guarantee: every turn falls back
+        return not self._degraded and super()._in_budget(cops)
 
-    def _free_line_reachable(self, cops, reach, masks, axis):
-        taken = {c[axis] for c in cops}
-        for i, m in enumerate(masks):
-            if i not in taken and (reach & m):
-                return True
-        return False
-
-    def place(self, graph, cops):
-        in_budget = self._check_budget(cops)
-        v = cert = None
-        if not self._degraded:
-            v, cert = self._select(graph, cops)
-        if v is None:
-            if in_budget and not self._degraded:
-                raise StrategyFault("grid evader found no admissible target", side="robber")
-            self.fallback_moves += 1
-            self.last_annotations = {"fallback": 1}
-            return self._fallback.place(graph, cops)
-        self.last_annotations = cert
-        if self.check_invariants and any(
-            graph.distance(v, c) <= 1 for c in cops
-        ):
-            self.violations.append(f"placement {v} adjacent to a cop")
-        self._pending = True
-        return v
-
-    def move(self, state):
-        g = state.graph
-        cops = state.cops
-        in_budget = self._check_budget(cops)
-        reach = reachable_mask(g, cops, state.robber)
-
-        if self.check_invariants and self._pending:
-            # guarantee (3) for the previous target: a cop-free row must
-            # still be reachable now that the cops have answered
-            if not self._free_line_reachable(cops, reach, self._row_masks, 1):
-                self.violations.append(
-                    f"round {state.round}: no free row reachable from {state.robber}"
-                )
-        self._pending = False
-
-        v = cert = None
-        if not self._degraded:
-            v, cert = self._select(g, cops)
-        if v is None:
-            if in_budget and not self._degraded:
-                raise StrategyFault("grid evader found no admissible target", side="robber")
-            return self._move_fallback(state)
-
-        if self.check_invariants:
-            if any(g.distance(v, c) <= 1 for c in cops):
-                self.violations.append(f"round {state.round}: target {v} adjacent to a cop")
-            if self._free_line_reachable(cops, reach, self._row_masks, 1) and not (
-                reach >> g.index(v) & 1
-            ):
-                self.violations.append(
-                    f"round {state.round}: free row reachable but target {v} is not"
-                )
-
-        if not reach >> g.index(v) & 1:
-            if in_budget:
-                raise StrategyFault(f"selected target {v} unreachable", side="robber")
-            return self._move_fallback(state)
-        self.last_annotations = cert
-        self._pending = True
-        return v
-
-    def _move_fallback(self, state):
-        self.fallback_moves += 1
-        self.last_annotations = {"fallback": 1}
-        return self._fallback.move(state)
+    def _row_reachable(self, cops, reach):
+        taken = {c[1] for c in cops}
+        return any(y not in taken and reach & m for y, m in enumerate(self._row_masks))
 
     # -- selection ---------------------------------------------------------
 
-    def _select(self, g, cops):
+    def select(self, g, cops):
+        if self._degraded:
+            return None, None
         n = self._n
         c0_high = (n + 1) // 2  # first column of the upper-coordinate half
         for perm, axes_label in (((0, 1), "rows"), ((1, 0), "cols")):
@@ -306,10 +352,10 @@ class Grid2DEvader(RobberStrategy):
         return None, None
 
 
-def _line_masks(g, axis):
-    masks = [0] * g.dims[axis].length
+def _row_masks(g):
+    masks = [0] * g.dims[1].length
     for v in g.vertices():
-        masks[v[axis]] |= 1 << g.index(v)
+        masks[v[1]] |= 1 << g.index(v)
     return masks
 
 
@@ -363,7 +409,7 @@ def torus_cop_budget(n: int) -> int:
     return 2 * n - 25
 
 
-class TorusEvader(RobberStrategy):
+class TorusEvader(_ProofEvader):
     """Evades 2n-25 cops on an n x n torus (n >= 18).
 
     The rows split into six bands of floor(n/6) or ceil(n/6) consecutive
@@ -378,12 +424,8 @@ class TorusEvader(RobberStrategy):
     """
 
     name = "torus-evader"
-
-    def __init__(self, allow_excess_cops=False):
-        super().__init__()
-        self.allow_excess_cops = allow_excess_cops
-        self._fallback = MaxComponentRobber()
-        self.fallback_moves = 0
+    budget = staticmethod(torus_cop_budget)
+    _row = "nearly empty row"
 
     def reset(self, graph, rng):
         super().reset(graph, rng)
@@ -393,82 +435,14 @@ class TorusEvader(RobberStrategy):
             and graph.dims[0].length == graph.dims[1].length,
             f"torus evader needs a square torus, got {format_graph(graph)}",
         )
-        self._n = graph.dims[0].length
         require(self._n >= 18, f"torus evader needs n >= 18, got {self._n}")
-        self._fallback.reset(graph, rng)
-        self.fallback_moves = 0
-        self._pending = False
-        self._row_masks = _line_masks(graph, axis=1)
+        self._row_masks = _row_masks(graph)
 
-    def _check_budget(self, cops):
-        if len(cops) > torus_cop_budget(self._n):
-            if not self.allow_excess_cops:
-                raise ConfigurationError(
-                    f"{len(cops)} cops exceed the evasion budget {torus_cop_budget(self._n)}"
-                )
-            return False
-        return True
-
-    def _nearly_empty_reachable(self, cops, reach):
+    def _row_reachable(self, cops, reach):
         counts = Counter(c[1] for c in cops)
-        return any(
-            counts[y] <= 1 and (reach & m) for y, m in enumerate(self._row_masks)
-        )
+        return any(counts[y] <= 1 and reach & m for y, m in enumerate(self._row_masks))
 
-    def place(self, graph, cops):
-        in_budget = self._check_budget(cops)
-        v, cert = self._select(graph, cops)
-        if v is None:
-            if in_budget:
-                raise StrategyFault("torus evader found no admissible target", side="robber")
-            self.fallback_moves += 1
-            self.last_annotations = {"fallback": 1}
-            return self._fallback.place(graph, cops)
-        if self.check_invariants and any(graph.distance(v, c) <= 1 for c in cops):
-            self.violations.append(f"placement {v} adjacent to a cop")
-        self.last_annotations = cert
-        self._pending = True
-        return v
-
-    def move(self, state):
-        g = state.graph
-        cops = state.cops
-        in_budget = self._check_budget(cops)
-        reach = reachable_mask(g, cops, state.robber)
-        if self.check_invariants and self._pending:
-            if not self._nearly_empty_reachable(cops, reach):
-                self.violations.append(
-                    f"round {state.round}: no nearly empty row reachable from {state.robber}"
-                )
-        self._pending = False
-
-        v, cert = self._select(g, cops)
-        if v is None:
-            if in_budget:
-                raise StrategyFault("torus evader found no admissible target", side="robber")
-            self.fallback_moves += 1
-            self.last_annotations = {"fallback": 1}
-            return self._fallback.move(state)
-
-        if self.check_invariants:
-            if any(g.distance(v, c) <= 1 for c in cops):
-                self.violations.append(f"round {state.round}: target {v} adjacent to a cop")
-            if self._nearly_empty_reachable(cops, reach) and not reach >> g.index(v) & 1:
-                self.violations.append(
-                    f"round {state.round}: nearly empty row reachable but target {v} is not"
-                )
-
-        if not reach >> g.index(v) & 1:
-            if in_budget:
-                raise StrategyFault(f"selected target {v} unreachable", side="robber")
-            self.fallback_moves += 1
-            self.last_annotations = {"fallback": 1}
-            return self._fallback.move(state)
-        self.last_annotations = cert
-        self._pending = True
-        return v
-
-    def _select(self, g, cops):
+    def select(self, g, cops):
         n = self._n
         d, r = divmod(n, 6)
         heights = [d + 1] * r + [d] * (6 - r)
@@ -517,23 +491,7 @@ _HALVES_ORDER = (
 )
 
 
-@dataclass
-class RegionChain:
-    """The nested sparse regions one selection walks through."""
-
-    half: str
-    quadrant: str
-    octant: str
-    octant_ranges: dict
-    octant_cops: int
-    plane_group: tuple
-    plane_group_cops: int
-    sparse_block: tuple
-    sparse_block_cops: int
-    empty_block: tuple | None
-
-
-class Grid3DEvader(RobberStrategy):
+class Grid3DEvader(_ProofEvader):
     """Targets 0.7172*n^2 cops on an n x n x n grid, n divisible by 10.
 
     Each turn: descend sparsest half -> sparsest quadrant inside it ->
@@ -553,13 +511,8 @@ class Grid3DEvader(RobberStrategy):
     """
 
     name = "grid3d-evader"
-
-    def __init__(self, allow_excess_cops=False):
-        super().__init__()
-        self.allow_excess_cops = allow_excess_cops
-        self._fallback = MaxComponentRobber()
-        self.fallback_moves = 0
-        self.component_failures = 0
+    budget = staticmethod(grid3d_cop_budget)
+    component_failures = 0
 
     def reset(self, graph, rng):
         super().reset(graph, rng)
@@ -569,91 +522,24 @@ class Grid3DEvader(RobberStrategy):
             and len({d.length for d in graph.dims}) == 1,
             f"3d evader needs a cubic grid, got {format_graph(graph)}",
         )
-        self._n = graph.dims[0].length
         require(self._n % 10 == 0, f"3d evader needs n divisible by 10, got {self._n}")
-        self._fallback.reset(graph, rng)
-        self.fallback_moves = 0
         self.component_failures = 0
-        self._pending = False
 
-    def _check_budget(self, cops):
-        if len(cops) > grid3d_cop_budget(self._n):
-            if not self.allow_excess_cops:
-                raise ConfigurationError(
-                    f"{len(cops)} cops exceed the target budget {grid3d_cop_budget(self._n)}"
-                )
-            return False
-        return True
+    def _give_up(self, in_budget, why):
+        # the guarantee is asymptotic: within the budget too, a board can
+        # run out of cop-free blocks, so the turn falls back
+        super()._give_up(False, why)
 
-    def place(self, graph, cops):
-        self._check_budget(cops)
-        v = self._pick(graph, cops, reach=None)
-        self._pending = v is not None
-        if v is None:
-            self.fallback_moves += 1
-            self.last_annotations = {"fallback": 1}
-            return self._fallback.place(graph, cops)
-        return v
-
-    def move(self, state):
-        g = state.graph
-        cops = state.cops
-        self._check_budget(cops)
-        lat = lattice(g)
-        blocked = lat.mask_of(cops)
-        reach = lat.component(g.index(state.robber), blocked)
-
-        if self.check_invariants and self._pending:
-            sizes = [c.bit_count() for c in lat.components(blocked)]
-            if reach.bit_count() < max(sizes):
-                self.component_failures += 1
-                self.violations.append(
-                    f"round {state.round}: {state.robber} not in a largest component"
-                )
-        self._pending = False
-
-        v = self._pick(g, cops, reach)
-        if v is None:
-            self.fallback_moves += 1
-            self.last_annotations = {"fallback": 1}
-            return self._fallback.move(state)
-        self._pending = True
-        return v
-
-    def _pick(self, g, cops, reach):
-        chain = self._chain(g, cops)
-        self._record_chain_checks(chain, len(cops))
-        if chain.empty_block is None:
-            return None
-        x0, y0, z0 = chain.empty_block
-        v = (x0 + 1, y0 + 2, z0 + 2)
-        if self.check_invariants and any(g.distance(v, c) <= 1 for c in cops):
-            self.violations.append(f"target {v} adjacent to a cop")
-        if reach is not None and not reach >> g.index(v) & 1:
-            # target sits in another component: degrade rather than fault
-            return None
-        self.last_annotations = {
-            "case": "region-chain",
-            "half": chain.half,
-            "quadrant": chain.quadrant,
-            "octant": chain.octant,
-            "block": f"{chain.empty_block}",
-        }
-        return v
-
-    def _record_chain_checks(self, chain, total):
-        if not self.check_invariants:
-            return
-        if 8 * chain.octant_cops > total:
+    def post_move_check(self, state, reach):
+        lat = lattice(state.graph)
+        components = lat.components(lat.mask_of(state.cops))
+        if reach.bit_count() < max(c.bit_count() for c in components):
+            self.component_failures += 1
             self.violations.append(
-                f"octant {chain.octant} holds {chain.octant_cops} of {total} cops"
-            )
-        if total <= grid3d_cop_budget(self._n) and chain.plane_group_cops > 0.8965 * self._n:
-            self.violations.append(
-                f"plane group {chain.plane_group} holds {chain.plane_group_cops} cops"
+                f"round {state.round}: {state.robber} not in a largest component"
             )
 
-    def _chain(self, g, cops):
+    def select(self, g, cops):
         n = self._n
         split = (n + 1) // 2  # == n/2 for the even sides used here
 
@@ -671,73 +557,60 @@ class Grid3DEvader(RobberStrategy):
                     best = (label, ranges, k)
             return best
 
-        full = {0: (0, n - 1), 1: (0, n - 1), 2: (0, n - 1)}
-        halves = []
-        for name, axis, side in _HALVES_ORDER:
-            ranges = dict(full)
-            ranges[axis] = (split, n - 1) if side else (0, split - 1)
-            halves.append((name, ranges))
-        h_name, h_ranges, _ = sparsest(halves)
-        used_axis = next(a for a in (2, 1, 0) if h_ranges[a] != full[a])
-
-        quadrants = []
-        for name, axis, side in _HALVES_ORDER:
-            if axis == used_axis:
-                continue
-            ranges = dict(h_ranges)
-            ranges[axis] = (split, n - 1) if side else (0, split - 1)
-            quadrants.append((f"{h_name}-{name}", ranges))
-        q_name, q_ranges, _ = sparsest(quadrants)
-        q_axes = {a for a in range(3) if q_ranges[a] != full[a]}
-
-        octants = []
-        for name, axis, side in _HALVES_ORDER:
-            if axis in q_axes:
-                continue
-            ranges = dict(q_ranges)
-            ranges[axis] = (split, n - 1) if side else (0, split - 1)
-            octants.append((f"{q_name}-{name}", ranges))
-        o_name, o_ranges, o_count = sparsest(octants)
+        # sparsest half, then the sparsest quadrant inside it, then octant
+        names, ranges, split_axes = [], {a: (0, n - 1) for a in range(3)}, set()
+        for _ in range(3):
+            options = []
+            for name, axis, side in _HALVES_ORDER:
+                if axis not in split_axes:
+                    sub = dict(ranges)
+                    sub[axis] = (split, n - 1) if side else (0, split - 1)
+                    options.append(((name, axis), sub))
+            (name, axis), ranges, o_count = sparsest(options)
+            names.append(name)
+            split_axes.add(axis)
+        h_name, q_name, o_name = ("-".join(names[:i]) for i in (1, 2, 3))
 
         # sparsest group of five consecutive planes (z windows)
-        zlo, _ = o_ranges[2]
+        zlo, _ = ranges[2]
         groups = []
         for i in range(n // 10):
-            ranges = dict(o_ranges)
-            ranges[2] = (zlo + 5 * i, zlo + 5 * i + 4)
-            groups.append((ranges[2], ranges))
+            sub = dict(ranges)
+            sub[2] = (zlo + 5 * i, zlo + 5 * i + 4)
+            groups.append((sub[2], sub))
         g_label, g_ranges, g_count = sparsest(groups)
 
         # sparsest width-5 slab across the group (y windows)
         ylo, _ = g_ranges[1]
         slabs = []
         for i in range(n // 10):
-            ranges = dict(g_ranges)
-            ranges[1] = (ylo + 5 * i, ylo + 5 * i + 4)
-            slabs.append((ranges[1], ranges))
-        s_label, s_ranges, s_count = sparsest(slabs)
+            sub = dict(g_ranges)
+            sub[1] = (ylo + 5 * i, ylo + 5 * i + 4)
+            slabs.append((sub[1], sub))
+        _, s_ranges, _ = sparsest(slabs)
 
-        # first cop-free 3x5x5 block scanning along x
+        if self.check_invariants:
+            total = len(cops)
+            if 8 * o_count > total:
+                self.violations.append(f"octant {o_name} holds {o_count} of {total} cops")
+            if total <= self.budget(n) and g_count > 0.8965 * n:
+                self.violations.append(f"plane group {g_label} holds {g_count} cops")
+
+        # first cop-free 3x5x5 block scanning along x; the target is its center
         xlo, xhi = s_ranges[0]
-        block = None
         for x0 in range(xlo, xhi - 1):
-            ranges = dict(s_ranges)
-            ranges[0] = (x0, x0 + 2)
-            if count(ranges) == 0:
+            sub = dict(s_ranges)
+            sub[0] = (x0, x0 + 2)
+            if count(sub) == 0:
                 block = (x0, s_ranges[1][0], s_ranges[2][0])
-                break
-        return RegionChain(
-            half=h_name,
-            quadrant=q_name,
-            octant=o_name,
-            octant_ranges=o_ranges,
-            octant_cops=o_count,
-            plane_group=g_label,
-            plane_group_cops=g_count,
-            sparse_block=s_label,
-            sparse_block_cops=s_count,
-            empty_block=block,
-        )
+                return (x0 + 1, block[1] + 2, block[2] + 2), {
+                    "case": "region-chain",
+                    "half": h_name,
+                    "quadrant": q_name,
+                    "octant": o_name,
+                    "block": f"{block}",
+                }
+        return None, None
 
 
 # --------------------------------------------------------------------------
@@ -756,13 +629,7 @@ def potential(g: GraphSpec, cops, v) -> Fraction:
     rational arithmetic: the 1/2 threshold the evader plays against is
     sharp.
     """
-    require(is_hypercube(g), "potential is defined on hypercubes only")
-    n = g.ndim
-    total = Fraction(0)
-    for c in cops:
-        d = g.distance(c, v)
-        total += Fraction(1) if d == 0 else Fraction(1, math.comb(n, d - 1))
-    return total
+    return potential_ledger(g, cops, v).total
 
 
 @dataclass(frozen=True)
@@ -774,6 +641,7 @@ class PotentialLedger:
 
 
 def potential_ledger(g: GraphSpec, cops, v) -> PotentialLedger:
+    """The per-cop terms of potential(g, cops, v) and their sum."""
     require(is_hypercube(g), "potential is defined on hypercubes only")
     n = g.ndim
     per = []
@@ -807,7 +675,6 @@ class PotentialEvader(RobberStrategy):
         super().reset(graph, rng)
         require(is_hypercube(graph), f"potential evader needs a hypercube, got {format_graph(graph)}")
         n = graph.ndim
-        self._n = n
         size = 1 << n
         idx = np.arange(size, dtype=np.int64)
         pop = np.zeros(size, dtype=np.int64)
@@ -822,13 +689,7 @@ class PotentialEvader(RobberStrategy):
         # int64 headroom check: max score = k * lcm must not overflow
         if self._lcm >= (1 << 48):
             raise ConfigurationError(f"hypercube dimension {n} too large for exact scoring")
-
-    def _check_budget(self, cops):
-        budget = max(potential_cop_budget(self._n), 0)
-        if len(cops) > budget and not self.allow_excess_cops:
-            raise ConfigurationError(
-                f"{len(cops)} cops exceed the evasion budget {budget}"
-            )
+        self._budget = max(potential_cop_budget(n), 0)
 
     def _scores(self, graph, cops):
         total = np.zeros(len(self._idx), dtype=np.int64)
@@ -837,7 +698,7 @@ class PotentialEvader(RobberStrategy):
             total += count * self._weights[self._pop[self._idx ^ ci]]
         return total
 
-    def _pick(self, graph, cops, allowed_mask):
+    def _minimizer(self, graph, cops, allowed_mask):
         scores = self._scores(graph, cops)
         allowed = lattice(graph).bits_of(allowed_mask)
         blocked_score = self._lcm * (len(cops) + 1) + 1
@@ -853,15 +714,14 @@ class PotentialEvader(RobberStrategy):
         return graph.vertex_at(i)
 
     def place(self, graph, cops):
-        self._check_budget(cops)
+        _within_budget(cops, self._budget, self.allow_excess_cops)
         lat = lattice(graph)
-        free = lat.full & ~lat.mask_of(cops)
-        return self._pick(graph, cops, free)
+        return self._minimizer(graph, cops, lat.full & ~lat.mask_of(cops))
 
     def move(self, state):
-        self._check_budget(state.cops)
+        _within_budget(state.cops, self._budget, self.allow_excess_cops)
         reach = reachable_mask(state.graph, state.cops, state.robber)
-        return self._pick(state.graph, state.cops, reach)
+        return self._minimizer(state.graph, state.cops, reach)
 
 
 # --------------------------------------------------------------------------

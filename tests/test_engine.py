@@ -330,6 +330,49 @@ def test_robber_fault_on_unreachable_or_garbage_move():
     assert trace.outcome == "fault" and trace.fault_side == "robber"
 
 
+@pytest.mark.parametrize("bad", [("a", 1), (2.0, 2), (True, 1)])
+@pytest.mark.parametrize("turn", ["place", "move"])
+def test_non_int_coordinates_are_recorded_faults(bad, turn):
+    # not a TypeError traceback (a str coordinate) and not a trace that
+    # trace_from_jsonl rejects (a float or bool one)
+    from gridpursuit.engine import CopStrategy, RobberStrategy
+    from gridpursuit.robbers import StationaryRobber
+
+    class Typo(RobberStrategy):
+        name = "typo"
+
+        def place(self, graph, cops):
+            return bad if turn == "place" else (0, 0)
+
+        def move(self, state):
+            return bad
+
+    class TypoCops(CopStrategy):
+        name = "typo-cops"
+
+        def place(self, graph, k):
+            return [bad if turn == "place" else (4, 4)]
+
+        def move(self, state):
+            return [bad]
+
+    class StayCops(CopStrategy):
+        name = "stay"
+
+        def place(self, graph, k):
+            return [(4, 4)]
+
+        def move(self, state):
+            return state.cops
+
+    for cops, robber, side in ((TypoCops(), StationaryRobber(), "cops"),
+                               (StayCops(), Typo(), "robber")):
+        trace = run_match(grid(5, 5), cops, robber, 1, max_rounds=5)
+        assert (trace.outcome, trace.fault_side) == ("fault", side)
+        assert trace.events[-1]["event"] == "fault"
+        trace_from_jsonl(trace_to_jsonl(trace))
+
+
 # -- pinned traces --------------------------------------------------------------
 
 # SHA-256 of trace_to_jsonl for small matches over every graph family, with
