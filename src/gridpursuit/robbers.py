@@ -9,8 +9,8 @@ The grid, torus and 3D evaders share one turn loop and one contract for
 turns outside their guarantee:
 
 * more cops than the proof's budget raise ConfigurationError, unless the
-  evader is built with allow_excess_cops (a 2D board with n <= 3 has no
-  guarantee at all and is always played this way);
+  evader is built with allow_excess_cops; a 2D board with n <= 3 has no
+  guarantee, never raises and always falls back;
 * outside the budget, a turn whose selection finds no target, or a target
   the robber cannot reach, is played by the max-component heuristic with a
   `fallback` annotation and counted in fallback_moves;
@@ -19,7 +19,7 @@ turns outside their guarantee:
 * after the cops answer one of the proof's moves, the grid evader checks
   that a cop-free row is reachable, the torus evader a nearly empty row,
   and the 3D evader that the robber is in a largest cop-free component
-  (each miss also counts in component_failures).
+  (its misses also count in component_failures).
 
 The hypercube potential evader refuses excess cops the same way but has no
 fallback: it always plays its minimizer.
