@@ -3,14 +3,11 @@ fast evader: game engine, proven cop/robber strategies, an exact solver,
 and level-set counting."""
 
 from .grid import (
-    Box,
     Dim,
     GraphSpec,
-    box_vertices,
     cube,
     format_graph,
     grid,
-    interior,
     parse_graph,
     product,
     torus,
@@ -33,7 +30,6 @@ from .robbers import ROBBER_STRATEGIES, make_robber_strategy
 from .solver import cop_number, extract_policies, solve_game
 
 __all__ = [
-    "Box",
     "COP_STRATEGIES",
     "Dim",
     "GameState",
@@ -43,13 +39,11 @@ __all__ = [
     "ROBBER_STRATEGIES",
     "apply_cop_move",
     "apply_robber_move",
-    "box_vertices",
     "cop_number",
     "cube",
     "extract_policies",
     "format_graph",
     "grid",
-    "interior",
     "make_cop_strategy",
     "make_robber_strategy",
     "parse_graph",

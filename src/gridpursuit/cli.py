@@ -7,10 +7,12 @@ appear in outputs, defaulted or not, so every run can be reproduced.
 Exit codes: 0 completed (either side may have won); 1 replay mismatch: a
 trace, or a solver's witness, that does not replay (an illegal or divergent
 move, a header whose version, k or graph disagrees with the events, or no
-final capture/timeout/fault event); 2 strategy fault; 3 configuration/usage
-error, including a malformed trace (a line that is not JSON, or a record
-missing a field); 4 resource cap exceeded (the solver's state cap, or a
-match or replay graph above the engine's vertex cap).
+final capture/timeout/fault event); 2 strategy fault, including a strategy
+answer that is not an int vertex (or a list of them); 3 configuration/usage
+error, including a negative --k or --cops and a malformed trace (a line
+that is not JSON, or a record missing a field); 4 resource cap exceeded
+(the solver's state cap, or a match or replay graph above the engine's
+vertex cap).
 """
 from __future__ import annotations
 

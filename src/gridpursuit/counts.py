@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import ResourceLimitError
+from .errors import ConfigurationError, ResourceLimitError
 from .grid import grid, lattice
 
 BoxDims = tuple  # side lengths, one positive int per dimension
@@ -203,7 +203,7 @@ def best_level_bound(c: int, dims: BoxDims) -> tuple:
     two components of 4.  min_large_component_bound is sound on every box.
     """
     if c < 0:
-        raise ValueError("cop count must be >= 0")
+        raise ConfigurationError(f"cop count must be >= 0, got {c}")
     dist = level_distribution(tuple(dims))
     above = sum(dist)
     best_m, best = (-1, above) if c == 0 else (None, 0)
@@ -240,7 +240,7 @@ def min_large_component_bound(c: int, dims: BoxDims) -> int:
     dimension >= 2 the maximum is that box's own level-cut value.
     """
     if c < 0:
-        raise ValueError("cop count must be >= 0")
+        raise ConfigurationError(f"cop count must be >= 0, got {c}")
     sides = sorted(dims, reverse=True)
     total = sum(level_distribution(tuple(sides)))
     if c == 0:
@@ -257,7 +257,7 @@ def min_large_component_exact(c: int, dims: BoxDims, cap: int = 10_000_000) -> i
     helps, so only exact-size subsets are enumerated).
     """
     if c < 0:
-        raise ValueError("cop count must be >= 0")
+        raise ConfigurationError(f"cop count must be >= 0, got {c}")
     g = grid(*dims)
     n_vertices = g.vertex_count
     if c >= n_vertices:

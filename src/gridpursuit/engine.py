@@ -65,17 +65,6 @@ class GameState:
     round: int = 0
     winner: str | None = None
 
-    def validate(self):
-        for c in self.cops:
-            self.graph.check_vertex(c)
-        if self.robber is not None:
-            self.graph.check_vertex(self.robber)
-        captured = self.robber is not None and self.robber in self.cops
-        if captured != (self.phase is Phase.OVER and self.winner == "cops"):
-            # capture-at-placement (no free vertex) also parks phase at OVER
-            if not (self.phase is Phase.OVER and self.robber is None):
-                raise RuleViolation("state capture flag inconsistent with positions")
-
 
 def initial_state(g: GraphSpec) -> GameState:
     return GameState(g, (), None, Phase.COP_PLACEMENT)
@@ -105,10 +94,30 @@ def reachable_set(g: GraphSpec, cops, frm) -> set:
     return lattice(g).set_of(reachable_mask(g, cops, frm))
 
 
+_INT, _SEQ = {int}, {list, tuple}
+
+
+def _is_points(value) -> bool:
+    """Whether value is a list or tuple of lists or tuples of Python ints."""
+    return (
+        type(value) in _SEQ
+        and _SEQ.issuperset(map(type, value))
+        and _INT.issuperset(map(type, _chain.from_iterable(value)))
+    )
+
+
+def _vertices(answer) -> tuple:
+    """A strategy's answer as a tuple of coordinate tuples, or
+    InvalidVertexError.  Ranges are check_vertex's job."""
+    if not _is_points(answer):
+        raise InvalidVertexError(f"not a list of int coordinate tuples: {answer!r}")
+    return tuple(map(tuple, answer))
+
+
 def place_cops(state: GameState, positions) -> GameState:
     if state.phase is not Phase.COP_PLACEMENT:
         raise RuleViolation(f"cannot place cops during {state.phase.value}")
-    positions = tuple(map(tuple, positions))
+    positions = _vertices(positions)
     for p in positions:
         state.graph.check_vertex(p)
     return replace(state, cops=positions, phase=Phase.ROBBER_PLACEMENT)
@@ -117,7 +126,7 @@ def place_cops(state: GameState, positions) -> GameState:
 def place_robber(state: GameState, v) -> GameState:
     if state.phase is not Phase.ROBBER_PLACEMENT:
         raise RuleViolation(f"cannot place robber during {state.phase.value}")
-    v = tuple(v)
+    (v,) = _vertices((v,))
     state.graph.check_vertex(v)
     if v in state.cops:
         raise RuleViolation(f"robber placement {v} is cop-occupied")
@@ -128,14 +137,14 @@ def apply_cop_move(state: GameState, dests) -> GameState:
     """Joint cop move: dests[i] must lie in the closed neighborhood of cop i."""
     if state.phase is not Phase.COP_TURN:
         raise RuleViolation(f"not a cop turn: {state.phase.value}")
-    dests = tuple(map(tuple, dests))
+    dests = _vertices(dests)
     if len(dests) != len(state.cops):
         raise RuleViolation(
             f"expected {len(state.cops)} destinations, got {len(dests)}"
         )
     g = state.graph
     for i, (src, dst) in enumerate(zip(state.cops, dests)):
-        # a cop that stays put needs no check: its position is a vertex
+        # a cop that stays put needs no check: an int tuple equal to a vertex is one
         if dst != src:
             g.check_vertex(dst)
             if not g.adjacent(src, dst):
@@ -150,7 +159,7 @@ def apply_robber_move(state: GameState, dest) -> GameState:
     """Robber relocation along any cop-free path; staying put is always legal."""
     if state.phase is not Phase.ROBBER_TURN:
         raise RuleViolation(f"not a robber turn: {state.phase.value}")
-    dest = tuple(dest)
+    (dest,) = _vertices((dest,))
     g = state.graph
     g.check_vertex(dest)
     if dest in state.cops:
@@ -323,12 +332,12 @@ def run_match(
 
     # placement: cops first, then the robber in response
     try:
-        positions = cop_strategy.place(graph, k)
-        if len(positions) != k:
-            raise StrategyFault(f"cop placement returned {len(positions)} != k={k}")
-        state = place_cops(state, positions)
+        placed = place_cops(state, cop_strategy.place(graph, k))
+        if len(placed.cops) != k:
+            raise StrategyFault(f"cop placement returned {len(placed.cops)} != k={k}")
     except (RuleViolation, StrategyFault, InvalidVertexError) as err:
         return fault(state, Phase.COP_PLACEMENT, 0, "cops", err)
+    state = placed
     record(state, Phase.COP_PLACEMENT, 0, notes=cop_strategy.last_annotations)
 
     if len(set(state.cops)) >= graph.vertex_count:
@@ -398,19 +407,6 @@ _HEADER_FIELDS = {"graph": str, "k": int, "max_rounds": int, "version": int}
 _EVENT_FIELDS = {"round", "phase", "event", "cops", "robber", "annotations"}
 _TERMINAL = ("capture", "timeout", "fault")
 _PHASES = {p.value: p for p in Phase}
-_INT, _LIST = {int}, {list}
-
-
-def _is_point(value) -> bool:
-    return type(value) is list and _INT.issuperset(map(type, value))
-
-
-def _is_points(value) -> bool:
-    return (
-        type(value) is list
-        and _LIST.issuperset(map(type, value))
-        and _INT.issuperset(map(type, _chain.from_iterable(value)))
-    )
 
 
 def _check_event(ev, line_no):
@@ -425,7 +421,7 @@ def _check_event(ev, line_no):
         and type(ev["phase"]) is str
         and (ev["event"] is None or type(ev["event"]) is str)
         and _is_points(ev["cops"])
-        and (ev["robber"] is None or _is_point(ev["robber"]))
+        and (ev["robber"] is None or _is_points([ev["robber"]]))
         and type(ev["annotations"]) is dict
     ):
         raise TraceFormatError(f"trace line {line_no}: event field of the wrong type")

@@ -221,73 +221,6 @@ def format_graph(g: GraphSpec) -> str:
 
 
 # --------------------------------------------------------------------------
-# Axis-aligned subgrids
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Box:
-    """Inclusive axis-aligned subgrid [lo, hi]."""
-
-    lo: tuple
-    hi: tuple
-
-    def __post_init__(self):
-        if len(self.lo) != len(self.hi):
-            raise InvalidVertexError("box corners must have equal arity")
-        if any(a > b for a, b in zip(self.lo, self.hi)):
-            raise InvalidVertexError(f"box corners out of order: {self.lo} > {self.hi}")
-
-    def contains(self, v) -> bool:
-        return all(a <= c <= b for a, c, b in zip(self.lo, v, self.hi))
-
-    @property
-    def size(self) -> int:
-        n = 1
-        for a, b in zip(self.lo, self.hi):
-            n *= b - a + 1
-        return n
-
-
-def check_box(g: GraphSpec, b: Box):
-    g.check_vertex(b.lo)
-    g.check_vertex(b.hi)
-
-
-def box_vertices(g: GraphSpec, b: Box):
-    """Yield the box's vertices in lexicographic order."""
-    check_box(g, b)
-    return _iproduct(*(range(a, c + 1) for a, c in zip(b.lo, b.hi)))
-
-
-def interior(g: GraphSpec, b: Box):
-    """Strip the box's boundary vertices (those with neighbors outside it).
-
-    Each side shrinks by one unless it is flush against a non-wrapped graph
-    boundary; a box spanning less than a full wrapped cycle shrinks on both
-    sides of that dimension.  Returns None when any dimension collapses.
-    """
-    check_box(g, b)
-    lo, hi = [], []
-    for a, c, d in zip(b.lo, b.hi, g.dims):
-        if d.wrap:
-            if c - a + 1 == d.length:
-                pass  # full cycle: no boundary in this dimension
-            else:
-                a, c = a + 1, c - 1
-        else:
-            if a > 0:
-                a += 1
-            if c < d.length - 1:
-                c -= 1
-        if a > c:
-            return None
-        lo.append(a)
-        hi.append(c)
-    return Box(tuple(lo), tuple(hi))
-
-
-# --------------------------------------------------------------------------
 # Bitboard vertex sets
 # --------------------------------------------------------------------------
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -46,9 +45,7 @@ __all__ = [
     "Grid3DEvader",
     "PotentialEvader",
     "RetractLift",
-    "PotentialLedger",
     "potential",
-    "potential_ledger",
     "potential_cop_budget",
     "grid2d_cop_budget",
     "torus_cop_budget",
@@ -629,26 +626,13 @@ def potential(g: GraphSpec, cops, v) -> Fraction:
     rational arithmetic: the 1/2 threshold the evader plays against is
     sharp.
     """
-    return potential_ledger(g, cops, v).total
-
-
-@dataclass(frozen=True)
-class PotentialLedger:
-    """Per-cop potential decomposition at one vertex."""
-
-    per_cop: tuple
-    total: Fraction
-
-
-def potential_ledger(g: GraphSpec, cops, v) -> PotentialLedger:
-    """The per-cop terms of potential(g, cops, v) and their sum."""
     require(is_hypercube(g), "potential is defined on hypercubes only")
     n = g.ndim
-    per = []
+    total = Fraction(0)
     for c in cops:
         d = g.distance(c, v)
-        per.append(Fraction(1) if d == 0 else Fraction(1, math.comb(n, d - 1)))
-    return PotentialLedger(tuple(per), sum(per, Fraction(0)))
+        total += 1 if d == 0 else Fraction(1, math.comb(n, d - 1))
+    return total
 
 
 class PotentialEvader(RobberStrategy):

@@ -37,7 +37,7 @@ from math import comb
 import numpy as np
 
 from .engine import CopStrategy, RobberStrategy, run_match
-from .errors import ReplayError, ResourceLimitError, StrategyFault
+from .errors import ConfigurationError, ReplayError, ResourceLimitError, StrategyFault
 from .grid import GraphSpec
 
 __all__ = ["SolveResult", "CopNumberResult", "solve_game", "cop_number", "extract_policies"]
@@ -245,6 +245,8 @@ def solve_game(g: GraphSpec, k: int, cap: int = DEFAULT_STATE_CAP, verify_witnes
     winning initial configuration, checked by replaying the table-optimal
     cop policy against the table-optimal robber from that placement.
     """
+    if k < 0:
+        raise ConfigurationError(f"cop count must be >= 0, got {k}")
     start = time.perf_counter()
     n_vertices = g.vertex_count
     if k == 0:

@@ -78,11 +78,6 @@ def all_components(adj, blocked):
     return comps
 
 
-def boundary_vertices(adj, box_set):
-    """Vertices of the set having at least one neighbor outside it."""
-    return {v for v in box_set if any(w not in box_set for w in adj[v])}
-
-
 def dims_of(graph_spec):
     """Convert a library GraphSpec into plain (length, wrap) pairs."""
     return [(d.length, d.wrap) for d in graph_spec.dims]

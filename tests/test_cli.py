@@ -120,6 +120,16 @@ def test_bad_graph_is_config_error(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "--graph", "grid:3x3", "--k", "-1"),
+    ("bound", "--dims", "5,5", "--cops", "-1"),
+])
+def test_negative_cop_count_is_config_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "cop count must be >= 0" in err
+
+
 def test_undersized_blockade_is_config_error(capsys):
     code, _, err = run_cli(
         capsys,
@@ -224,6 +234,16 @@ def test_replay_rejects_an_illegal_move(tmp_path, capsys):
         tmp_path, capsys, lines[:turn] + [_edit(lines[turn], cops=cops)] + lines[turn + 1:])
     assert code == 1 and out == ""
     assert "cop 0 cannot step" in err
+
+
+@pytest.mark.parametrize("phase", ["robber-placement", "robber-turn"])
+def test_replay_rejects_a_robber_action_without_a_robber(tmp_path, capsys, phase):
+    lines = _recorded_trace(tmp_path, capsys)
+    at = next(i for i, ln in enumerate(lines) if json.loads(ln).get("phase") == phase)
+    code, out, err = _replay_lines(
+        tmp_path, capsys, lines[:at] + [_edit(lines[at], robber=None)] + lines[at + 1:])
+    assert code == 1 and out == ""
+    assert "illegal action" in err
 
 
 def test_replay_rejects_an_edited_round(tmp_path, capsys):

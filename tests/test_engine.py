@@ -330,13 +330,16 @@ def test_robber_fault_on_unreachable_or_garbage_move():
     assert trace.outcome == "fault" and trace.fault_side == "robber"
 
 
-@pytest.mark.parametrize("bad", [("a", 1), (2.0, 2), (True, 1)])
+@pytest.mark.parametrize("bad", [("a", 1), (2.0, 2), (True, 1), (4.0, 4), 5, None])
 @pytest.mark.parametrize("turn", ["place", "move"])
 def test_non_int_coordinates_are_recorded_faults(bad, turn):
-    # not a TypeError traceback (a str coordinate) and not a trace that
-    # trace_from_jsonl rejects (a float or bool one)
+    # not a TypeError traceback (a str coordinate, or an answer that is no
+    # vertex at all) and not a trace that trace_from_jsonl rejects (a float
+    # or bool coordinate, also on a cop that "stays" at (4.0, 4) on (4, 4))
     from gridpursuit.engine import CopStrategy, RobberStrategy
     from gridpursuit.robbers import StationaryRobber
+
+    cop_answer = [bad] if type(bad) is tuple else bad
 
     class Typo(RobberStrategy):
         name = "typo"
@@ -351,10 +354,10 @@ def test_non_int_coordinates_are_recorded_faults(bad, turn):
         name = "typo-cops"
 
         def place(self, graph, k):
-            return [bad if turn == "place" else (4, 4)]
+            return cop_answer if turn == "place" else [(4, 4)]
 
         def move(self, state):
-            return [bad]
+            return cop_answer
 
     class StayCops(CopStrategy):
         name = "stay"
@@ -370,7 +373,7 @@ def test_non_int_coordinates_are_recorded_faults(bad, turn):
         trace = run_match(grid(5, 5), cops, robber, 1, max_rounds=5)
         assert (trace.outcome, trace.fault_side) == ("fault", side)
         assert trace.events[-1]["event"] == "fault"
-        trace_from_jsonl(trace_to_jsonl(trace))
+        replay_trace(trace_from_jsonl(trace_to_jsonl(trace)))
 
 
 # -- pinned traces --------------------------------------------------------------

@@ -7,13 +7,10 @@ from hypothesis import strategies as st
 
 from gridpursuit.errors import GraphFormatError, InvalidVertexError
 from gridpursuit.grid import (
-    Box,
     CoordMap,
-    box_vertices,
     cube,
     format_graph,
     grid,
-    interior,
     lattice,
     parse_graph,
     product,
@@ -134,69 +131,6 @@ def test_wrap_needs_length_three():
         product([(2, True)])
     with pytest.raises(GraphFormatError):
         torus(3, 2)
-
-
-# -- boxes -------------------------------------------------------------------
-
-
-def test_interior_fully_inside_shrinks_each_side():
-    g = grid(5, 5, 5)
-    b = Box((1, 1, 1), (3, 3, 3))
-    assert interior(g, b) == Box((2, 2, 2), (2, 2, 2))
-
-
-def test_interior_respects_graph_boundary():
-    g = grid(5, 5, 5)
-    assert interior(g, Box((0, 0, 0), (2, 2, 2))) == Box((0, 0, 0), (1, 1, 1))
-
-
-def test_interior_of_whole_graph_is_whole_graph():
-    g = grid(5, 5)
-    whole = Box((0, 0), (4, 4))
-    assert interior(g, whole) == whole
-
-
-def test_interior_collapse_returns_none():
-    assert interior(grid(5, 5), Box((1, 1), (2, 2))) is None
-
-
-@pytest.mark.parametrize(
-    "g,b",
-    [
-        (grid(4, 4), Box((0, 1), (2, 3))),
-        (grid(5, 5, 5), Box((0, 0, 0), (2, 2, 2))),
-        (torus(5, 4, 3), Box((1, 0, 0), (3, 3, 2))),
-        (torus(5, 5), Box((0, 1), (4, 3))),
-    ],
-)
-def test_interior_matches_boundary_oracle(g, b):
-    adj = oracles.explicit_adjacency(oracles.dims_of(g))
-    box_set = set(box_vertices(g, b))
-    expected = box_set - oracles.boundary_vertices(adj, box_set)
-    got = interior(g, b)
-    got_set = set() if got is None else set(box_vertices(g, got))
-    assert got_set == expected
-
-
-def test_interior_nesting():
-    g = grid(6, 7)
-    b = Box((1, 1), (5, 6))
-    inner = interior(g, b)
-    inner2 = interior(g, inner)
-    as_set = lambda bx: set() if bx is None else set(box_vertices(g, bx))
-    assert as_set(inner2) <= as_set(inner) <= as_set(b)
-
-
-def test_box_vertices_counts():
-    g = grid(3, 3)
-    assert len(list(box_vertices(g, Box((0, 0), (2, 2))))) == g.vertex_count
-    assert len(list(box_vertices(g, Box((1, 1), (1, 1))))) == 1
-    assert len(list(box_vertices(g, Box((0, 0), (1, 2))))) == 6
-
-
-def test_box_rejects_out_of_order_corners():
-    with pytest.raises(InvalidVertexError):
-        Box((2, 0), (1, 3))
 
 
 # -- description grammar -----------------------------------------------------

@@ -23,7 +23,6 @@ from gridpursuit.robbers import (
     make_robber_strategy,
     potential,
     potential_cop_budget,
-    potential_ledger,
     torus_cop_budget,
     validate_retraction,
 )
@@ -185,14 +184,6 @@ def test_potential_single_cop_values():
 def test_potential_rejects_non_hypercube():
     with pytest.raises(ConfigurationError):
         potential(grid(3, 3), [(0, 0)], (1, 1))
-
-
-def test_potential_ledger_sums():
-    g = cube(3)
-    ledger = potential_ledger(g, [(1, 0, 0), (1, 1, 1)], (0, 0, 0))
-    assert ledger.total == sum(ledger.per_cop, Fraction(0))
-    assert all(0 < p <= 1 for p in ledger.per_cop)
-    assert ledger.per_cop[0] == 1  # adjacent: distance 1 contributes 1
 
 
 def test_potential_aggregate_matches_counting_identity():
