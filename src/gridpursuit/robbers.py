@@ -5,8 +5,11 @@ that proof's per-turn guarantees as checkable predicates: with
 check_invariants set, every turn that breaks a guarantee appends an entry
 to .violations (the move emitted stays legal either way).
 
-The grid, torus and 3D evaders share one turn loop and one contract for
-turns outside their guarantee:
+The grid, torus and 3D evaders share one turn loop, which builds one board
+of the cops per turn (see _ProofEvader): select(board) reads the proof's
+window counts as slice sums, and a row guarantee applies the evader's
+_safe_rows rule to per-row counts.  They share one contract for turns
+outside their guarantee:
 
 * more cops than the proof's budget raise ConfigurationError, unless the
   evader is built with allow_excess_cops; a 2D board with n <= 3 has no
@@ -29,6 +32,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -161,20 +165,33 @@ def _within_budget(cops, budget, allow_excess_cops):
     return False
 
 
+class _Board(NamedTuple):
+    """One turn's cops as two arrays of shape graph.lengths, indexed by
+    vertex: occ counts the cops on each vertex, near marks the cops'
+    closed neighbourhoods."""
+
+    occ: np.ndarray
+    near: np.ndarray
+
+
 class _ProofEvader(RobberStrategy):
     """Turn loop of the grid, torus and 3D evaders (see the module doc).
 
     A subclass gives the proof's cop budget (budget: n -> cops), its
-    selection rule (select(graph, cops) -> (target or None, annotations))
-    and the guarantee it checks after the cops answer a proof move
-    (post_move_check(state, reach)).  The default post-move check is the
-    row guarantee of the 2D and torus evaders: some row of kind `_row` that
-    the proof keeps safe is reachable (`_row_reachable`), and while one is,
-    the target is reachable too.  Every target is checked for an adjacent
-    cop.
+    selection rule (select(board) -> (target or None, annotations)) and the
+    guarantee it checks after the cops answer a proof move
+    (post_move_check(state, board, reach)).  Every turn builds one _Board
+    of the cops: window counts are slice sums of board.occ, and a target
+    has an adjacent cop exactly where board.near is set.
+
+    The default post-move check is the row guarantee of the 2D and torus
+    evaders: some row y (the vertices (x, y)) that `_safe_rows` admits,
+    given the per-row cop counts, is reachable, and while one is, the
+    target is reachable too.
     """
 
     _row = None
+    _safe_rows = None
 
     def __init__(self, allow_excess_cops=False):
         super().__init__()
@@ -185,12 +202,22 @@ class _ProofEvader(RobberStrategy):
     def reset(self, graph, rng):
         super().reset(graph, rng)
         self._n = graph.dims[0].length
+        self._lat = lattice(graph)
         self._fallback.reset(graph, rng)
         self.fallback_moves = 0
         self._pending = False  # the last move was the proof's: check it
 
     def _in_budget(self, cops):
         return _within_budget(cops, self.budget(self._n), self.allow_excess_cops)
+
+    def _board(self, cops):
+        lat = self._lat
+        shape = lat.graph.lengths
+        mask = lat.mask_of(cops)
+        coords = np.array(cops, dtype=np.intp).reshape(-1, len(shape))
+        index = np.ravel_multi_index(coords.T, shape)
+        occ = np.bincount(index, minlength=lat.size).reshape(shape)
+        return _Board(occ, lat.bits_of(mask | lat.expand(mask)).reshape(shape))
 
     def _give_up(self, in_budget, why):
         """A turn without a usable target: a fault within the budget, where
@@ -202,11 +229,12 @@ class _ProofEvader(RobberStrategy):
 
     def place(self, graph, cops):
         in_budget = self._in_budget(cops)
-        v, cert = self.select(graph, cops)
+        board = self._board(cops)
+        v, cert = self.select(board)
         if v is None:
             self._give_up(in_budget, f"{self.name} found no admissible target")
             return self._fallback.place(graph, cops)
-        if self.check_invariants and any(graph.distance(v, c) <= 1 for c in cops):
+        if self.check_invariants and board.near[v]:
             self.violations.append(f"placement {v} adjacent to a cop")
         self.last_annotations = cert
         self._pending = True
@@ -215,20 +243,21 @@ class _ProofEvader(RobberStrategy):
     def move(self, state):
         g, cops = state.graph, state.cops
         in_budget = self._in_budget(cops)
+        board = self._board(cops)
         reach = reachable_mask(g, cops, state.robber)
         if self.check_invariants and self._pending:
-            self.post_move_check(state, reach)
+            self.post_move_check(state, board, reach)
         self._pending = False
 
-        v, cert = self.select(g, cops)
+        v, cert = self.select(board)
         if v is None:
             self._give_up(in_budget, f"{self.name} found no admissible target")
             return self._fallback.move(state)
         reached = reach >> g.index(v) & 1
         if self.check_invariants:
-            if any(g.distance(v, c) <= 1 for c in cops):
+            if board.near[v]:
                 self.violations.append(f"round {state.round}: target {v} adjacent to a cop")
-            if not reached and self._row_reachable(cops, reach):
+            if not reached and self._row_reachable(board, reach):
                 self.violations.append(
                     f"round {state.round}: {self._row} reachable but target {v} is not"
                 )
@@ -239,16 +268,19 @@ class _ProofEvader(RobberStrategy):
         self._pending = True
         return v
 
-    def post_move_check(self, state, reach):
-        if not self._row_reachable(state.cops, reach):
+    def post_move_check(self, state, board, reach):
+        if not self._row_reachable(board, reach):
             self.violations.append(
                 f"round {state.round}: no {self._row} reachable from {state.robber}"
             )
 
-    def _row_reachable(self, cops, reach):
+    def _row_reachable(self, board, reach):
         """Whether a row the proof keeps safe meets reach (an evader whose
         guarantee is not a row has none)."""
-        return False
+        if self._safe_rows is None:
+            return False
+        met = self._lat.bits_of(reach).reshape(board.occ.shape).any(axis=0)
+        return bool((met & self._safe_rows(board.occ.sum(axis=0))).any())
 
 
 # --------------------------------------------------------------------------
@@ -276,8 +308,10 @@ class Grid2DEvader(_ProofEvader):
       whichever of the two boundary rows is empty, away from the corners
       (transposed retry included).
 
-    Tie-breaks, in order: rows before columns, smaller window first, top
-    before bottom, right half before left, then scanning row-major from
+    Each case reads a canonical frame: a view of the board (transposed for
+    columns, an axis reversed per reflection) whose pick one CoordMap maps
+    back.  Tie-breaks, in order: rows before columns, smaller window first,
+    top before bottom, right half before left, then scanning row-major from
     the low corner of the canonical frame.  The per-turn guarantees
     checked: (1) if a cop-free row is reachable so is the target, (2) the
     target has no adjacent cop, (3) after the next cop move a cop-free row
@@ -287,6 +321,7 @@ class Grid2DEvader(_ProofEvader):
     name = "grid2d-evader"
     budget = staticmethod(grid2d_cop_budget)
     _row = "free row"
+    _safe_rows = staticmethod(lambda counts: counts == 0)
 
     def reset(self, graph, rng):
         super().reset(graph, rng)
@@ -297,104 +332,85 @@ class Grid2DEvader(_ProofEvader):
             f"grid evader needs a square grid, got {format_graph(graph)}",
         )
         self._degraded = self._n <= 3
-        self._row_masks = _row_masks(graph)
 
     def _in_budget(self, cops):
         # boards with n <= 3 have no guarantee: every turn falls back
         return not self._degraded and super()._in_budget(cops)
 
-    def _row_reachable(self, cops, reach):
-        taken = {c[1] for c in cops}
-        return any(y not in taken and reach & m for y, m in enumerate(self._row_masks))
-
     # -- selection ---------------------------------------------------------
 
-    def select(self, g, cops):
+    def select(self, board):
         if self._degraded:
             return None, None
         n = self._n
         c0_high = (n + 1) // 2  # first column of the upper-coordinate half
         for perm, axes_label in (((0, 1), "rows"), ((1, 0), "cols")):
+            occ, near = board.occ.transpose(perm), board.near.transpose(perm)
             for k in range(2, n - 1):
                 for flip_y in (False, True):
-                    cm = CoordMap(g, perm=perm, reflect=(False, flip_y))
-                    cc = [cm.apply(c) for c in cops]
-                    strip = [c for c in cc if c[1] < k]
-                    if len(strip) > k - 2:
+                    sy = -1 if flip_y else 1
+                    strip = occ[:, ::sy][:, :k]
+                    total = int(strip.sum())
+                    if total > k - 2:
                         continue
                     threshold = (k - 2) // 2
-                    high = sum(1 for c in strip if c[0] >= c0_high)
+                    high = int(strip[c0_high:].sum())
                     for flip_x, count, width in (
                         (False, high, n - c0_high),
-                        (True, len(strip) - high, c0_high),
+                        (True, total - high, c0_high),
                     ):
                         if count > threshold:
                             continue
-                        cmf = CoordMap(g, perm=perm, reflect=(flip_x, flip_y))
-                        v = _sector_pick(g, [cmf.apply(c) for c in cops], k, width)
+                        sx = -1 if flip_x else 1
+                        v = _sector_pick(occ[::sx, ::sy], near[::sx, ::sy], k, width)
                         if v is not None:
                             side = ("bottom" if flip_y else "top") + "-" + (
                                 "left" if flip_x else "right"
                             )
-                            return cmf.invert(v), {
+                            cm = CoordMap(self._lat.graph, perm=perm, reflect=(flip_x, flip_y))
+                            return cm.invert(v), {
                                 "case": f"sparse-{axes_label}",
                                 "window": k,
                                 "sector": side,
                             }
         for perm, axes_label in (((0, 1), "rows"), ((1, 0), "cols")):
-            cm = CoordMap(g, perm=perm)
-            v = _rigid_pick(g, [cm.apply(c) for c in cops])
+            v = _rigid_pick(board.occ.transpose(perm), board.near.transpose(perm))
             if v is not None:
+                cm = CoordMap(self._lat.graph, perm=perm)
                 return cm.invert(v), {"case": f"rigid-{axes_label}"}
         return None, None
 
 
-def _row_masks(g):
-    masks = [0] * g.dims[1].length
-    for v in g.vertices():
-        masks[v[1]] |= 1 << g.index(v)
-    return masks
-
-
-def _sector_pick(g, cc, k, width):
+def _sector_pick(occ, near, k, width):
     """Canonical-frame sector choice: sector = top k rows of the last
     `width` columns.  Returns None when no admissible vertex exists."""
-    n = g.dims[0].length
+    n = len(occ)
     if width < 2:
         return None
     c0 = n - width
-    in_sector = [c for c in cc if c[1] < k and c[0] >= c0]
-    if not any(c[1] <= 1 for c in in_sector):
+    rows = occ[c0:, :k].sum(axis=0)  # cops per sector row
+    if not rows[:2].any():
         # sector's top two rows are clean: its top row (minus the exposed
         # column) has no neighbors outside those rows
         return (c0 + 1, 0)
-    if k < 4:
-        return None
-    occupied = set(cc)
     for r in range(k - 3):
-        if sum(1 for c in in_sector if r <= c[1] <= r + 3) <= 1:
+        if rows[r : r + 4].sum() <= 1:
             for y in (r + 1, r + 2):
-                for x in range(c0 + 1, n):
-                    v = (x, y)
-                    if v not in occupied and all(g.distance(v, c) > 1 for c in cc):
-                        return v
+                free = np.flatnonzero(~near[c0 + 1 :, y])
+                if free.size:
+                    return (c0 + 1 + int(free[0]), y)
     return None
 
 
-def _rigid_pick(g, cc):
+def _rigid_pick(occ, near):
     """Canonical-frame choice for the one-cop-per-line configuration: the
     empty one of the two top rows, off the boundary columns."""
-    n = g.dims[0].length
-    top_two = [c for c in cc if c[1] <= 1]
-    if len(top_two) != 1:
+    top_two = occ[:, :2].sum(axis=0)
+    if top_two.sum() != 1:
         return None
-    empty_row = 1 - top_two[0][1]
-    occupied = set(cc)
-    for x in range(1, n - 1):
-        v = (x, empty_row)
-        if v not in occupied and all(g.distance(v, c) > 1 for c in cc):
-            return v
-    return None
+    empty_row = int(top_two[0])  # row 1 when the cop is in row 0
+    free = np.flatnonzero(~near[1:-1, empty_row])
+    return (1 + int(free[0]), empty_row) if free.size else None
 
 
 # --------------------------------------------------------------------------
@@ -423,6 +439,7 @@ class TorusEvader(_ProofEvader):
     name = "torus-evader"
     budget = staticmethod(torus_cop_budget)
     _row = "nearly empty row"
+    _safe_rows = staticmethod(lambda counts: counts <= 1)
 
     def reset(self, graph, rng):
         super().reset(graph, rng)
@@ -433,39 +450,26 @@ class TorusEvader(_ProofEvader):
             f"torus evader needs a square torus, got {format_graph(graph)}",
         )
         require(self._n >= 18, f"torus evader needs n >= 18, got {self._n}")
-        self._row_masks = _row_masks(graph)
 
-    def _row_reachable(self, cops, reach):
-        counts = Counter(c[1] for c in cops)
-        return any(counts[y] <= 1 and reach & m for y, m in enumerate(self._row_masks))
-
-    def select(self, g, cops):
+    def select(self, board):
         n = self._n
         d, r = divmod(n, 6)
-        heights = [d + 1] * r + [d] * (6 - r)
-        row_count = Counter(c[1] for c in cops)
+        row_count = board.occ.sum(axis=0)
         start = 0
-        band = None
-        for h in heights:
-            if sum(row_count[y] for y in range(start, start + h)) <= 2 * h - 5:
-                band = (start, h)
+        for h in [d + 1] * r + [d] * (6 - r):
+            if row_count[start : start + h].sum() <= 2 * h - 5:
                 break
             start += h
-        if band is None:
+        else:
             return None, None
-        start, h = band
-        nearly = [y for y in range(start, start + h) if row_count[y] <= 1]
-        if len(nearly) < 3:
-            return None, None
-        band_cols = {c[0] for c in cops if start <= c[1] < start + h}
-        col = None
-        for s in range(n):
-            if all((s + j) % n not in band_cols for j in range(3)):
-                col = (s + 1) % n
-                break
-        if col is None:
-            return None, None
-        v = (col, nearly[1])
+        # both picks exist: at most 2h-5 cops leave at most h-3 rows with
+        # two or more, and meet at most 2h-5 < n/3 columns, each of which
+        # blocks three of the n column triples
+        nearly = np.flatnonzero(row_count[start : start + h] <= 1)
+        free = ~board.occ[:, start : start + h].any(axis=1)
+        free = np.concatenate((free, free[:2]))  # triples wrap around
+        s = int(np.flatnonzero(free[:-2] & free[1:-1] & free[2:])[0])
+        v = ((s + 1) % n, start + int(nearly[1]))
         return v, {"case": "band", "band_start": start, "band_height": h}
 
 
@@ -527,7 +531,7 @@ class Grid3DEvader(_ProofEvader):
         # run out of cop-free blocks, so the turn falls back
         super()._give_up(False, why)
 
-    def post_move_check(self, state, reach):
+    def post_move_check(self, state, board, reach):
         lat = lattice(state.graph)
         components = lat.components(lat.mask_of(state.cops))
         if reach.bit_count() < max(c.bit_count() for c in components):
@@ -536,78 +540,58 @@ class Grid3DEvader(_ProofEvader):
                 f"round {state.round}: {state.robber} not in a largest component"
             )
 
-    def select(self, g, cops):
+    def select(self, board):
+        occ = board.occ
         n = self._n
-        split = (n + 1) // 2  # == n/2 for the even sides used here
+        half = n // 2
 
-        def in_ranges(c, ranges):
-            return all(ranges[a][0] <= c[a] <= ranges[a][1] for a in range(3))
-
-        def count(ranges):
-            return sum(1 for c in cops if in_ranges(c, ranges))
-
-        def sparsest(options):
-            best = None
-            for label, ranges in options:
-                k = count(ranges)
-                if best is None or k < best[2]:
-                    best = (label, ranges, k)
-            return best
-
-        # sparsest half, then the sparsest quadrant inside it, then octant
-        names, ranges, split_axes = [], {a: (0, n - 1) for a in range(3)}, set()
+        # sparsest half, then the sparsest quadrant inside it, then octant;
+        # min keeps the first of equal counts
+        box, names = [slice(0, n)] * 3, []
         for _ in range(3):
             options = []
             for name, axis, side in _HALVES_ORDER:
-                if axis not in split_axes:
-                    sub = dict(ranges)
-                    sub[axis] = (split, n - 1) if side else (0, split - 1)
-                    options.append(((name, axis), sub))
-            (name, axis), ranges, o_count = sparsest(options)
+                if box[axis] == slice(0, n):  # an axis not split yet
+                    sub = list(box)
+                    sub[axis] = slice(half, n) if side else slice(0, half)
+                    options.append((int(occ[tuple(sub)].sum()), name, sub))
+            o_count, name, box = min(options, key=lambda option: option[0])
             names.append(name)
-            split_axes.add(axis)
         h_name, q_name, o_name = ("-".join(names[:i]) for i in (1, 2, 3))
+        x, y, z = box
 
-        # sparsest group of five consecutive planes (z windows)
-        zlo, _ = ranges[2]
-        groups = []
-        for i in range(n // 10):
-            sub = dict(ranges)
-            sub[2] = (zlo + 5 * i, zlo + 5 * i + 4)
-            groups.append((sub[2], sub))
-        g_label, g_ranges, g_count = sparsest(groups)
-
-        # sparsest width-5 slab across the group (y windows)
-        ylo, _ = g_ranges[1]
-        slabs = []
-        for i in range(n // 10):
-            sub = dict(g_ranges)
-            sub[1] = (ylo + 5 * i, ylo + 5 * i + 4)
-            slabs.append((sub[1], sub))
-        _, s_ranges, _ = sparsest(slabs)
+        # sparsest group of five consecutive planes (z windows), then the
+        # sparsest width-5 slab across it (y windows)
+        groups = occ[x, y].sum(axis=(0, 1))[z].reshape(-1, 5).sum(axis=1)
+        i = int(np.argmin(groups))
+        g_count = int(groups[i])
+        z = slice(z.start + 5 * i, z.start + 5 * i + 5)
+        slabs = occ[x, :, z].sum(axis=(0, 2))[y].reshape(-1, 5).sum(axis=1)
+        j = int(np.argmin(slabs))
+        y = slice(y.start + 5 * j, y.start + 5 * j + 5)
 
         if self.check_invariants:
-            total = len(cops)
+            total = int(occ.sum())
             if 8 * o_count > total:
                 self.violations.append(f"octant {o_name} holds {o_count} of {total} cops")
             if total <= self.budget(n) and g_count > 0.8965 * n:
-                self.violations.append(f"plane group {g_label} holds {g_count} cops")
+                self.violations.append(
+                    f"plane group {(z.start, z.stop - 1)} holds {g_count} cops"
+                )
 
         # first cop-free 3x5x5 block scanning along x; the target is its center
-        xlo, xhi = s_ranges[0]
-        for x0 in range(xlo, xhi - 1):
-            sub = dict(s_ranges)
-            sub[0] = (x0, x0 + 2)
-            if count(sub) == 0:
-                block = (x0, s_ranges[1][0], s_ranges[2][0])
-                return (x0 + 1, block[1] + 2, block[2] + 2), {
-                    "case": "region-chain",
-                    "half": h_name,
-                    "quadrant": q_name,
-                    "octant": o_name,
-                    "block": f"{block}",
-                }
-        return None, None
+        per_x = occ[x, y, z].sum(axis=(1, 2))
+        empty = np.flatnonzero(per_x[:-2] + per_x[1:-1] + per_x[2:] == 0)
+        if not empty.size:
+            return None, None
+        block = (x.start + int(empty[0]), y.start, z.start)
+        return (block[0] + 1, block[1] + 2, block[2] + 2), {
+            "case": "region-chain",
+            "half": h_name,
+            "quadrant": q_name,
+            "octant": o_name,
+            "block": f"{block}",
+        }
 
 
 # --------------------------------------------------------------------------

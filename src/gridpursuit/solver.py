@@ -368,6 +368,8 @@ def cop_number(g: GraphSpec, k_max: int | None = None, cap: int = DEFAULT_STATE_
     start = time.perf_counter()
     if k_max is None:
         k_max = g.vertex_count
+    elif k_max < 1:
+        raise ConfigurationError(f"k_max must be >= 1, got {k_max}")
     states = transitions = 0
     per_k = []
     answer = None

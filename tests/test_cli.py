@@ -120,14 +120,16 @@ def test_bad_graph_is_config_error(capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("argv", [
-    ("solve", "--graph", "grid:3x3", "--k", "-1"),
-    ("bound", "--dims", "5,5", "--cops", "-1"),
-])
-def test_negative_cop_count_is_config_error(capsys, argv):
+@pytest.mark.parametrize("argv, message", [
+    (("solve", "--graph", "grid:3x3", "--k", "-1"), "cop count must be >= 0"),
+    (("bound", "--dims", "5,5", "--cops", "-1"), "cop count must be >= 0"),
+    (("copnum", "--graph", "grid:3x3", "--k-max", "-1"), "k_max must be >= 1"),
+    (("copnum", "--graph", "grid:3x3", "--k-max", "0"), "k_max must be >= 1"),
+], ids=["argv0", "argv1", "argv2", "argv3"])
+def test_negative_cop_count_is_config_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
-    assert "cop count must be >= 0" in err
+    assert message in err
 
 
 def test_undersized_blockade_is_config_error(capsys):

@@ -1,5 +1,6 @@
-"""Every demo script runs to completion."""
+"""Every demo script and the README quickstart run to completion."""
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,14 +11,28 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def run_python(args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
 def test_demos_exist():
     assert DEMOS
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = run_python([str(demo)])
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quickstart_prints_its_comments():
+    readme = (ROOT / "README.md").read_text()
+    code = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    expected = [line.split("# ", 1)[1] for line in code.splitlines()
+                if line.startswith("print(") and "# " in line]
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert expected and proc.stdout.splitlines() == expected

@@ -284,6 +284,77 @@ def test_proof_evader_is_pinned(text, cops, robber, k, seed, max_rounds, sha256,
     assert len(strategy.violations) == (violations if checked else 0)
 
 
+# (graph, evader class, cops, target, annotations) for every selection
+# branch: the eight 2D sectors on their boundary row, the four-row window
+# scan, both rigid cases, the torus band choice (its fewest nearly empty
+# rows, a later band, no qualifying band) and the 3D region chain (its
+# descent, a later plane group, no cop-free block).  Boards with no target
+# play the max-component fallback.
+SELECTION_CASES = [
+    ("grid:6x6", Grid2DEvader, ((5, 5),), (4, 0),
+     {"case": "sparse-rows", "window": 2, "sector": "top-right"}),
+    ("grid:6x6", Grid2DEvader, ((3, 5), (4, 0)), (1, 0),
+     {"case": "sparse-rows", "window": 3, "sector": "top-left"}),
+    ("grid:6x6", Grid2DEvader, ((4, 0),), (4, 5),
+     {"case": "sparse-rows", "window": 2, "sector": "bottom-right"}),
+    ("grid:6x6", Grid2DEvader, ((4, 1), (4, 5), (5, 0)), (1, 5),
+     {"case": "sparse-rows", "window": 3, "sector": "bottom-left"}),
+    ("grid:6x6", Grid2DEvader, ((0, 2), (3, 4), (4, 0), (4, 3)), (0, 4),
+     {"case": "sparse-cols", "window": 3, "sector": "top-right"}),
+    ("grid:6x6", Grid2DEvader, ((0, 4), (3, 2), (5, 0), (5, 3)), (0, 1),
+     {"case": "sparse-cols", "window": 3, "sector": "top-left"}),
+    ("grid:6x6", Grid2DEvader, ((1, 2), (2, 5), (3, 1), (3, 3)), (5, 4),
+     {"case": "sparse-cols", "window": 2, "sector": "bottom-right"}),
+    ("grid:6x6", Grid2DEvader, ((0, 1), (1, 2), (2, 3), (5, 5)), (5, 1),
+     {"case": "sparse-cols", "window": 3, "sector": "bottom-left"}),
+    ("grid:6x6", Grid2DEvader, ((0, 5), (2, 2), (4, 0), (5, 4)), (5, 1),
+     {"case": "sparse-rows", "window": 4, "sector": "top-right"}),
+    ("grid:7x7", Grid2DEvader, ((0, 0), (1, 6), (4, 2), (4, 3), (6, 5)), (2, 1),
+     {"case": "sparse-rows", "window": 5, "sector": "top-left"}),
+    ("grid:7x7", Grid2DEvader, ((0, 1), (0, 3), (3, 5), (4, 4), (5, 2)), (5, 0),
+     {"case": "sparse-cols", "window": 5, "sector": "bottom-left"}),
+    ("grid:6x6", Grid2DEvader, ((0, 3), (2, 4), (3, 0), (4, 2)), (1, 1),
+     {"case": "rigid-rows"}),
+    ("grid:6x6", Grid2DEvader, ((1, 1), (2, 0), (3, 2), (3, 4), (5, 5)), (0, 2),
+     {"case": "rigid-cols"}),
+    ("grid:6x6", Grid2DEvader, ((0, 1), (1, 4), (2, 4), (3, 0), (5, 3)), (4, 5),
+     {"fallback": 1}),
+    ("torus:18x18", TorusEvader, (), (1, 1),
+     {"case": "band", "band_start": 0, "band_height": 3}),
+    ("torus:30x30", TorusEvader, ((0, 0), (1, 0), (2, 1), (3, 1), (4, 2)), (6, 3),
+     {"case": "band", "band_start": 0, "band_height": 5}),
+    ("torus:18x18", TorusEvader, ((5, 0), (5, 1), (0, 4)), (2, 4),
+     {"case": "band", "band_start": 3, "band_height": 3}),
+    ("torus:18x18", TorusEvader, tuple((x, y) for y in range(0, 18, 3) for x in (0, 9)),
+     (4, 1), {"fallback": 1}),
+    ("grid:10x10x10", Grid3DEvader, ((2, 7, 7), (7, 2, 2)), (6, 2, 7),
+     {"case": "region-chain", "half": "top", "quadrant": "top-back",
+      "octant": "top-back-right", "block": "(5, 0, 5)"}),
+    ("grid:20x20x20", Grid3DEvader,
+     tuple((x, y, z) for x in (7, 12) for y in (7, 12) for z in (7, 12)), (11, 12, 17),
+     {"case": "region-chain", "half": "top", "quadrant": "top-front",
+      "octant": "top-front-right", "block": "(10, 10, 15)"}),
+    ("grid:10x10x10", Grid3DEvader,
+     tuple((x, y, z) for x in (2, 7) for y in (2, 7) for z in (2, 7)), (0, 0, 0),
+     {"fallback": 1}),
+]
+
+
+@pytest.mark.parametrize(
+    "text, evader_cls, cops, target, annotations", SELECTION_CASES,
+    ids=[f"{case[0]}-{case[4].get('case', 'fallback')}-{i}"
+         for i, case in enumerate(SELECTION_CASES)],
+)
+def test_proof_evader_place_branch(text, evader_cls, cops, target, annotations):
+    g = parse_graph(text)
+    evader = evader_cls(allow_excess_cops=True)
+    evader.check_invariants = True
+    evader.reset(g, None)
+    assert evader.place(g, cops) == target
+    assert evader.last_annotations == annotations
+    assert evader.violations == []
+
+
 def _after_cops_answer(evader, g, cops):
     """Place against no cops with checks on, then move after `cops` arrive."""
     evader.check_invariants = True
