@@ -238,6 +238,8 @@ class _LevelBlockadeCops(CopStrategy):
     def reset(self, graph, k, rng):
         super().reset(graph, k, rng)
         self._map = None
+        self._canon = None  # the cops as the last move left them, canonical
+        self._cops = None  # and as played
         self._level = None
         self._blocking = []
         self._reserve = []
@@ -298,9 +300,11 @@ class _LevelBlockadeCops(CopStrategy):
             else:
                 self._map = CoordMap(g)
             self._targets = {}
+            self._canon = [self._map.apply(c) for c in state.cops]
+            self._cops = list(state.cops)
 
         cm = self._map
-        canon = [cm.apply(c) for c in state.cops]
+        canon = self._canon
         dests = list(canon)
 
         if not self._targets:
@@ -330,7 +334,14 @@ class _LevelBlockadeCops(CopStrategy):
             self._targets = {}
             self.last_annotations = {"phase": "shift", "level": self._level, "boundary": 1}
 
-        return [cm.invert(d) for d in dests]
+        # the engine plays every answer as given, so only the cops that
+        # move need mapping back
+        cops = self._cops
+        for i, (v, d) in enumerate(zip(canon, dests)):
+            if v != d:
+                cops[i] = cm.invert(d)
+        self._canon = dests
+        return list(cops)
 
 
 def _lex_step(g, src, dst):

@@ -407,6 +407,7 @@ _HEADER_FIELDS = {"graph": str, "k": int, "max_rounds": int, "version": int}
 _EVENT_FIELDS = {"round", "phase", "event", "cops", "robber", "annotations"}
 _TERMINAL = ("capture", "timeout", "fault")
 _PHASES = {p.value: p for p in Phase}
+_COP_PHASES = (Phase.COP_PLACEMENT, Phase.COP_TURN)
 
 
 def _check_event(ev, line_no):
@@ -483,7 +484,6 @@ def replay_trace(trace: MatchTrace) -> GameState:
     state = initial_state(graph)
     for i, ev in enumerate(events):
         phase, tag = _PHASES.get(ev["phase"]), ev["event"]
-        cops = tuple(map(tuple, ev["cops"]))
         robber = tuple(ev["robber"]) if ev["robber"] is not None else None
         where = f"round {ev['round']} ({ev['phase']})"
         if phase is None:
@@ -494,14 +494,16 @@ def replay_trace(trace: MatchTrace) -> GameState:
             raise ReplayError(f"{where} recorded, engine is at round {state.round}")
         if tag == "fault":
             # positions on a fault line are the pre-fault state
-            if state.cops != cops or state.robber != robber:
+            if state.cops != tuple(map(tuple, ev["cops"])) or state.robber != robber:
                 raise ReplayError(f"fault at {where} records positions the engine never reached")
             break
-        if len(cops) != k:
-            raise ReplayError(f"{where} has {len(cops)} cops, header says k={k}")
+        if len(ev["cops"]) != k:
+            raise ReplayError(f"{where} has {len(ev['cops'])} cops, header says k={k}")
+        # the engine checks and converts the acting side's positions, so the
+        # state holds them exactly: only a robber action's cops are compared
         try:
             if phase is Phase.COP_PLACEMENT:
-                state = place_cops(state, cops)
+                state = place_cops(state, ev["cops"])
             elif phase is Phase.ROBBER_PLACEMENT:
                 if tag == "capture":  # no free vertex existed
                     if state.phase is not Phase.ROBBER_PLACEMENT or (
@@ -510,19 +512,21 @@ def replay_trace(trace: MatchTrace) -> GameState:
                         raise ReplayError(f"{where} records capture, but a free vertex exists")
                     state = replace(state, phase=Phase.OVER, winner="cops")
                 else:
-                    state = place_robber(state, robber)
+                    state = place_robber(state, ev["robber"])
             elif phase is Phase.COP_TURN:
-                state = apply_cop_move(state, cops)
+                state = apply_cop_move(state, ev["cops"])
             elif phase is Phase.ROBBER_TURN:
-                state = apply_robber_move(state, robber)
+                state = apply_robber_move(state, ev["robber"])
             else:
                 raise ReplayError(f"no action is recorded in phase {phase.value} at {where}")
         except (RuleViolation, InvalidVertexError) as err:
             raise ReplayError(f"illegal action at {where} on {header['graph']}: {err}") from None
-        if state.cops != cops or state.robber != robber:
+        if state.robber != robber or (
+            phase not in _COP_PHASES and state.cops != tuple(map(tuple, ev["cops"]))
+        ):
             raise ReplayError(
                 f"replay diverged at {where}: "
-                f"engine {state.cops}/{state.robber} vs trace {cops}/{robber}"
+                f"engine {state.cops}/{state.robber} vs trace {ev['cops']}/{robber}"
             )
         if tag == "capture" and state.winner != "cops":
             raise ReplayError(f"trace records capture at round {ev['round']}, engine disagrees")

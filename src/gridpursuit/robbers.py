@@ -30,7 +30,6 @@ fallback: it always plays its minimizer.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -165,6 +164,13 @@ def _within_budget(cops, budget, allow_excess_cops):
     return False
 
 
+def _cop_counts(graph, cops):
+    """The number of cops on each vertex, in vertex index order."""
+    coords = np.array(cops, dtype=np.intp).reshape(-1, graph.ndim)
+    return np.bincount(np.ravel_multi_index(coords.T, graph.lengths),
+                       minlength=graph.vertex_count)
+
+
 class _Board(NamedTuple):
     """One turn's cops as two arrays of shape graph.lengths, indexed by
     vertex: occ counts the cops on each vertex, near marks the cops'
@@ -214,9 +220,7 @@ class _ProofEvader(RobberStrategy):
         lat = self._lat
         shape = lat.graph.lengths
         mask = lat.mask_of(cops)
-        coords = np.array(cops, dtype=np.intp).reshape(-1, len(shape))
-        index = np.ravel_multi_index(coords.T, shape)
-        occ = np.bincount(index, minlength=lat.size).reshape(shape)
+        occ = _cop_counts(lat.graph, cops).reshape(shape)
         return _Board(occ, lat.bits_of(mask | lat.expand(mask)).reshape(shape))
 
     def _give_up(self, in_budget, why):
@@ -600,6 +604,10 @@ class Grid3DEvader(_ProofEvader):
 
 
 def potential_cop_budget(n: int) -> int:
+    """floor(2^(n-3) / (n ln n)) - 1, negative (no cops) for small n; the
+    formula's ln 1 = 0 makes n = 1 a special case."""
+    if n < 2:
+        return -1
     return int(2 ** (n - 3) / (n * math.log(n))) - 1
 
 
@@ -629,8 +637,16 @@ class PotentialEvader(RobberStrategy):
     annotated, but the move (that same minimizer) is still played.
 
     Potentials are compared exactly: every weight is an integer after
-    scaling by lcm(C(n,0..n-1)), so numpy int64 score vectors decide the
-    argmin and the 1/2 test without rounding.
+    scaling by lcm = lcm(C(n,0..n-1)), w[d] = lcm * (1 if d == 0 else
+    1 / C(n, d-1)).  The scaled potential of every vertex at once is the
+    XOR convolution score[v] = sum_c cnt[c] * w[pop(v ^ c)] of the cop
+    counts with w[pop(.)], computed with two fast Walsh-Hadamard
+    transforms, WHT(WHT(cnt) * WHT(w[pop(.)])) = 2^n * score, in O(n 2^n)
+    time whatever the cop count (Fino and Algazi, IEEE Trans. Computers
+    1976).  The arithmetic is uint64: it wraps modulo 2^64, but the true
+    result 2^n * score is below 2^64 whenever k * lcm < 2^(64-n), so the
+    shift by n recovers every score exactly.  Each call checks that
+    condition and raises ConfigurationError when it fails.
     """
 
     name = "cube-potential"
@@ -642,29 +658,48 @@ class PotentialEvader(RobberStrategy):
     def reset(self, graph, rng):
         super().reset(graph, rng)
         require(is_hypercube(graph), f"potential evader needs a hypercube, got {format_graph(graph)}")
-        n = graph.ndim
-        size = 1 << n
-        idx = np.arange(size, dtype=np.int64)
-        pop = np.zeros(size, dtype=np.int64)
-        for bit in range(n):
-            pop += (idx >> bit) & 1
-        self._idx = idx
-        self._pop = pop
+        n = self._n = graph.ndim
         self._lcm = math.lcm(*(math.comb(n, k) for k in range(n)))
         weights = [self._lcm]  # distance 0: full weight
         weights += [self._lcm // math.comb(n, d - 1) for d in range(1, n + 1)]
-        self._weights = np.array(weights, dtype=np.int64)
-        # int64 headroom check: max score = k * lcm must not overflow
-        if self._lcm >= (1 << 48):
-            raise ConfigurationError(f"hypercube dimension {n} too large for exact scoring")
+        pop = np.zeros(1 << n, dtype=np.intp)
+        for bit in range(n):
+            pop[1 << bit:2 << bit] = pop[:1 << bit] + 1
+        # two ping-pong buffers and each one's butterfly operands (see _wht)
+        self._bufs = a, b = np.empty((2, 1 << n), dtype=np.uint64)
+        half = len(a) >> 1
+        self._stages = ((a[:half], a[half:], b[0::2], b[1::2]),
+                        (b[:half], b[half:], a[0::2], a[1::2]))
+        self._kernel = self._wht(np.array(weights, dtype=np.uint64)[pop]).copy()
         self._budget = max(potential_cop_budget(n), 0)
 
+    def _wht(self, x):
+        """Unnormalized Walsh-Hadamard transform of x modulo 2^64; the
+        result is one of the two buffers, overwritten by the next call.
+
+        Constant-geometry order: every stage combines the two halves and
+        interleaves the sums and differences, which transforms the top bit
+        and rotates the index bits by one, so n stages transform every bit
+        and leave the order as it was; all reads are contiguous.
+        """
+        self._bufs[0] = x
+        for stage in range(self._n):
+            lo, hi, even, odd = self._stages[stage & 1]
+            np.add(lo, hi, even)
+            np.subtract(lo, hi, odd)
+        return self._bufs[self._n & 1]
+
     def _scores(self, graph, cops):
-        total = np.zeros(len(self._idx), dtype=np.int64)
-        stacks = Counter(graph.index(c) for c in cops)  # cops often co-locate
-        for ci, count in stacks.items():
-            total += count * self._weights[self._pop[self._idx ^ ci]]
-        return total
+        """Each vertex's potential times lcm, as an int64 array in vertex
+        index order."""
+        n = self._n
+        if len(cops) * self._lcm >= 1 << (64 - n):
+            raise ConfigurationError(
+                f"{len(cops)} cops on cube:{n} exceed exact scoring (k * lcm < 2^{64 - n})"
+            )
+        spectrum = self._wht(_cop_counts(graph, cops))
+        spectrum *= self._kernel
+        return (self._wht(spectrum) >> n).view(np.int64)
 
     def _minimizer(self, graph, cops, allowed_mask):
         scores = self._scores(graph, cops)

@@ -498,10 +498,22 @@ def test_replay_rejects_a_false_no_free_vertex_capture():
 
 
 def test_replay_maps_engine_errors_to_replay_errors():
-    trace = _greedy_trace()
-    trace.events[0]["cops"] = [[0, 9], [0, 0]]  # off the graph
-    with pytest.raises(ReplayError, match="illegal action"):
-        replay_trace(trace)
+    # (event, field, value): a position off the graph, then positions that
+    # equal the recorded ones but hold a bool, float or str coordinate (the
+    # events are cop placement, robber placement, cop turn, robber turn)
+    for index, field, value in [
+        (0, "cops", [[0, 9], [0, 0]]),
+        (0, "cops", [[0, False], [2, 0]]),
+        (1, "robber", [True, 2]),
+        (2, "cops", [[1.0, 0], [1, 0]]),
+        (2, "cops", [["a", 0], [1, 0]]),
+        (3, "robber", [0.0, 2]),
+        (3, "robber", ["a", 2]),
+    ]:
+        trace = _greedy_trace()
+        trace.events[index][field] = value
+        with pytest.raises(ReplayError, match="illegal action"):
+            replay_trace(trace)
 
 
 def test_trace_from_jsonl_rejects_malformed_lines():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -197,6 +198,7 @@ def test_potential_aggregate_matches_counting_identity():
 
 def test_potential_budget_example():
     assert potential_cop_budget(10) == 4
+    assert potential_cop_budget(1) == potential_cop_budget(2) == -1  # no cops; ln 1 = 0
 
 
 def test_potential_evader_zero_cops_stays_put():
@@ -218,6 +220,49 @@ def test_potential_evader_annotates_exact_phi():
     phi = Fraction(evader.last_annotations["phi"])
     assert phi == potential(g, cops, v)
     assert phi < Fraction(1, 2)
+
+
+def _random_cops(g, k, seed):
+    rng = random.Random(seed)
+    return [g.vertex_at(rng.randrange(g.vertex_count)) for _ in range(k)]
+
+
+# (n, cops): random configurations for n = 1..12, stacked and zero cops, k far
+# above the budget (0 cops on cube:8), and the bench's cube:14 size
+POTENTIAL_CASES = [(n, _random_cops(cube(n), n, n)) for n in range(1, 13)] + [
+    (6, [(0, 1, 1, 0, 1, 0)] * 5 + [(1, 1, 1, 1, 1, 1)] * 3),
+    (5, []),
+    (8, _random_cops(cube(8), 300, 8) + [(0,) * 8] * 100),
+    (14, _random_cops(cube(14), 54, 14)),
+]
+
+
+@pytest.mark.parametrize("n, cops", POTENTIAL_CASES,
+                         ids=[f"n{n}-k{len(c)}-{i}" for i, (n, c) in enumerate(POTENTIAL_CASES)])
+def test_potential_scores_match_the_fraction_reference(n, cops):
+    g = cube(n)
+    evader = PotentialEvader(allow_excess_cops=True)
+    evader.reset(g, None)
+    scores = evader._scores(g, cops).tolist()
+    every = list(g.vertices())
+    # the reference costs about 0.7 ms a vertex at n = 14: sample there
+    checked = every if n <= 12 else random.Random(n).sample(every, 2048)
+    assert [scores[g.index(v)] for v in checked] == [
+        evader._lcm * potential(g, cops, v) for v in checked
+    ]
+    v = evader.place(g, cops)
+    assert Fraction(evader.last_annotations["phi"]) == potential(g, cops, v)
+
+
+def test_potential_scores_refuse_cop_counts_past_exact_arithmetic():
+    # the transform's result 2^n * score stays below 2^64 while k * lcm < 2^(64-n)
+    g = cube(20)
+    evader = PotentialEvader(allow_excess_cops=True)
+    evader.reset(g, None)
+    k = ((1 << 44) - 1) // evader._lcm + 1
+    assert k == 1_586_975
+    with pytest.raises(ConfigurationError, match="exact scoring"):
+        evader._scores(g, [(0,) * 20] * k)
 
 
 def test_potential_evader_survives_greedy_small_cube():
