@@ -5,14 +5,15 @@ Outputs are single JSON objects (JSON-lines for traces); seeds always
 appear in outputs, defaulted or not, so every run can be reproduced.
 
 Exit codes: 0 completed (either side may have won); 1 replay mismatch: a
-trace, or a solver's witness, that does not replay (an illegal or divergent
-move, a header whose version, k or graph disagrees with the events, or no
-final capture/timeout/fault event); 2 strategy fault, including a strategy
-answer that is not an int vertex (or a list of them); 3 configuration/usage
-error, including a negative --k or --cops and a malformed trace (a line
-that is not JSON, or a record missing a field); 4 resource cap exceeded
-(the solver's state cap, or a match or replay graph above the engine's
-vertex cap).
+trace, or a solver's witness, that does not replay through the match loop
+(an illegal or divergent move, a header whose version, k or graph disagrees
+with the events, an event past the header's max_rounds, a fault whose side
+is not the one acting in its phase, or no final capture/timeout/fault
+event); 2 strategy fault, including a strategy answer that is not an int
+vertex (or a list of them); 3 configuration/usage error, including a
+negative --k or --cops and a malformed trace (a line that is not JSON, or a
+record missing a field); 4 resource cap exceeded (the solver's state cap,
+or a match or replay graph above the engine's vertex cap).
 """
 from __future__ import annotations
 
@@ -29,14 +30,7 @@ from .engine import (
     trace_from_jsonl,
     trace_to_jsonl,
 )
-from .errors import (
-    ConfigurationError,
-    GraphFormatError,
-    GridPursuitError,
-    ReplayError,
-    ResourceLimitError,
-    TraceFormatError,
-)
+from .errors import ConfigurationError, GridPursuitError, ReplayError, ResourceLimitError
 from .grid import format_graph, parse_graph
 from .robbers import make_robber_strategy
 from .solver import cop_number, solve_game
@@ -50,6 +44,11 @@ EXIT_RESOURCE = 4
 
 def _emit(obj):
     print(json.dumps(obj, sort_keys=True))
+
+
+def _witness(res):
+    """A solver result's witness placement as coordinate lists, or None."""
+    return [list(v) for v in res.witness_placement] if res.witness_placement else None
 
 
 def _parse_dims(text):
@@ -104,7 +103,7 @@ def cmd_solve(args) -> int:
             "graph": format_graph(graph),
             "k": args.k,
             "cops_win": res.cops_win,
-            "witness": [list(v) for v in res.witness_placement] if res.witness_placement else None,
+            "witness": _witness(res),
             "states": res.states_explored,
             "transitions": res.transitions,
             "millis": round(res.elapsed * 1000, 3),
@@ -121,7 +120,7 @@ def cmd_copnum(args) -> int:
             "graph": format_graph(graph),
             "k_range": [1, res.k_max],
             "cop_number": res.cop_number,
-            "witness": [list(v) for v in res.witness_placement] if res.witness_placement else None,
+            "witness": _witness(res),
             "states": res.states_explored,
             "transitions": res.transitions,
             "millis": round(res.elapsed * 1000, 3),
@@ -175,7 +174,7 @@ def cmd_table(args) -> int:
                 "graph": spec,
                 "predicted": predicted,
                 "cop_number": res.cop_number,
-                "witness": [list(v) for v in res.witness_placement] if res.witness_placement else None,
+                "witness": _witness(res),
                 "replay_verified": bool(res.per_k) and res.per_k[-1].witness_verified,
                 "millis": round(res.elapsed * 1000, 3),
             }
@@ -304,16 +303,10 @@ def main(argv=None) -> int:
     except ResourceLimitError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ConfigurationError, GraphFormatError, TraceFormatError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
     except ReplayError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_REPLAY
-    except GridPursuitError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (OSError, UnicodeDecodeError) as err:
+    except (GridPursuitError, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -274,6 +274,52 @@ def _check_size(graph: GraphSpec):
         )
 
 
+def _play(graph, cop_side, robber_side, k, max_rounds, emit):
+    """The placement and turn sequence of one match, shared by run_match and
+    replay_trace.
+
+    Calls emit(state, phase, round_no, tag, notes) once per event, in trace
+    order, and returns (outcome, rounds, fault_side, final_state).  A side's
+    RuleViolation, StrategyFault or InvalidVertexError ends the match in a
+    fault event that holds the state before the failed action.  k and
+    max_rounds are not checked here.
+    """
+    state = initial_state(graph)
+    phase, round_no = Phase.COP_PLACEMENT, 0
+    try:
+        # placement: cops first, then the robber in response
+        placed = place_cops(state, cop_side.place(graph, k))
+        if len(placed.cops) != k:
+            raise StrategyFault(f"cop placement returned {len(placed.cops)} != k={k}")
+        state = placed
+        emit(state, phase, 0, None, cop_side.last_annotations)
+        if len(set(state.cops)) >= graph.vertex_count:
+            # every vertex is occupied: the robber cannot be placed
+            state = replace(state, phase=Phase.OVER, winner="cops")
+            emit(state, Phase.ROBBER_PLACEMENT, 0, "capture", {"reason": "no-free-vertex"})
+            return "capture", 0, None, state
+        phase = Phase.ROBBER_PLACEMENT
+        state = place_robber(state, robber_side.place(graph, state.cops))
+        emit(state, phase, 0, None, robber_side.last_annotations)
+
+        while state.round <= max_rounds:
+            round_no, phase = state.round, Phase.COP_TURN
+            state = apply_cop_move(state, cop_side.move(state))
+            if state.winner:
+                emit(state, phase, round_no, "capture", cop_side.last_annotations)
+                return "capture", round_no, None, state
+            emit(state, phase, round_no, None, cop_side.last_annotations)
+            phase = Phase.ROBBER_TURN
+            state = apply_robber_move(state, robber_side.move(state))
+            tag = "timeout" if round_no == max_rounds else None
+            emit(state, phase, round_no, tag, robber_side.last_annotations)
+        return "timeout", max_rounds, None, state
+    except (RuleViolation, StrategyFault, InvalidVertexError) as err:
+        side = "cops" if phase in (Phase.COP_PLACEMENT, Phase.COP_TURN) else "robber"
+        emit(state, phase, round_no, "fault", {"side": side, "error": str(err)})
+        return "fault", round_no, side, state
+
+
 def run_match(
     graph: GraphSpec,
     cop_strategy: CopStrategy,
@@ -287,6 +333,8 @@ def run_match(
 ) -> MatchTrace:
     """Play one match to capture, timeout, or strategy fault.
 
+    Checks k, max_rounds and the graph size, resets both strategies from
+    seed, then plays the turn sequence that replay_trace also drives.
     Deterministic given the strategies and seed.  max_rounds defaults to
     4 * vertex_count: every guaranteed pursuit here finishes within a small
     multiple of the vertex count, so a timeout signals evader success.
@@ -315,75 +363,13 @@ def run_match(
         }
     )
 
-    def record(state, phase, round_no, tag=None, notes=None):
+    def record(state, phase, round_no, tag, notes):
         if record_events:
             trace.events.append(_event(state, phase, round_no, tag, notes))
 
-    def fault(state, phase, round_no, side, err):
-        record(state, phase, round_no, "fault", {"side": side, "error": str(err)})
-        trace.outcome = "fault"
-        trace.fault_side = side
-        trace.rounds = round_no
-        trace.final_state = state
-        trace.robber_violations = len(robber_strategy.violations)
-        return trace
-
-    state = initial_state(graph)
-
-    # placement: cops first, then the robber in response
-    try:
-        placed = place_cops(state, cop_strategy.place(graph, k))
-        if len(placed.cops) != k:
-            raise StrategyFault(f"cop placement returned {len(placed.cops)} != k={k}")
-    except (RuleViolation, StrategyFault, InvalidVertexError) as err:
-        return fault(state, Phase.COP_PLACEMENT, 0, "cops", err)
-    state = placed
-    record(state, Phase.COP_PLACEMENT, 0, notes=cop_strategy.last_annotations)
-
-    if len(set(state.cops)) >= graph.vertex_count:
-        # every vertex is occupied: the robber cannot be placed
-        state = replace(state, phase=Phase.OVER, winner="cops")
-        record(state, Phase.ROBBER_PLACEMENT, 0, "capture", {"reason": "no-free-vertex"})
-        trace.outcome = "capture"
-        trace.rounds = 0
-        trace.final_state = state
-        return trace
-
-    try:
-        v0 = robber_strategy.place(graph, state.cops)
-        state = place_robber(state, v0)
-    except (RuleViolation, StrategyFault, InvalidVertexError) as err:
-        return fault(state, Phase.ROBBER_PLACEMENT, 0, "robber", err)
-    record(state, Phase.ROBBER_PLACEMENT, 0, notes=robber_strategy.last_annotations)
-
-    while state.round <= max_rounds:
-        acting_round = state.round
-        try:
-            dests = cop_strategy.move(state)
-            state = apply_cop_move(state, dests)
-        except (RuleViolation, StrategyFault, InvalidVertexError) as err:
-            return fault(state, Phase.COP_TURN, acting_round, "cops", err)
-        if state.winner == "cops":
-            record(state, Phase.COP_TURN, acting_round, "capture",
-                   cop_strategy.last_annotations)
-            trace.outcome = "capture"
-            trace.rounds = acting_round
-            break
-        record(state, Phase.COP_TURN, acting_round, notes=cop_strategy.last_annotations)
-
-        try:
-            dest = robber_strategy.move(state)
-            state = apply_robber_move(state, dest)
-        except (RuleViolation, StrategyFault, InvalidVertexError) as err:
-            return fault(state, Phase.ROBBER_TURN, acting_round, "robber", err)
-        tag = "timeout" if acting_round == max_rounds else None
-        record(state, Phase.ROBBER_TURN, acting_round, tag,
-               robber_strategy.last_annotations)
-        if tag:
-            trace.outcome = "timeout"
-            trace.rounds = max_rounds
-
-    trace.final_state = state
+    trace.outcome, trace.rounds, trace.fault_side, trace.final_state = _play(
+        graph, cop_strategy, robber_strategy, k, max_rounds, record
+    )
     trace.robber_violations = len(robber_strategy.violations)
     return trace
 
@@ -406,8 +392,6 @@ def trace_to_jsonl(trace: MatchTrace) -> str:
 _HEADER_FIELDS = {"graph": str, "k": int, "max_rounds": int, "version": int}
 _EVENT_FIELDS = {"round", "phase", "event", "cops", "robber", "annotations"}
 _TERMINAL = ("capture", "timeout", "fault")
-_PHASES = {p.value: p for p in Phase}
-_COP_PHASES = (Phase.COP_PLACEMENT, Phase.COP_TURN)
 
 
 def _check_event(ev, line_no):
@@ -462,14 +446,90 @@ def trace_from_jsonl(text: str) -> MatchTrace:
     return trace
 
 
-def replay_trace(trace: MatchTrace) -> GameState:
-    """Re-drive the engine with the recorded actions, checking every state.
+def _where(ev) -> str:
+    return f"round {ev['round']} ({ev['phase']})"
 
-    Raises ReplayError on the first divergence: an illegal move, a state or
-    round the engine does not reach, a header whose version, k or graph
-    disagrees with the events, or a trace that does not end in exactly one
-    capture, timeout or fault event.  A header graph above the match cap
-    raises ResourceLimitError.  Returns the final state.
+
+class _Replay:
+    """Checks each event the match loop emits against the next recorded one.
+
+    Only what the loop did not take from the event is compared: the round,
+    the phase, the tag and the positions of the side that did not act (on a
+    fault or a no-free-vertex capture, where no side acted, every position).
+    """
+
+    def __init__(self, trace: MatchTrace):
+        self.events = trace.events
+        self.header = trace.header
+        self.at = 0  # index of the next recorded event
+        self.taken = None  # the field the acting side answered from
+
+    def check(self, state, phase, round_no, tag, notes):
+        ev = self.events[self.at]
+        self.at += 1
+        taken, self.taken = self.taken, None
+        recorded = ev["event"]
+        if recorded == "capture" != tag:
+            raise ReplayError(
+                f"trace records capture at {_where(ev)}, but a free vertex is left to the robber"
+            )
+        if tag == "fault" and (recorded != tag or ev["annotations"].get("side") != notes["side"]):
+            raise ReplayError(
+                f"illegal action at {_where(ev)} on {self.header['graph']}: {notes['error']}"
+            )
+        if (ev["round"], ev["phase"], recorded) != (round_no, phase.value, tag):
+            raise ReplayError(
+                f"trace has {_where(ev)} with event {recorded!r}, the engine plays round "
+                f"{round_no} ({phase.value}) with event {tag!r} under "
+                f"max_rounds={self.header['max_rounds']}"
+            )
+        robber = None if ev["robber"] is None else tuple(ev["robber"])
+        if (taken != "cops" and state.cops != tuple(map(tuple, ev["cops"]))) or (
+            taken != "robber" and state.robber != robber
+        ):
+            raise ReplayError(
+                f"replay diverged at {_where(ev)}: "
+                f"engine {state.cops}/{state.robber} vs trace {ev['cops']}/{robber}"
+            )
+
+
+class _Script:
+    """A recorded side: answers with the positions and annotations of the
+    event the match loop emits next, or raises that event's fault when the
+    trace records one for this side ("cops" or "robber", also the field its
+    positions are in)."""
+
+    def __init__(self, replay: _Replay, side: str):
+        self.replay, self.side = replay, side
+        self.last_annotations = {}
+
+    def move(self, *_):
+        replay = self.replay
+        # in range: replay_trace checked that the last event ends the match,
+        # and check() raises unless the loop ends exactly there
+        ev = replay.events[replay.at]
+        notes = ev["annotations"]
+        if ev["event"] == "fault" and notes.get("side") == self.side:
+            raise StrategyFault(notes.get("error"))
+        replay.taken, self.last_annotations = self.side, notes
+        return ev[self.side]
+
+    place = move
+
+
+def replay_trace(trace: MatchTrace) -> GameState:
+    """Re-drive the match loop with the recorded actions, checking every event.
+
+    Both sides answer from the trace and run_match's own turn sequence
+    plays them, so replay applies the same rules as play.  Raises
+    ReplayError at the first event the loop does not emit as recorded: an
+    illegal move, a state, round, phase or tag the engine does not reach
+    (including events past the header's max_rounds, a fault whose side is
+    not the acting one, and a cop count other than the header's k), an
+    event after the match ended, a header version other than
+    TRACE_VERSION, or a trace that does not end in a capture, timeout or
+    fault event.  A header graph above the match cap raises
+    ResourceLimitError.  Returns the final state.
     """
     header = trace.header
     if header["version"] != TRACE_VERSION:
@@ -479,60 +539,11 @@ def replay_trace(trace: MatchTrace) -> GameState:
         raise ReplayError("trace does not end in a capture, timeout or fault event")
     graph = parse_graph(header["graph"])
     _check_size(graph)
-    k = header["k"]
-    last = len(events) - 1
-    state = initial_state(graph)
-    for i, ev in enumerate(events):
-        phase, tag = _PHASES.get(ev["phase"]), ev["event"]
-        robber = tuple(ev["robber"]) if ev["robber"] is not None else None
-        where = f"round {ev['round']} ({ev['phase']})"
-        if phase is None:
-            raise ReplayError(f"unknown phase at {where}")
-        if tag is not None and (tag not in _TERMINAL or i != last):
-            raise ReplayError(f"unexpected {tag!r} event at {where}")
-        if ev["round"] != state.round:
-            raise ReplayError(f"{where} recorded, engine is at round {state.round}")
-        if tag == "fault":
-            # positions on a fault line are the pre-fault state
-            if state.cops != tuple(map(tuple, ev["cops"])) or state.robber != robber:
-                raise ReplayError(f"fault at {where} records positions the engine never reached")
-            break
-        if len(ev["cops"]) != k:
-            raise ReplayError(f"{where} has {len(ev['cops'])} cops, header says k={k}")
-        # the engine checks and converts the acting side's positions, so the
-        # state holds them exactly: only a robber action's cops are compared
-        try:
-            if phase is Phase.COP_PLACEMENT:
-                state = place_cops(state, ev["cops"])
-            elif phase is Phase.ROBBER_PLACEMENT:
-                if tag == "capture":  # no free vertex existed
-                    if state.phase is not Phase.ROBBER_PLACEMENT or (
-                        len(set(state.cops)) < graph.vertex_count
-                    ):
-                        raise ReplayError(f"{where} records capture, but a free vertex exists")
-                    state = replace(state, phase=Phase.OVER, winner="cops")
-                else:
-                    state = place_robber(state, ev["robber"])
-            elif phase is Phase.COP_TURN:
-                state = apply_cop_move(state, ev["cops"])
-            elif phase is Phase.ROBBER_TURN:
-                state = apply_robber_move(state, ev["robber"])
-            else:
-                raise ReplayError(f"no action is recorded in phase {phase.value} at {where}")
-        except (RuleViolation, InvalidVertexError) as err:
-            raise ReplayError(f"illegal action at {where} on {header['graph']}: {err}") from None
-        if state.robber != robber or (
-            phase not in _COP_PHASES and state.cops != tuple(map(tuple, ev["cops"]))
-        ):
-            raise ReplayError(
-                f"replay diverged at {where}: "
-                f"engine {state.cops}/{state.robber} vs trace {ev['cops']}/{robber}"
-            )
-        if tag == "capture" and state.winner != "cops":
-            raise ReplayError(f"trace records capture at round {ev['round']}, engine disagrees")
-        if tag == "timeout" and (phase is not Phase.ROBBER_TURN
-                                 or ev["round"] != header["max_rounds"]):
-            raise ReplayError(f"timeout at {where}, header says max_rounds={header['max_rounds']}")
+    replay = _Replay(trace)
+    *_, state = _play(graph, _Script(replay, "cops"), _Script(replay, "robber"),
+                      header["k"], header["max_rounds"], replay.check)
+    if replay.at < len(events):
+        raise ReplayError(f"unexpected event at {_where(events[replay.at])}: the match ended before it")
     return state
 
 

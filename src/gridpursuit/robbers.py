@@ -747,18 +747,22 @@ def clamp_retraction(outer: GraphSpec, inner: GraphSpec):
     return lambda v: tuple(min(c, t) for c, t in zip(v, tops))
 
 
-def validate_retraction(phi, outer: GraphSpec, inner: GraphSpec, sample_limit=20000, seed=0):
+_RETRACTION_SAMPLES = 20000
+_RETRACTION_SEED = 0
+
+
+def validate_retraction(phi, outer: GraphSpec, inner: GraphSpec):
     """Check phi is a retraction: maps into the subgraph, fixes it
     pointwise, and sends edges to edges or single vertices.  Exhaustive up
-    to sample_limit outer vertices, seeded sampling beyond."""
+    to _RETRACTION_SAMPLES outer vertices, seeded sampling beyond."""
     import random as _random
 
-    if outer.vertex_count <= sample_limit:
+    if outer.vertex_count <= _RETRACTION_SAMPLES:
         vertices = list(outer.vertices())
     else:
-        rng = _random.Random(seed)
+        rng = _random.Random(_RETRACTION_SEED)
         total = outer.vertex_count
-        vertices = [outer.vertex_at(rng.randrange(total)) for _ in range(sample_limit)]
+        vertices = [outer.vertex_at(rng.randrange(total)) for _ in range(_RETRACTION_SAMPLES)]
     for v in vertices:
         image = phi(v)
         if not inner.contains(image):
@@ -782,12 +786,12 @@ class RetractLift(RobberStrategy):
     between subgraph vertices avoiding the cop images avoids the cops).
     """
 
-    def __init__(self, inner_strategy: RobberStrategy, outer: GraphSpec, inner: GraphSpec, phi=None):
+    def __init__(self, inner_strategy: RobberStrategy, outer: GraphSpec, inner: GraphSpec):
         super().__init__()
         self.inner_strategy = inner_strategy
         self.outer = outer
         self.inner = inner
-        self.phi = phi if phi is not None else clamp_retraction(outer, inner)
+        self.phi = clamp_retraction(outer, inner)
         validate_retraction(self.phi, outer, inner)
         self.name = f"retract:{inner_strategy.name}/{format_graph(inner)}"
 

@@ -218,7 +218,8 @@ def test_replay_rejects_a_trace_without_its_final_event(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field, value", [("k", 9), ("k", 5), ("graph", "grid:5x5"),
-                                          ("graph", "torus:7x7x7"), ("version", 2)])
+                                          ("graph", "torus:7x7x7"), ("version", 2),
+                                          ("max_rounds", 2)])
 def test_replay_rejects_a_header_that_disagrees_with_the_events(tmp_path, capsys, field, value):
     lines = _recorded_trace(tmp_path, capsys)
     code, out, err = _replay_lines(tmp_path, capsys, [_edit(lines[0], **{field: value})] + lines[1:])

@@ -374,6 +374,11 @@ def test_non_int_coordinates_are_recorded_faults(bad, turn):
         assert (trace.outcome, trace.fault_side) == ("fault", side)
         assert trace.events[-1]["event"] == "fault"
         replay_trace(trace_from_jsonl(trace_to_jsonl(trace)))
+        # run_match records the side acting in the fault's phase, and no other
+        flipped = {"cops": "robber", "robber": "cops"}[side]
+        trace.events[-1]["annotations"]["side"] = flipped
+        with pytest.raises(ReplayError):
+            replay_trace(trace_from_jsonl(trace_to_jsonl(trace)))
 
 
 # -- pinned traces --------------------------------------------------------------
