@@ -428,8 +428,8 @@ class RandomCops(CopStrategy):
         g = state.graph
         dests = []
         for c in state.cops:
-            options = sorted(g.neighbors(c) | {c})
-            dests.append(self.rng.choice(options))
+            options = g.closed_neighborhood(c)
+            dests.append(options[self.rng.randrange(len(options))])
         return dests
 
 

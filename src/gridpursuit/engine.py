@@ -408,6 +408,7 @@ def _check_event(ev, line_no):
         and _is_points(ev["cops"])
         and (ev["robber"] is None or _is_points([ev["robber"]]))
         and type(ev["annotations"]) is dict
+        and all(type(note) is str for note in ev["annotations"].values())
     ):
         raise TraceFormatError(f"trace line {line_no}: event field of the wrong type")
 

@@ -76,11 +76,12 @@ class GraphSpec:
     def contains(self, v) -> bool:
         """Whether v is a vertex: a tuple of in-range Python ints (a float
         or a bool coordinate is not one, as in a trace)."""
-        return (
-            isinstance(v, tuple)
-            and len(v) == len(self.dims)
-            and all(type(c) is int and 0 <= c < d.length for c, d in zip(v, self.dims))
-        )
+        if not (isinstance(v, tuple) and len(v) == len(self.dims)):
+            return False
+        for c, d in zip(v, self.dims):
+            if type(c) is not int or not 0 <= c < d.length:
+                return False
+        return True
 
     def check_vertex(self, v):
         if not self.contains(v):
@@ -102,6 +103,28 @@ class GraphSpec:
                 if c > 0:
                     out.add(v[:i] + (c - 1,) + v[i + 1 :])
         return out
+
+    def closed_neighborhood(self, v) -> list:
+        """v and its neighbors in ascending order, as sorted(neighbors(v) |
+        {v}) lists them, built directly: the smaller neighbors by ascending
+        dimension, v, then the larger ones by descending dimension (a
+        wrapped coordinate at 0 or length - 1 has both its neighbors on one
+        side).  v must already be known to be a vertex: nothing is
+        validated."""
+        below, above = [], []  # above is built by ascending dimension, then reversed
+        for i, d in enumerate(self.dims):
+            c, last = v[i], d.length - 1
+            head, tail = v[:i], v[i + 1 :]
+            if d.wrap and c == last:
+                below.append(head + (0,) + tail)
+            if c > 0:
+                below.append(head + (c - 1,) + tail)
+            if d.wrap and c == 0:
+                above.append(head + (last,) + tail)
+            if c < last:
+                above.append(head + (c + 1,) + tail)
+        above.reverse()
+        return below + [v] + above
 
     def adjacent(self, u, v) -> bool:
         """Whether u and v share an edge.  Both must already be known to be

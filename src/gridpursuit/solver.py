@@ -17,9 +17,12 @@ The table is held in numpy arrays.  The successors of every configuration
 form one int32 CSR table (sorted rows, no repeats), built in chunks of
 CHUNK_MOVES joint moves.  Per-state arrays use a (robber vertex,
 configuration) layout, so the column of one robber vertex over all
-configurations is contiguous.  The queue is first in, first out, and each
-queue item relaxes all its predecessors with a few array operations, in the
-order a one-state-at-a-time loop would.
+configurations is contiguous.  The queue is first in, first out and is
+relaxed a block of items at a time: a block gathers the predecessor lists
+of its items (at most CHUNK_MOVES entries, unless one item alone has more)
+and settles them with a few array operations.  Everything a block queues
+lands after it, so the settle order, the flips and the queue are those of a
+one-state-at-a-time loop.
 
 Settling order doubles as a progress measure: along table-optimal cop play
 the order strictly decreases every half-move, which bounds capture time and
@@ -138,7 +141,7 @@ def _closed_neighborhoods(g: GraphSpec):
     to a (V, max size) array."""
     nbhd = []
     for i in range(g.vertex_count):
-        nbhd.append(sorted([i] + [g.index(w) for w in g.neighbors(g.vertex_at(i))]))
+        nbhd.append([g.index(w) for w in g.closed_neighborhood(g.vertex_at(i))])
     width = max(len(nb) for nb in nbhd)
     padded = np.array([nb + [i] * (width - len(nb)) for i, nb in enumerate(nbhd)], dtype=np.int32)
     return nbhd, padded
@@ -147,6 +150,12 @@ def _closed_neighborhoods(g: GraphSpec):
 def _chunks(total, per_item):
     step = max(1, CHUNK_MOVES // per_item)
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+
+
+def _runs(starts, lengths):
+    """Indices start, ..., start + length - 1 of each run, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if len(ends) else 0)
 
 
 def _successors(configs, padded, index):
@@ -281,30 +290,47 @@ def solve_game(g: GraphSpec, k: int, cap: int = DEFAULT_STATE_CAP, verify_witnes
     head, tail = 0, len(seeds)
 
     cop_rank = np.zeros((n_vertices, n_cfg), dtype=np.int32)
-    rank_rows, comp_rows = list(cop_rank), list(comp_id)
-    bounds = ptr.tolist()
-    starts = comp_start.tolist()
+    # flat views keyed r * n_cfg + ci: keys stay below V * n_cfg <= 2**31 - 1
+    # (INDEX_STATE_LIMIT), so they fit int32
+    rank_flat, comp_flat = cop_rank.reshape(-1), comp_id.reshape(-1)
+    degree = np.diff(ptr)
+    # no block holds more items than this: each has degree.min() entries or more
+    window = max(1, CHUNK_MOVES // int(degree.min()))
     order = 0
     while head < tail:
-        ci, r = divmod(int(queue[head]), n_vertices)
-        head += 1
+        # a block: the queued items whose predecessor lists add up to at most
+        # CHUNK_MOVES entries, and at least one item.  What it queues lands
+        # after it, so relaxing it at once keeps the one-at-a-time order
+        ci, r = np.divmod(queue[head:min(tail, head + window)], n_vertices)
+        lens = degree[ci]
+        size = max(1, int(np.searchsorted(np.cumsum(lens), CHUNK_MOVES, side="right")))
+        ci, r, lens = ci[:size], r[:size], lens[:size]
+        head += size
         # joint moves are reversible, so predecessors of a configuration
         # are exactly its successors
-        preds = succ[bounds[ci]:bounds[ci + 1]]
-        ranks = rank_rows[r]
-        new = preds[ranks[preds] == 0]
-        if not len(new):
-            continue
-        ranks[new] = np.arange(order + 1, order + 1 + len(new))
+        keys = np.repeat(r * n_cfg, lens) + succ[_runs(ptr[ci], lens)]
+        keys = keys[rank_flat[keys] == 0]
+        # a state settles at its first occurrence in the block
+        _, first = np.unique(keys, return_index=True)
+        first.sort()
+        new = keys[first]
+        rank_flat[new] = np.arange(order + 1, order + 1 + len(new))
         order += len(new)
-        comps = comp_rows[r][new]
-        left = safe[comps] - 1
-        safe[comps] = left
-        for c in comps[left == 0].tolist():
-            lo, hi = starts[c], starts[c + 1]
-            queue[tail:tail + hi - lo] = members[lo:hi]
-            tail += hi - lo
-    transitions = int(np.diff(ptr)[queue[:tail] // n_vertices].sum())
+        # each touched component loses one safe destination per new state;
+        # those reaching zero flip in the order of their last loss (the
+        # first occurrence in the reversed sequence)
+        touched, from_end, lost = np.unique(comp_flat[new][::-1], return_index=True,
+                                            return_counts=True)
+        left = safe[touched] - lost
+        safe[touched] = left
+        done = left == 0
+        flipped = touched[done][np.argsort(-from_end[done])]
+        if len(flipped):
+            lo = comp_start[flipped]
+            added = members[_runs(lo, comp_start[flipped + 1] - lo)]
+            queue[tail:tail + len(added)] = added
+            tail += len(added)
+    transitions = int(degree[queue[:tail] // n_vertices].sum())
 
     settled_or_taken = (cop_rank > 0) | (comp_id == n_comp)
     winning = settled_or_taken.all(axis=0)

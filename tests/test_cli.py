@@ -293,6 +293,15 @@ def test_replay_of_badly_typed_positions_is_a_usage_error(tmp_path, capsys, cops
     assert "wrong type" in err
 
 
+def test_replay_of_non_string_annotations_is_a_usage_error(tmp_path, capsys):
+    lines = _recorded_trace(tmp_path, capsys)
+    assert json.loads(lines[1])["phase"] == "cop-placement"
+    edited = _edit(lines[1], annotations={"level": [1, 2], "x": None})
+    code, out, err = _replay_lines(tmp_path, capsys, lines[:1] + [edited] + lines[2:])
+    assert code == 3 and out == ""
+    assert "line 2" in err and "wrong type" in err
+
+
 def test_replay_of_a_non_utf8_file_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "binary.jsonl"
     path.write_bytes(b"\xff\xfe\x00garbage\n")

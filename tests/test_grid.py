@@ -79,6 +79,15 @@ def test_adjacent_matches_explicit_adjacency(g):
             assert g.adjacent(u, v) == (v in adj[u])
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 6), st.booleans()), min_size=1, max_size=4)
+       .map(lambda dims: product([(n, wrap and n >= 3) for n, wrap in dims])),
+       st.data())
+def test_closed_neighborhood_is_the_sorted_closed_neighborhood(g, data):
+    v = tuple(data.draw(st.integers(0, d.length - 1)) for d in g.dims)
+    assert g.closed_neighborhood(v) == sorted(g.neighbors(v) | {v})
+
+
 def test_identity_coordmap_returns_tuples():
     cm = CoordMap(grid(3, 4))
     assert cm.identity and not CoordMap(grid(3, 3), perm=(1, 0)).identity

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from gridpursuit.errors import ReplayError, ResourceLimitError
 from gridpursuit.grid import cube, grid, parse_graph, product, torus
 from gridpursuit.engine import GameState, Phase, run_match, trace_to_jsonl
+from gridpursuit import solver
 from gridpursuit.solver import TableCops, cop_number, extract_policies, solve_game
 
 from oracles import (
@@ -147,6 +149,8 @@ def _win_matrix(table):
     ("torus:3x3", 2, 1791, "b189793a04b20d503542820862e14bbab2bea8bf52e8f9e9dac2bf2022de0745"),
     ("cube:4", 3, 227680, "01e95ab40e1ca8f2ed2025421a2d19efd5accf36bc8b85d6ca442a1efe7b3450"),
     ("grid:4x4", 3, 124788, "158493bf899e38098fdef3569b7679b6c5e01acb50e09cb21d23d1f7d7f01b68"),
+    ("grid:4x4", 4, 10844768, "8a16296952c9af31e4213610e39c4d1c84a4cb714c9076c489d2bd9ba438cbbc"),
+    ("torus:4x4", 4, 25089600, "090cbbe3515897bd4682de2d54951a67509090f3be10ccbd8cbc1c8277f5fd73"),
 ])
 def test_table_matches_pinned_settle_order(text, k, transitions, rank_sha256):
     res = solve_game(parse_graph(text), k)
@@ -155,6 +159,36 @@ def test_table_matches_pinned_settle_order(text, k, transitions, rank_sha256):
     assert hashlib.sha256(ranks.tobytes()).hexdigest() == rank_sha256
     # a cops-to-move state is won exactly when it was given a settle rank
     assert np.array_equal(_win_matrix(res.table), ranks > 0)
+
+
+@pytest.mark.parametrize("text, k", [("grid:3x3", 2), ("cube:4", 3), ("grid:4x4", 3)])
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_block_size_does_not_change_the_table(monkeypatch, text, k, chunk):
+    # the queue is relaxed a block at a time; one item per block is the
+    # one-at-a-time order (CHUNK_MOVES also sizes the CSR build chunks)
+    g = parse_graph(text)
+    expected = solve_game(g, k, verify_witness=False)
+    monkeypatch.setattr(solver, "CHUNK_MOVES", chunk)
+    res = solve_game(g, k, verify_witness=False)
+    assert res.transitions == expected.transitions
+    assert np.array_equal(res.table.cop_rank, expected.table.cop_rank)
+
+
+def test_solve_memory_stays_near_its_tables():
+    # block temporaries grow with CHUNK_MOVES, not with the state count: a
+    # gather over a whole wave of this instance would hold about 25M entries
+    g = parse_graph("torus:4x4")
+    tracemalloc.start()
+    try:
+        res = solve_game(g, 4, verify_witness=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    t = res.table
+    _, padded = solver._closed_neighborhoods(g)
+    ptr, succ = solver._successors(t.configs, padded, t.index)
+    arrays = (t.configs, t.cop_win, t.cop_rank, t.comp_id, t.comp_start, t.comp_members, ptr, succ)
+    assert peak < sum(a.nbytes for a in arrays) + 4 * 2**20
 
 
 @pytest.mark.parametrize("text, k, trace_sha256", [
