@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -162,16 +163,41 @@ def test_table_matches_pinned_settle_order(text, k, transitions, rank_sha256):
 
 
 @pytest.mark.parametrize("text, k", [("grid:3x3", 2), ("cube:4", 3), ("grid:4x4", 3)])
-@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 20])
 def test_block_size_does_not_change_the_table(monkeypatch, text, k, chunk):
     # the queue is relaxed a block at a time; one item per block is the
-    # one-at-a-time order (CHUNK_MOVES also sizes the CSR build chunks)
+    # one-at-a-time order, and 1 << 20 puts whole waves, with many repeated
+    # keys, into one block (CHUNK_MOVES also sizes the CSR build chunks)
     g = parse_graph(text)
     expected = solve_game(g, k, verify_witness=False)
     monkeypatch.setattr(solver, "CHUNK_MOVES", chunk)
     res = solve_game(g, k, verify_witness=False)
     assert res.transitions == expected.transitions
     assert np.array_equal(res.table.cop_rank, expected.table.cop_rank)
+
+
+@pytest.mark.parametrize("text, k", [
+    ("grid:3x3", 2), ("torus:3x3", 2), ("product:3,4w", 2), ("cube:3", 3),
+    ("grid:1x2", 4), ("cube:2", 5),
+])
+def test_successor_rows_match_explicit_joint_moves(text, k):
+    # each row: the distinct sorted joint moves, ranked by their position
+    # in the lexicographic list of sorted configurations.  Stacked cops,
+    # where the row-length bound is tight, dominate the last cases
+    g = parse_graph(text)
+    n_vertices = g.vertex_count
+    adj = explicit_adjacency(dims_of(g))
+    configs = list(itertools.combinations_with_replacement(range(n_vertices), k))
+    rank = {cfg: i for i, cfg in enumerate(configs)}
+    _, padded = solver._closed_neighborhoods(g)
+    ptr, succ = solver._successors(np.array(configs, dtype=np.int32), padded,
+                                   solver._config_ranker(n_vertices, k))
+    assert len(succ) == ptr[-1]
+    for ci, cfg in enumerate(configs):
+        cops = [g.vertex_at(i) for i in cfg]
+        moves = {tuple(sorted(g.index(d) for d in move))
+                 for move in itertools.product(*([c] + sorted(adj[c]) for c in cops))}
+        assert succ[ptr[ci]:ptr[ci + 1]].tolist() == sorted(rank[move] for move in moves)
 
 
 def test_solve_memory_stays_near_its_tables():
