@@ -17,6 +17,8 @@ import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import chain as _chain
+from itertools import compress, count
+from operator import ne
 
 from .errors import (
     ConfigurationError,
@@ -142,13 +144,15 @@ def apply_cop_move(state: GameState, dests) -> GameState:
         raise RuleViolation(
             f"expected {len(state.cops)} destinations, got {len(dests)}"
         )
-    g = state.graph
-    for i, (src, dst) in enumerate(zip(state.cops, dests)):
-        # a cop that stays put needs no check: an int tuple equal to a vertex is one
-        if dst != src:
-            g.check_vertex(dst)
-            if not g.adjacent(src, dst):
-                raise RuleViolation(f"cop {i} cannot step {src} -> {dst}", cop_index=i)
+    g, cops = state.graph, state.cops
+    # only the cops that moved are checked: an int tuple equal to a vertex
+    # is one, and adjacent() is true only of a neighbor in range, so the
+    # vertex check runs on a failed step alone, to raise InvalidVertexError
+    # ahead of RuleViolation
+    for i in compress(count(), map(ne, cops, dests)):
+        if not g.adjacent(cops[i], dests[i]):
+            g.check_vertex(dests[i])
+            raise RuleViolation(f"cop {i} cannot step {cops[i]} -> {dests[i]}", cop_index=i)
     # direct construction: dataclasses.replace costs twice as much per turn
     if state.robber in dests:
         return GameState(g, dests, state.robber, Phase.OVER, state.round, "cops")
@@ -242,6 +246,11 @@ class MatchTrace:
     outcome is "capture", "timeout", or "fault"; rounds is the capture round
     (0 when the robber had no free placement vertex) or the number of
     completed rounds otherwise.
+
+    Consecutive events with the same cop configuration share one "cops"
+    list (a robber turn repeats the cop turn's), in traces that run_match
+    records and in those trace_from_jsonl parses.  Treat it as read-only:
+    to change one event's cops, assign a new list.
     """
 
     header: dict
@@ -253,11 +262,12 @@ class MatchTrace:
     robber_violations: int = 0
 
 
-def _event(state: GameState, phase: Phase, round_no: int, tag=None, notes=None):
+def _event(cops: list, state: GameState, phase: Phase, round_no: int, tag=None, notes=None):
+    """One trace event; cops is state.cops as a list of lists."""
     return {
         "round": round_no,
         "phase": phase.value,
-        "cops": list(map(list, state.cops)),
+        "cops": cops,
         "robber": list(state.robber) if state.robber is not None else None,
         "event": tag,
         "annotations": {str(k): str(v) for k, v in (notes or {}).items()},
@@ -363,9 +373,14 @@ def run_match(
         }
     )
 
+    last = ((), [])  # the last state.cops recorded and its list
+
     def record(state, phase, round_no, tag, notes):
+        nonlocal last
         if record_events:
-            trace.events.append(_event(state, phase, round_no, tag, notes))
+            if state.cops is not last[0]:
+                last = (state.cops, list(map(list, state.cops)))
+            trace.events.append(_event(last[1], state, phase, round_no, tag, notes))
 
     trace.outcome, trace.rounds, trace.fault_side, trace.final_state = _play(
         graph, cop_strategy, robber_strategy, k, max_rounds, record
@@ -379,19 +394,39 @@ def run_match(
 # --------------------------------------------------------------------------
 
 
-def trace_to_jsonl(trace: MatchTrace) -> str:
-    """Serialize header + events, one JSON object per line, byte-stable."""
-    if not trace.events:
-        raise ValueError("trace has no recorded events (record_events=False?)")
-    lines = [json.dumps(trace.header, sort_keys=True, separators=(",", ":"))]
-    for ev in trace.events:
-        lines.append(json.dumps(ev, sort_keys=True, separators=(",", ":")))
-    return "\n".join(lines) + "\n"
-
-
 _HEADER_FIELDS = {"graph": str, "k": int, "max_rounds": int, "version": int}
 _EVENT_FIELDS = {"round", "phase", "event", "cops", "robber", "annotations"}
 _TERMINAL = ("capture", "timeout", "fault")
+
+# json.dumps(obj, sort_keys=True, separators=(",", ":")), without building
+# an encoder per call
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def trace_to_jsonl(trace: MatchTrace) -> str:
+    """Serialize header + events, one JSON object per line, byte-stable.
+
+    Each line is json.dumps(record, sort_keys=True, separators=(",", ":")).
+    An event with exactly the six fields _event writes is assembled from
+    its encoded parts, and a "cops" list shared with the event before (the
+    same object) is encoded once for both.
+    """
+    if not trace.events:
+        raise ValueError("trace has no recorded events (record_events=False?)")
+    lines = [_encode(trace.header)]
+    cops, cops_json = None, "null"  # a pair _encode agrees with
+    for ev in trace.events:
+        if type(ev) is not dict or ev.keys() != _EVENT_FIELDS:
+            lines.append(_encode(ev))
+            continue
+        if ev["cops"] is not cops:
+            cops = ev["cops"]
+            cops_json = _encode(cops)
+        # sorted keys: annotations, cops, then the rest in one object
+        rest = _encode({"event": ev["event"], "phase": ev["phase"],
+                        "robber": ev["robber"], "round": ev["round"]})
+        lines.append(f'{{"annotations":{_encode(ev["annotations"])},"cops":{cops_json},{rest[1:]}')
+    return "\n".join(lines) + "\n"
 
 
 def _check_event(ev, line_no):
@@ -436,8 +471,15 @@ def trace_from_jsonl(text: str) -> MatchTrace:
             f"trace header needs {', '.join(_HEADER_FIELDS)} (string graph, integer rest)"
         )
     trace = MatchTrace(header=header)
+    cops = None
     for line_no, ev in enumerate(records[1:], 2):
+        # share only after the check: 1.0 == 1 and True == 1, so an equal
+        # list may still hold a float or a bool coordinate
         _check_event(ev, line_no)
+        if ev["cops"] == cops:
+            ev["cops"] = cops
+        else:
+            cops = ev["cops"]
         trace.events.append(ev)
         if ev["event"] in _TERMINAL:
             trace.outcome = ev["event"]
@@ -464,6 +506,8 @@ class _Replay:
         self.header = trace.header
         self.at = 0  # index of the next recorded event
         self.taken = None  # the field the acting side answered from
+        # the last (recorded cops list, state.cops) known equal, by identity
+        self.matched = (None, None)
 
     def check(self, state, phase, round_no, tag, notes):
         ev = self.events[self.at]
@@ -485,13 +529,20 @@ class _Replay:
                 f"max_rounds={self.header['max_rounds']}"
             )
         robber = None if ev["robber"] is None else tuple(ev["robber"])
-        if (taken != "cops" and state.cops != tuple(map(tuple, ev["cops"]))) or (
-            taken != "robber" and state.robber != robber
-        ):
+        cops, (seen, engine) = ev["cops"], self.matched
+        same_cops = (
+            taken == "cops"
+            or (cops is seen and state.cops is engine)
+            or state.cops == tuple(map(tuple, cops))
+        )
+        if not same_cops or (taken != "robber" and state.robber != robber):
             raise ReplayError(
                 f"replay diverged at {_where(ev)}: "
                 f"engine {state.cops}/{state.robber} vs trace {ev['cops']}/{robber}"
             )
+        if tag != "fault":
+            # compared equal, or built by the loop from this very list
+            self.matched = (cops, state.cops)
 
 
 class _Script:

@@ -9,7 +9,8 @@ per frontier layer.  Bitboards convert to and from vertex lists in one
 numpy pass over their bytes, never one bit at a time.
 
 All operations here are pure functions of immutable values and safe for
-concurrent use.
+concurrent use; the one cache a lattice keeps (mask_of's last answer) is
+replaced in a single attribute store.
 """
 from __future__ import annotations
 
@@ -127,13 +128,20 @@ class GraphSpec:
         return below + [v] + above
 
     def adjacent(self, u, v) -> bool:
-        """Whether u and v share an edge.  Both must already be known to be
-        vertices: nothing is validated."""
+        """Whether u and v share an edge.  u must already be known to be a
+        vertex; v may be any tuple of Python ints.  v is adjacent when it
+        has one coordinate per dimension and differs from u on exactly one
+        axis, by one step (mod length on a wrapped axis) to an in-range
+        coordinate, so a true answer also makes v a vertex."""
+        if len(v) != len(self.dims):
+            return False
         moved = False
         for a, b, d in zip(u, v, self.dims):
             if a != b:
                 gap = abs(a - b)
-                if moved or (gap != 1 and not (d.wrap and gap == d.length - 1)):
+                if moved or not 0 <= b < d.length or (
+                    gap != 1 and not (d.wrap and gap == d.length - 1)
+                ):
                     return False
                 moved = True
         return moved
@@ -254,6 +262,8 @@ def format_graph(g: GraphSpec) -> str:
 # 350 us).
 _NUMPY_MIN_VERTICES = 8
 
+_TUPLE = {tuple}
+
 
 class BitLattice:
     """Vertex-set arithmetic over one graph, sets encoded as Python ints.
@@ -275,6 +285,7 @@ class BitLattice:
             s *= d.length
         strides.reverse()
         self._strides = np.array(strides, dtype=np.intp)
+        self._last = ((), 0)  # mask_of's last (tuple of tuples, mask)
         self._steps = []
         index = np.arange(self.size)
         for d, stride in zip(g.dims, strides):
@@ -303,18 +314,32 @@ class BitLattice:
         return out
 
     def mask_of(self, vertices) -> int:
-        """Bitboard of a collection of vertices; repeats are allowed."""
-        vertices = tuple(vertices)
+        """Bitboard of a collection of vertices; repeats are allowed.
+
+        The last tuple of tuples converted is kept with its mask and
+        recognised by identity, so the calls one turn makes on the same
+        cop configuration convert it once.  Only a tuple of tuples is kept:
+        a list, or a tuple holding lists, can change after the call.
+        """
+        last = self._last
+        if vertices is last[0]:
+            return last[1]
+        given, vertices = vertices, tuple(vertices)
         if len(vertices) < _NUMPY_MIN_VERTICES:
             mask = 0
             for v in vertices:
                 mask |= 1 << self.graph.index(v)
-            return mask
-        flat = np.fromiter(_chain.from_iterable(vertices), dtype=np.intp)
-        coords = flat.reshape(-1, len(self._shape))
-        bits = np.zeros(self.size, dtype=bool)
-        bits[coords @ self._strides] = True
-        return self._pack(bits)
+        else:
+            flat = np.fromiter(_chain.from_iterable(vertices), dtype=np.intp)
+            coords = flat.reshape(-1, len(self._shape))
+            bits = np.zeros(self.size, dtype=bool)
+            bits[coords @ self._strides] = True
+            mask = self._pack(bits)
+        if vertices is given and _TUPLE.issuperset(map(type, vertices)):
+            # one attribute, so a concurrent reader never pairs a tuple
+            # with another tuple's mask
+            self._last = (vertices, mask)
+        return mask
 
     def bits_of(self, mask: int) -> np.ndarray:
         """Boolean array over vertex indices, true at the members of mask."""

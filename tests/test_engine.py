@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -29,7 +30,7 @@ from gridpursuit.errors import (
     RuleViolation,
     TraceFormatError,
 )
-from gridpursuit.grid import cube, grid, parse_graph, torus
+from gridpursuit.grid import cube, format_graph, grid, parse_graph, product, torus
 
 import oracles
 
@@ -152,6 +153,48 @@ def test_cop_move_wrong_arity_rejected():
         apply_cop_move(s, [(0, 1), (1, 0)])
 
 
+def _explicit_cop_move_error(g, cops, dests):
+    """(type, cop_index, message) of the error a joint move of int tuples
+    raises, from explicit adjacency: the first cop that moves off the graph
+    or to a non-neighbor, an off-graph vertex as InvalidVertexError; None
+    for a legal move."""
+    dims = oracles.dims_of(g)
+    for i, (src, dst) in enumerate(zip(cops, dests)):
+        if dst == src:
+            continue
+        if len(dst) != len(dims) or not all(0 <= c < n for c, (n, _) in zip(dst, dims)):
+            return InvalidVertexError, None, f"{dst!r} is not a vertex of {format_graph(g)}"
+        if not oracles.adjacent(src, dst, dims):
+            return RuleViolation, i, f"cop {i} cannot step {src} -> {dst}"
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([grid(4, 3), torus(3, 5), product([(4, True), (1, False), (3, False)]),
+                        grid(7)]),
+       st.data())
+def test_cop_move_errors_match_explicit_adjacency(g, data):
+    dims = oracles.dims_of(g)
+    adj = oracles.explicit_adjacency(dims)
+    verts = oracles.all_vertices(dims)
+    cops = data.draw(st.lists(st.sampled_from(verts), min_size=1, max_size=4))
+    wider = st.tuples(*(st.integers(-1, n) for n, _ in dims))
+    wrong_length = st.lists(st.integers(-1, 7), max_size=g.ndim + 2).filter(
+        lambda c: len(c) != g.ndim).map(tuple)
+    dests = [data.draw(st.one_of(st.just(src), st.sampled_from(sorted(adj[src])), wider,
+                                 wrong_length))
+             for src in cops]
+    state = make_state(g, cops, data.draw(st.sampled_from(verts)))
+    expected = _explicit_cop_move_error(g, cops, dests)
+    if expected is None:
+        assert apply_cop_move(state, dests).cops == tuple(dests)
+    else:
+        with pytest.raises((InvalidVertexError, RuleViolation)) as err:
+            apply_cop_move(state, dests)
+        got = (type(err.value), getattr(err.value, "cop_index", None), str(err.value))
+        assert got == expected
+
+
 def test_robber_move_blocked_by_wall():
     g = grid(5, 5)
     cops = [(2, y) for y in range(5)]
@@ -248,6 +291,86 @@ def test_trace_jsonl_roundtrip():
     assert trace_to_jsonl(parsed) == text
     assert parsed.outcome == trace.outcome
     replay_trace(parsed)
+
+
+def _dumps_lines(trace):
+    return [json.dumps(record, sort_keys=True, separators=(",", ":"))
+            for record in (trace.header, *trace.events)]
+
+
+def test_trace_lines_are_json_dumps_of_each_record():
+    from gridpursuit.cops import GreedyCops, make_cop_strategy
+    from gridpursuit.engine import CopStrategy
+    from gridpursuit.errors import StrategyFault
+    from gridpursuit.robbers import RandomRobber, StationaryRobber, make_robber_strategy
+
+    class Quoting(CopStrategy):
+        name = 'say "cheese"'
+
+        def place(self, graph, k):
+            self.last_annotations = {'a "key"': "naïve \\ ☃"}
+            return [(0, 0), (3, 3)]
+
+        def move(self, state):
+            raise StrategyFault('cop "0" can\'t move — ünïcode ✓')
+
+    blockade = run_match(parse_graph("grid:5x5x5"), make_cop_strategy("blockade-3d"),
+                         make_robber_strategy("max-component"), 22)
+    path = run_match(grid(7), GreedyCops(), RandomRobber(), 1, max_rounds=20, seed=2)
+    fault = run_match(grid(4, 4), Quoting(), StationaryRobber(), 2, max_rounds=5)
+    assert fault.outcome == "fault" and "ünïcode" in fault.events[-1]["annotations"]["error"]
+    # the fault event holds the state before the failed cop turn
+    assert fault.events[-1]["cops"] is fault.events[-2]["cops"]
+    for trace in (blockade, path, fault):
+        text = trace_to_jsonl(trace)
+        assert text.splitlines() == _dumps_lines(trace)
+        parsed = trace_from_jsonl(text)
+        for events in (trace.events, parsed.events):
+            # a robber's event repeats the cops of the event before it
+            shared = [b["cops"] is a["cops"] for a, b in zip(events, events[1:])
+                      if b["phase"].startswith("robber")]
+            assert shared and all(shared)
+        assert trace_to_jsonl(parsed) == text
+        assert trace_to_jsonl(parsed).splitlines() == _dumps_lines(parsed)
+
+    # events that are not what _event writes: an extra key, no cops, and
+    # fields of other types, next to events that still share their cops
+    events = blockade.events
+    events[1] = {**events[1], "extra": "x"}
+    events[2]["cops"] = None
+    events[3]["robber"] = {"b": [1, 'a"b'], "a": None}
+    events[4]["annotations"] = {"z": 1, "a": [2.5, True]}
+    events[5]["round"] = 1.5
+    assert trace_to_jsonl(blockade).splitlines() == _dumps_lines(blockade)
+
+
+def test_shared_cops_lines_keep_their_checks():
+    header, *lines = trace_to_jsonl(_greedy_trace()).splitlines()
+    events = [json.loads(ln) for ln in lines]
+    i = next(i for i, ev in enumerate(events)
+             if ev["phase"] == "robber-turn" and ev["cops"] == events[i - 1]["cops"])
+    cops = events[i]["cops"]
+
+    def with_line(ev):
+        return "\n".join([header, *lines[:i], json.dumps(ev), *lines[i + 1:]])
+
+    # 1.0 == 1 and True == 1: an equal line with a float or a bool
+    # coordinate is still malformed
+    bad_values = [(j, a, float(c)) for j, cop in enumerate(cops) for a, c in enumerate(cop)]
+    bad_values += [(j, a, bool(c)) for j, a, c in bad_values if c in (0, 1)]
+    assert any(type(value) is bool for _, _, value in bad_values)
+    for j, a, value in bad_values:
+        bad = json.loads(lines[i])
+        bad["cops"][j][a] = value
+        assert bad["cops"] == cops
+        with pytest.raises(TraceFormatError, match=f"line {i + 2}"):
+            trace_from_jsonl(with_line(bad))
+
+    moved = json.loads(lines[i])
+    x, y = moved["cops"][0]
+    moved["cops"][0] = [(x + 1) % 4, y]
+    with pytest.raises(ReplayError, match="replay diverged"):
+        replay_trace(trace_from_jsonl(with_line(moved)))
 
 
 def test_trace_header_fields():

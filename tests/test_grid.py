@@ -71,12 +71,21 @@ def test_adjacency_symmetry_and_distance_one(g):
 
 
 @pytest.mark.parametrize("g", [grid(4, 3), torus(3, 5), cube(3),
-                               product([(4, True), (1, False), (2, False)])])
+                               product([(4, True), (1, False), (2, False)]), grid(7)])
 def test_adjacent_matches_explicit_adjacency(g):
-    adj = oracles.explicit_adjacency(oracles.dims_of(g))
+    # v from a box one wider than the graph, and of wrong lengths: true
+    # exactly for the neighbors, so true makes v a vertex
+    dims = oracles.dims_of(g)
+    adj = oracles.explicit_adjacency(dims)
+    wider = list(itertools.product(*(range(-1, n + 1) for n, _ in dims)))
+    wrong_length = [(), (0,) * (g.ndim + 1), (1,) * (g.ndim + 2)]
+    if g.ndim > 1:
+        wrong_length.append((0,) * (g.ndim - 1))
     for u in g.vertices():
-        for v in g.vertices():
+        for v in wider:
             assert g.adjacent(u, v) == (v in adj[u])
+        for v in wrong_length:
+            assert not g.adjacent(u, v)
 
 
 @settings(max_examples=200, deadline=None)
@@ -239,6 +248,38 @@ def test_vertices_of_lists_members_in_index_order(case):
     listed = lattice(g).vertices_of(mask)
     assert listed == members == sorted(members)
     assert all(type(c) is int for v in listed for c in v)  # traces serialize them
+
+
+@pytest.mark.parametrize("g", [grid(4, 3), grid(21, 21, 21)])
+def test_mask_of_never_returns_a_stale_mask(g):
+    # few cops take the per-vertex path, many the numpy one; the mask of
+    # the last tuple of tuples is kept, and must never answer for another
+    lat = lattice(g)
+    rank = {v: i for i, v in enumerate(oracles.all_vertices(oracles.dims_of(g)))}
+
+    def expected(vertices):
+        return sum(1 << i for i in {rank[tuple(v)] for v in vertices})
+
+    rng = random.Random(13)
+    verts = list(g.vertices())
+    for size in (3, 12):
+        a = tuple(rng.sample(verts, size))
+        b = tuple(rng.sample(verts, size))
+        twin = tuple(map(tuple, map(list, a)))  # equal to a, not the same object
+        assert twin == a and twin is not a
+        for vertices in (a, b, a, twin, twin, b, b, a):  # alternating, repeated
+            assert lat.mask_of(vertices) == expected(vertices)
+
+        listed = list(a)
+        assert lat.mask_of(listed) == expected(a)
+        listed[0] = b[0]
+        assert lat.mask_of(listed) == expected(listed)
+
+        holds_lists = tuple(map(list, a))
+        assert lat.mask_of(holds_lists) == expected(a)
+        holds_lists[0][:] = b[0]
+        assert lat.mask_of(holds_lists) == expected(holds_lists)
+        assert lat.mask_of(iter(b)) == expected(b)
 
 
 def test_bitboard_components_partition():
