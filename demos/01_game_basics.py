@@ -26,8 +26,5 @@ for ev in trace.events:
     if ev["phase"] in ("robber-placement", "cop-turn"):
         print(f"\n-- round {ev['round']} {ev['phase']}"
               + (f" [{ev['event']}]" if ev["event"] else ""))
-        snapshot = GameState(
-            g, tuple(tuple(c) for c in ev["cops"]),
-            tuple(ev["robber"]) if ev["robber"] else None,
-            Phase.COP_TURN, ev["round"])
+        snapshot = GameState(g, ev["cops"], ev["robber"], Phase.COP_TURN, ev["round"])
         print(render_ascii(snapshot))

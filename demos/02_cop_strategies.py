@@ -24,7 +24,7 @@ print("robber component size after each cop turn (strictly shrinking):")
 sizes = []
 for ev in trace.events:
     if ev["phase"] == "cop-turn" and ev["event"] is None:
-        comp = reachable_set(g, [tuple(c) for c in ev["cops"]], tuple(ev["robber"]))
+        comp = reachable_set(g, ev["cops"], ev["robber"])
         sizes.append(len(comp))
 print(" ", sizes)
 

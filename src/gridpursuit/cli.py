@@ -207,9 +207,7 @@ def cmd_render(args) -> int:
 
         graph = parse_graph(trace.header["graph"])
         for ev in trace.events:
-            cops = tuple(tuple(c) for c in ev["cops"])
-            robber = tuple(ev["robber"]) if ev["robber"] is not None else None
-            snapshot = GameState(graph, cops, robber, Phase.COP_TURN, ev["round"])
+            snapshot = GameState(graph, ev["cops"], ev["robber"], Phase.COP_TURN, ev["round"])
             print(f"-- round {ev['round']} {ev['phase']}" + (f" [{ev['event']}]" if ev["event"] else ""))
             print(render_ascii(snapshot))
             print()

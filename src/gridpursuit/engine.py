@@ -247,10 +247,11 @@ class MatchTrace:
     (0 when the robber had no free placement vertex) or the number of
     completed rounds otherwise.
 
-    Consecutive events with the same cop configuration share one "cops"
-    list (a robber turn repeats the cop turn's), in traces that run_match
-    records and in those trace_from_jsonl parses.  Treat it as read-only:
-    to change one event's cops, assign a new list.
+    Events hold positions as GameState does: "cops" is a tuple of
+    coordinate tuples and "robber" a tuple or None.  Consecutive events
+    with the same cop configuration share one "cops" tuple (a robber turn
+    repeats the cop turn's), in traces that run_match records and in those
+    trace_from_jsonl parses.
     """
 
     header: dict
@@ -262,13 +263,13 @@ class MatchTrace:
     robber_violations: int = 0
 
 
-def _event(cops: list, state: GameState, phase: Phase, round_no: int, tag=None, notes=None):
-    """One trace event; cops is state.cops as a list of lists."""
+def _event(state: GameState, phase: Phase, round_no: int, tag=None, notes=None):
+    """One trace event, holding the state's own position tuples."""
     return {
         "round": round_no,
         "phase": phase.value,
-        "cops": cops,
-        "robber": list(state.robber) if state.robber is not None else None,
+        "cops": state.cops,
+        "robber": state.robber,
         "event": tag,
         "annotations": {str(k): str(v) for k, v in (notes or {}).items()},
     }
@@ -373,14 +374,9 @@ def run_match(
         }
     )
 
-    last = ((), [])  # the last state.cops recorded and its list
-
     def record(state, phase, round_no, tag, notes):
-        nonlocal last
         if record_events:
-            if state.cops is not last[0]:
-                last = (state.cops, list(map(list, state.cops)))
-            trace.events.append(_event(last[1], state, phase, round_no, tag, notes))
+            trace.events.append(_event(state, phase, round_no, tag, notes))
 
     trace.outcome, trace.rounds, trace.fault_side, trace.final_state = _play(
         graph, cop_strategy, robber_strategy, k, max_rounds, record
@@ -408,8 +404,8 @@ def trace_to_jsonl(trace: MatchTrace) -> str:
 
     Each line is json.dumps(record, sort_keys=True, separators=(",", ":")).
     An event with exactly the six fields _event writes is assembled from
-    its encoded parts, and a "cops" list shared with the event before (the
-    same object) is encoded once for both.
+    its encoded parts, and "cops" shared with the event before (the same
+    object) is encoded once for both.
     """
     if not trace.events:
         raise ValueError("trace has no recorded events (record_events=False?)")
@@ -452,7 +448,9 @@ def trace_from_jsonl(text: str) -> MatchTrace:
     """Parse a JSON-lines trace: a header line, then one line per event.
 
     Raises TraceFormatError when a line is not JSON or a record lacks a
-    field or has one of the wrong type.  Legality is replay_trace's job.
+    field or has one of the wrong type.  Positions become tuples, as in the
+    events run_match records, and consecutive equal cop configurations
+    share one tuple.  Legality is replay_trace's job.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -460,7 +458,7 @@ def trace_from_jsonl(text: str) -> MatchTrace:
     records = []
     for line_no, ln in enumerate(lines, 1):
         try:
-            records.append(json.loads(ln))  # events stay in list-of-lists form, byte-stable
+            records.append(json.loads(ln))
         except json.JSONDecodeError as err:
             raise TraceFormatError(f"trace line {line_no} is not JSON: {err}") from None
     header = records[0]
@@ -471,15 +469,16 @@ def trace_from_jsonl(text: str) -> MatchTrace:
             f"trace header needs {', '.join(_HEADER_FIELDS)} (string graph, integer rest)"
         )
     trace = MatchTrace(header=header)
-    cops = None
+    raw = cops = None  # the last cops list parsed and its tuple
     for line_no, ev in enumerate(records[1:], 2):
         # share only after the check: 1.0 == 1 and True == 1, so an equal
         # list may still hold a float or a bool coordinate
         _check_event(ev, line_no)
-        if ev["cops"] == cops:
-            ev["cops"] = cops
-        else:
-            cops = ev["cops"]
+        if ev["cops"] != raw:
+            raw, cops = ev["cops"], tuple(map(tuple, ev["cops"]))
+        ev["cops"] = cops
+        if ev["robber"] is not None:
+            ev["robber"] = tuple(ev["robber"])
         trace.events.append(ev)
         if ev["event"] in _TERMINAL:
             trace.outcome = ev["event"]
@@ -494,25 +493,17 @@ def _where(ev) -> str:
 
 
 class _Replay:
-    """Checks each event the match loop emits against the next recorded one.
-
-    Only what the loop did not take from the event is compared: the round,
-    the phase, the tag and the positions of the side that did not act (on a
-    fault or a no-free-vertex capture, where no side acted, every position).
-    """
+    """Checks each event the match loop emits against the next recorded one:
+    the round, the phase, the tag and every position."""
 
     def __init__(self, trace: MatchTrace):
         self.events = trace.events
         self.header = trace.header
         self.at = 0  # index of the next recorded event
-        self.taken = None  # the field the acting side answered from
-        # the last (recorded cops list, state.cops) known equal, by identity
-        self.matched = (None, None)
 
     def check(self, state, phase, round_no, tag, notes):
         ev = self.events[self.at]
         self.at += 1
-        taken, self.taken = self.taken, None
         recorded = ev["event"]
         if recorded == "capture" != tag:
             raise ReplayError(
@@ -528,21 +519,11 @@ class _Replay:
                 f"{round_no} ({phase.value}) with event {tag!r} under "
                 f"max_rounds={self.header['max_rounds']}"
             )
-        robber = None if ev["robber"] is None else tuple(ev["robber"])
-        cops, (seen, engine) = ev["cops"], self.matched
-        same_cops = (
-            taken == "cops"
-            or (cops is seen and state.cops is engine)
-            or state.cops == tuple(map(tuple, cops))
-        )
-        if not same_cops or (taken != "robber" and state.robber != robber):
+        if (state.cops, state.robber) != (ev["cops"], ev["robber"]):
             raise ReplayError(
-                f"replay diverged at {_where(ev)}: "
-                f"engine {state.cops}/{state.robber} vs trace {ev['cops']}/{robber}"
+                f"replay diverged at {_where(ev)}: engine {state.cops}/{state.robber} "
+                f"vs trace {list(map(list, ev['cops']))}/{ev['robber']}"
             )
-        if tag != "fault":
-            # compared equal, or built by the loop from this very list
-            self.matched = (cops, state.cops)
 
 
 class _Script:
@@ -563,7 +544,7 @@ class _Script:
         notes = ev["annotations"]
         if ev["event"] == "fault" and notes.get("side") == self.side:
             raise StrategyFault(notes.get("error"))
-        replay.taken, self.last_annotations = self.side, notes
+        self.last_annotations = notes
         return ev[self.side]
 
     place = move
@@ -573,14 +554,16 @@ def replay_trace(trace: MatchTrace) -> GameState:
     """Re-drive the match loop with the recorded actions, checking every event.
 
     Both sides answer from the trace and run_match's own turn sequence
-    plays them, so replay applies the same rules as play.  Raises
-    ReplayError at the first event the loop does not emit as recorded: an
-    illegal move, a state, round, phase or tag the engine does not reach
-    (including events past the header's max_rounds, a fault whose side is
-    not the acting one, and a cop count other than the header's k), an
-    event after the match ended, a header version other than
-    TRACE_VERSION, or a trace that does not end in a capture, timeout or
-    fault event.  A header graph above the match cap raises
+    plays them, so replay applies the same rules as play.  Every position
+    of every event is compared with the recorded tuples, so events must
+    hold positions as run_match records them and trace_from_jsonl parses
+    them.  Raises ReplayError at the first event the loop does not emit as
+    recorded: an illegal move, a state, round, phase or tag the engine does
+    not reach (including events past the header's max_rounds, a fault
+    whose side is not the acting one, and a cop count other than the
+    header's k), an event after the match ended, a header version other
+    than TRACE_VERSION, or a trace that does not end in a capture, timeout
+    or fault event.  A header graph above the match cap raises
     ResourceLimitError.  Returns the final state.
     """
     header = trace.header

@@ -115,13 +115,14 @@ class MaxComponentRobber(RobberStrategy):
     @staticmethod
     def choose(graph, cops, candidate_mask):
         """Candidate farthest from the nearest cop, ties to the lowest
-        vertex index (multi-source BFS over the full graph)."""
+        vertex index (multi-source BFS over the full graph, which ends once
+        every candidate has been reached)."""
         if not candidate_mask:
             return None
         lat = lattice(graph)
         frontier = seen = lat.mask_of(cops)
-        last_hit = candidate_mask if not frontier else (frontier & candidate_mask)
-        while frontier:
+        last_hit = frontier & candidate_mask
+        while frontier and candidate_mask & ~seen:
             frontier = lat.expand(frontier) & ~seen
             seen |= frontier
             hit = frontier & candidate_mask

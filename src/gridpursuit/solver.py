@@ -53,6 +53,8 @@ INDEX_STATE_LIMIT = 2 * (2**31 - 1)
 # joint moves (or configuration-vertex cells) handled per chunk of the
 # table build: bounds its temporaries to a few MiB whatever V and k are
 CHUNK_MOVES = 1 << 16
+# comp_key of a component with an unsettled member
+_UNSETTLED = np.int64(np.iinfo(np.int64).max)
 
 
 @dataclass
@@ -84,10 +86,12 @@ class _Table:
 
     @cached_property
     def comp_key(self):
-        """Per component, the largest settle order among its members
-        (unsettled members count 0)."""
+        """Per component, the settle order of its robber-to-move state: the
+        largest settle order among its members, or _UNSETTLED when one of
+        them is unsettled, since the robber then has a surviving move."""
         key = np.zeros(len(self.comp_start), dtype=np.int64)  # last slot: the sentinel
-        np.maximum.at(key, self.comp_id.ravel(), self.cop_rank.ravel())
+        rank = np.where(self.cop_rank > 0, self.cop_rank, _UNSETTLED)
+        np.maximum.at(key, self.comp_id.ravel(), rank.ravel())
         return key
 
 
@@ -474,12 +478,10 @@ class TableCops(CopStrategy):
             best = joints[capture.argmax()]
         else:
             succ = t.index(np.sort(joints, axis=1).T)
-            won = t.cop_win[r, succ]
-            if not won.any():
+            # settle order of the successor robber-to-move state
+            key = t.comp_key[t.comp_id[r, succ]]
+            if key.min() == _UNSETTLED:
                 return list(state.cops)
-            # settle order of the successor robber-state: the flip order of
-            # its component is the max settle order inside
-            key = np.where(won, t.comp_key[t.comp_id[r, succ]], np.iinfo(np.int64).max)
             best = joints[key.argmin()]
         return [g.vertex_at(int(i)) for i in best]
 

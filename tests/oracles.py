@@ -54,6 +54,19 @@ def bfs_distance(adj, src, dst):
     return None
 
 
+def distances_from(adj, sources):
+    """Multi-source BFS: each vertex's distance to the nearest source."""
+    dist = {v: 0 for v in sources}
+    queue = deque(dist)
+    while queue:
+        v = queue.popleft()
+        for w in adj[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
 def flood(adj, blocked, src):
     """Connected component of src after deleting the blocked vertices."""
     assert src not in blocked

@@ -325,6 +325,11 @@ def test_trace_lines_are_json_dumps_of_each_record():
         text = trace_to_jsonl(trace)
         assert text.splitlines() == _dumps_lines(trace)
         parsed = trace_from_jsonl(text)
+        # events hold positions as GameState does, recorded and parsed alike
+        assert parsed.events == trace.events
+        for ev in parsed.events + trace.events:
+            assert type(ev["cops"]) is tuple and {type(c) for c in ev["cops"]} <= {tuple}
+            assert ev["robber"] is None or type(ev["robber"]) is tuple
         for events in (trace.events, parsed.events):
             # a robber's event repeats the cops of the event before it
             shared = [b["cops"] is a["cops"] for a, b in zip(events, events[1:])
@@ -622,6 +627,19 @@ def test_replay_rejects_a_false_no_free_vertex_capture():
     replay_trace(trace)
     trace.header["graph"] = "grid:2x2"
     with pytest.raises(ReplayError, match="free vertex"):
+        replay_trace(trace)
+
+
+@pytest.mark.parametrize("phase, field", [
+    ("robber-placement", "cops"), ("cop-turn", "robber"), ("robber-turn", "cops"),
+])
+def test_replay_compares_the_positions_the_acting_side_did_not_supply(phase, field):
+    trace = _greedy_trace()
+    ev = next(ev for ev in trace.events if ev["phase"] == phase and ev["event"] is None)
+    first, *rest = ev["cops"] if field == "cops" else (ev["robber"],)
+    moved = ((first[0] + 1) % 4, first[1])
+    ev[field] = (moved, *rest) if field == "cops" else moved
+    with pytest.raises(ReplayError, match=f"replay diverged at round {ev['round']} \\({phase}\\)"):
         replay_trace(trace)
 
 

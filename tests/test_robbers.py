@@ -8,7 +8,7 @@ import pytest
 from gridpursuit.cops import Blockade3DCops, GreedyCops, RandomCops
 from gridpursuit.engine import GameState, Phase, run_match, trace_to_jsonl
 from gridpursuit.errors import ConfigurationError
-from gridpursuit.grid import cube, grid, parse_graph, torus
+from gridpursuit.grid import cube, format_graph, grid, parse_graph, product, torus
 from gridpursuit.robbers import (
     Grid2DEvader,
     Grid3DEvader,
@@ -27,6 +27,8 @@ from gridpursuit.robbers import (
     torus_cop_budget,
     validate_retraction,
 )
+
+from oracles import dims_of, distances_from, explicit_adjacency
 
 
 def robber_turn_state(g, cops, robber, round_no=1):
@@ -501,6 +503,27 @@ def test_max_component_placement_prefers_big_side():
     cops = ((1, 0), (1, 1), (2, 1))  # corner pocket (2 cells) vs the rest
     v = MaxComponentRobber().place(g, cops)
     assert v not in {(2, 0)} and g.contains(v)
+
+
+@pytest.mark.parametrize("g", [grid(7), grid(5, 4), torus(5, 6), grid(3, 3, 3), cube(5),
+                               product([(4, True), (1, False), (3, False)])], ids=format_graph)
+def test_max_component_choose_matches_a_bfs_oracle(g):
+    adj = explicit_adjacency(dims_of(g))
+    verts = sorted(adj)  # lexicographic order is vertex index order
+    rng = random.Random(format_graph(g))
+    ties = 0
+    for _ in range(60):
+        # stacked cops, no cops, and candidates that hold a cop all occur
+        cops = [rng.choice(verts) for _ in range(rng.choice([0, 1, 1, 2, 3, 5]))]
+        candidates = rng.sample(verts, rng.randint(1, len(verts)))
+        mask = sum(1 << g.index(v) for v in candidates)
+        dist = distances_from(adj, set(cops)) if cops else dict.fromkeys(verts, 0)
+        far = max(dist[v] for v in candidates)
+        best = [v for v in verts if v in candidates and dist[v] == far]
+        ties += len(best) > 1
+        assert MaxComponentRobber.choose(g, cops, mask) == best[0], (cops, candidates)
+    assert ties
+    assert MaxComponentRobber.choose(g, [verts[0]], 0) is None
 
 
 def test_registry_builds_all_names():

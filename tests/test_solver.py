@@ -286,6 +286,7 @@ def test_robber_certificate_check_rejects_a_cop_win():
 
 @pytest.mark.parametrize("text, k, states", [
     ("grid:3x3", 2, 324), ("cube:3", 2, 224), ("torus:3x3", 3, 1080), ("grid:3x4", 3, 3432),
+    ("grid:4x4", 3, 5468),
 ])
 def test_table_cops_capture_or_enter_a_settled_component(text, k, states):
     g = parse_graph(text)
