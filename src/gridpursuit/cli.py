@@ -13,7 +13,8 @@ event); 2 strategy fault, including a strategy answer that is not an int
 vertex (or a list of them); 3 configuration/usage error, including a
 negative --k or --cops and a malformed trace (a line that is not JSON, or a
 record missing a field); 4 resource cap exceeded (the solver's state cap,
-or a match or replay graph above the engine's vertex cap).
+a match or replay graph above the engine's vertex cap or a cop count above
+its cop cap, or a count or bound box past the level-count step cap).
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from .engine import (
 from .errors import ConfigurationError, GridPursuitError, ReplayError, ResourceLimitError
 from .grid import format_graph, parse_graph
 from .robbers import make_robber_strategy
-from .solver import cop_number, solve_game
+from .solver import DEFAULT_STATE_CAP, cop_number, solve_game
 
 EXIT_OK = 0
 EXIT_REPLAY = 1
@@ -256,13 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="decide whether k cops win")
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--cap", type=int, default=100_000_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("copnum", help="exact cop number by ascending search")
     p.add_argument("--graph", required=True)
     p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--cap", type=int, default=100_000_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP)
     p.set_defaults(fn=cmd_copnum)
 
     p = sub.add_parser("count", help="level-set counts on a box")
@@ -278,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="reproduction table of solved cop numbers")
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.add_argument("--out", help="also write the JSON table to this path")
-    p.add_argument("--cap", type=int, default=100_000_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP)
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("render", help="draw a recorded trace")

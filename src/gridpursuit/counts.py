@@ -22,6 +22,12 @@ from .grid import grid, lattice
 
 BoxDims = tuple  # side lengths, one positive int per dimension
 
+# Most steps one call may spend on level distributions: a box's
+# distribution costs d * (sum(n_i - 1) + 1) steps of pure-Python dynamic
+# programming, about a second at the cap.  The largest box the tests and
+# demos count is 21 x 21 x 21 (183 steps)
+MAX_LEVEL_WORK = 10**7
+
 
 def binom(n: int, k: int) -> int:
     """C(n, k) with out-of-range arguments (including n < 0) counting 0."""
@@ -30,16 +36,27 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def _check_level_work(work: int, what: str):
+    if work > MAX_LEVEL_WORK:
+        raise ResourceLimitError(
+            f"level counts of {what} take {work} steps; capped at {MAX_LEVEL_WORK}",
+            estimate=work,
+            cap=MAX_LEVEL_WORK,
+        )
+
+
 @lru_cache(maxsize=4096)
 def level_distribution(dims: BoxDims) -> tuple:
     """Count of box vertices at every coordinate sum 0..sum(n_i - 1).
 
     Dynamic programming: convolve the uniform distributions of the
-    individual coordinates, one dimension at a time.
+    individual coordinates, one dimension at a time.  Raises
+    ResourceLimitError, before allocating, past MAX_LEVEL_WORK steps.
     """
     if not dims or any(n < 1 for n in dims):
         raise ValueError(f"box dims must be positive, got {dims}")
     total = sum(n - 1 for n in dims)
+    _check_level_work(len(dims) * (total + 1), f"a {len(dims)}-dimensional box")
     ways = [1] + [0] * total
     filled = 0
     for n in dims:
@@ -245,6 +262,10 @@ def min_large_component_bound(c: int, dims: BoxDims) -> int:
     total = sum(level_distribution(tuple(sides)))
     if c == 0:
         return total  # the box itself is connected
+    # each [s_j]^j is within the cap when the box is, but d of them together
+    # may not be
+    work = sum(j * (j * (sides[j - 1] - 1) + 1) for j in range(2, len(sides) + 1))
+    _check_level_work(work, f"the equal-sided sub-boxes of a {len(sides)}-dimensional box")
     bounds = [_path_bound(c, sides[0])]
     bounds += [best_level_bound(c, (sides[j - 1],) * j)[1] for j in range(2, len(sides) + 1)]
     return max(bounds)

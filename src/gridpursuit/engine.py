@@ -40,6 +40,11 @@ TRACE_VERSION = 1
 # about 400 MiB, and cube:30 would need 8 GiB before the first move.  The
 # largest graph the tests, demos and benchmark play is cube:14 (16384).
 MAX_MATCH_VERTICES = 1 << 20
+# Largest cop count run_match and replay_trace accept.  Placement lists
+# every cop and every turn checks each cop's move, so cost grows with k: at
+# the cap one round on grid:3x3 takes about 1-2 s and 300 MiB.  The largest
+# count played anywhere is a 3D blockade's 2581 cops in the acceptance tests.
+MAX_MATCH_COPS = 1 << 20
 
 
 class Phase(Enum):
@@ -275,7 +280,11 @@ def _event(state: GameState, phase: Phase, round_no: int, tag=None, notes=None):
     }
 
 
-def _check_size(graph: GraphSpec):
+def _check_size(graph: GraphSpec, k: int):
+    if k > MAX_MATCH_COPS:
+        raise ResourceLimitError(
+            f"{k} cops; matches are capped at {MAX_MATCH_COPS}", estimate=k, cap=MAX_MATCH_COPS
+        )
     if graph.vertex_count > MAX_MATCH_VERTICES:
         raise ResourceLimitError(
             f"{format_graph(graph)} has {graph.vertex_count} vertices; matches are "
@@ -352,7 +361,7 @@ def run_match(
     """
     if k < 1:
         raise ConfigurationError(f"cop count must be >= 1, got {k}")
-    _check_size(graph)
+    _check_size(graph, k)
     if max_rounds is None:
         max_rounds = 4 * graph.vertex_count
     if max_rounds < 1:
@@ -563,7 +572,7 @@ def replay_trace(trace: MatchTrace) -> GameState:
     whose side is not the acting one, and a cop count other than the
     header's k), an event after the match ended, a header version other
     than TRACE_VERSION, or a trace that does not end in a capture, timeout
-    or fault event.  A header graph above the match cap raises
+    or fault event.  A header graph or k above the match caps raises
     ResourceLimitError.  Returns the final state.
     """
     header = trace.header
@@ -573,7 +582,7 @@ def replay_trace(trace: MatchTrace) -> GameState:
     if not events or events[-1]["event"] not in _TERMINAL:
         raise ReplayError("trace does not end in a capture, timeout or fault event")
     graph = parse_graph(header["graph"])
-    _check_size(graph)
+    _check_size(graph, header["k"])
     replay = _Replay(trace)
     *_, state = _play(graph, _Script(replay, "cops"), _Script(replay, "robber"),
                       header["k"], header["max_rounds"], replay.check)

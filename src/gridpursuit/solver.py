@@ -18,10 +18,13 @@ form one int32 CSR table (sorted rows, no repeats), built in one pass over
 chunks of CHUNK_MOVES joint moves: each chunk is ranked once and its rows
 are written into a buffer sized by an upper bound on the row lengths.
 Per-state arrays use a (robber vertex, configuration) layout, so the column
-of one robber vertex over all configurations is contiguous.  The queue is
-first in, first out and is relaxed a block of items at a time: a block
-gathers the predecessor lists of its items (at most CHUNK_MOVES entries,
-unless one item alone has more) and settles them with a few array
+of one robber vertex over all configurations is contiguous.  A cop-free
+component of G - configs[ci] is named by the state ci * V + r0 of its
+smallest vertex r0, the label min-label propagation settles on; its
+members are the vertices r whose comp_id[r, ci] equals that name.  The
+queue is first in, first out and is relaxed a block of items at a time: a
+block gathers the predecessor lists of its items (at most CHUNK_MOVES
+entries, unless one item alone has more) and settles them with a few array
 operations and no sort over its keys.  Everything a block queues lands
 after it, so the settle order, the flips and the queue are those of a
 one-state-at-a-time loop.
@@ -62,10 +65,10 @@ class _Table:
     """Solved game table for one (graph, k) instance.
 
     Arrays indexed [r, ci] hold the state (configuration ci, robber vertex r).
-    Components are numbered globally, in the order (configuration, smallest
-    member vertex); comp_id is the sentinel n_comp where a cop stands on r.
-    comp_members lists each component's states ci * V + r, r ascending,
-    starting at comp_start[c].
+    A component is named by the state ci * V + r0 of its smallest member
+    vertex r0; comp_id is the sentinel n_cfg * V (comp_id.size) where a cop
+    stands on r.  A component's members are the r whose comp_id[r, ci] is
+    its name.
     """
 
     graph: GraphSpec
@@ -76,8 +79,6 @@ class _Table:
     cop_win: np.ndarray  # [r, ci] bool: the cops-to-move state is won
     cop_rank: np.ndarray  # [r, ci] settle order from 1, 0 where unsettled
     comp_id: np.ndarray  # [r, ci] component of r in G - configs[ci]
-    comp_start: np.ndarray
-    comp_members: np.ndarray
     witness: int | None  # first configuration winning against every robber start
     transitions: int = 0
 
@@ -89,7 +90,7 @@ class _Table:
         """Per component, the settle order of its robber-to-move state: the
         largest settle order among its members, or _UNSETTLED when one of
         them is unsettled, since the robber then has a surviving move."""
-        key = np.zeros(len(self.comp_start), dtype=np.int64)  # last slot: the sentinel
+        key = np.zeros(self.comp_id.size + 1, dtype=np.int64)  # last slot: the sentinel
         rank = np.where(self.cop_rank > 0, self.cop_rank, _UNSETTLED)
         np.maximum.at(key, self.comp_id.ravel(), rank.ravel())
         return key
@@ -218,16 +219,14 @@ def _successors(configs, padded, index):
 def _components(configs, padded):
     """Component of every robber vertex in G minus every configuration.
 
-    Returns comp_id [r, ci] (global ids in (configuration, smallest member)
-    order, the sentinel n_comp under a cop), and the members of each
-    component as the CSR pair comp_start, comp_members (states ci * V + r,
-    r ascending).  Components come from min-label propagation with pointer
-    jumping, so each label settles on its component's smallest vertex.
+    Returns comp_id [r, ci]: the state ci * V + r0 of the component's
+    smallest member vertex r0, or the sentinel n_cfg * V under a cop.
+    Components come from min-label propagation with pointer jumping, so
+    each label settles on its component's smallest vertex.
     """
     n_cfg, _ = configs.shape
     n_vertices, width = padded.shape
     comp_id = np.empty((n_vertices, n_cfg), dtype=np.int32)
-    counts = np.zeros(n_cfg + 1, dtype=np.int64)
     vertices = np.arange(n_vertices + 1, dtype=np.int32)  # label n_vertices: under a cop
     for lo, hi in _chunks(n_cfg, n_vertices * width):
         m = hi - lo
@@ -244,24 +243,11 @@ def _components(configs, padded):
             if np.array_equal(nxt, label):
                 break
             label = nxt
-        label = label[:, :n_vertices]
-        root = label == vertices[:n_vertices]
-        ordinal = np.cumsum(root, axis=1) - 1
-        local = np.take_along_axis(ordinal, np.minimum(label, n_vertices - 1), axis=1)
-        comp_id[:, lo:hi] = np.where(blocked[:, :n_vertices], -1, local).T
-        counts[lo + 1:hi + 1] = root.sum(axis=1)
-    np.cumsum(counts, out=counts)
-    n_comp = int(counts[-1])
-    comp_id = np.where(comp_id >= 0, comp_id + counts[:-1].astype(np.int32), n_comp)
-    comp_id = comp_id.astype(np.int32, copy=False)
-
-    by_comp = comp_id.T.ravel()
-    comp_start = np.zeros(n_comp + 1, dtype=np.int64)
-    np.cumsum(np.bincount(by_comp, minlength=n_comp + 1)[:n_comp], out=comp_start[1:])
-    # a stable sort keeps each component's states in (ci, r) order; the
-    # states under a cop sort last and are cut off
-    members = np.argsort(by_comp, kind="stable")[:comp_start[-1]].astype(np.int32)
-    return comp_id, comp_start, members
+        # ci * V + label, and n_cfg * V under a cop: at most 2**31 - 1 by
+        # INDEX_STATE_LIMIT, so int32 holds it
+        state = label[:, :n_vertices] + np.arange(lo, hi, dtype=np.int32)[:, None] * n_vertices
+        comp_id[:, lo:hi] = np.where(blocked[:, :n_vertices], n_cfg * n_vertices, state).T
+    return comp_id
 
 
 def solve_game(g: GraphSpec, k: int, cap: int = DEFAULT_STATE_CAP, verify_witness: bool = True) -> SolveResult:
@@ -290,19 +276,20 @@ def solve_game(g: GraphSpec, k: int, cap: int = DEFAULT_STATE_CAP, verify_witnes
     configs = np.fromiter(chain.from_iterable(cells), dtype=np.int32, count=n_cfg * k)
     configs = configs.reshape(n_cfg, k)
     index = _config_ranker(n_vertices, k)
-    comp_id, comp_start, members = _components(configs, padded)
-    n_comp = len(comp_start) - 1
+    comp_id = _components(configs, padded)
+    taken = n_cfg * n_vertices  # the component id under a cop
     ptr, succ = _successors(configs, padded, index)
 
     # safe destinations left per component; the sentinel never reaches zero
-    safe = np.append(np.diff(comp_start), np.iinfo(np.int64).max)
+    safe = np.bincount(comp_id.ravel(), minlength=taken + 1).astype(np.int32)
+    safe[taken] = np.iinfo(np.int32).max
 
     # every robber-to-move state enters the queue at most once: the capture
     # states first, each configuration's in the iteration order of set(cfg)
     queue = np.empty(n_cfg * n_vertices, dtype=np.int32)
-    seeds = [ci * n_vertices + r
-             for ci, cfg in enumerate(combinations_with_replacement(range(n_vertices), k))
-             for r in set(cfg)]
+    seeds = np.fromiter((ci * n_vertices + r
+                         for ci, cfg in enumerate(combinations_with_replacement(range(n_vertices), k))
+                         for r in set(cfg)), dtype=np.int32)
     queue[:len(seeds)] = seeds
     head, tail = 0, len(seeds)
 
@@ -343,19 +330,23 @@ def solve_game(g: GraphSpec, k: int, cap: int = DEFAULT_STATE_CAP, verify_witnes
         # those reaching zero flip in the order of their last loss, which is
         # descending first index in the reversed sequence
         comps = comp_flat[new]
-        np.subtract.at(safe, comps, 1)
+        # an int32 operand keeps ufunc.at on its fast path; a Python 1 makes
+        # it cast per element, about 15 times slower
+        np.subtract.at(safe, comps, np.int32(1))
         backwards = comps[::-1]
         backwards = backwards[safe[backwards] == 0]
         if len(backwards):
             flipped, from_end = np.unique(backwards, return_index=True)
             flipped = flipped[np.argsort(-from_end)]
-            lo = comp_start[flipped]
-            added = members[_runs(lo, comp_start[flipped + 1] - lo)]
+            # members in (flip order, r ascending)
+            flip_ci = flipped // n_vertices
+            which, member = np.nonzero((comp_id[:, flip_ci] == flipped).T)
+            added = flip_ci[which] * n_vertices + member
             queue[tail:tail + len(added)] = added
             tail += len(added)
     transitions = int(degree[queue[:tail] // n_vertices].sum())
 
-    settled_or_taken = (cop_rank > 0) | (comp_id == n_comp)
+    settled_or_taken = (cop_rank > 0) | (comp_id == taken)
     winning = settled_or_taken.all(axis=0)
     witness_ci = int(winning.argmax()) if winning.any() else None
 
@@ -368,8 +359,6 @@ def solve_game(g: GraphSpec, k: int, cap: int = DEFAULT_STATE_CAP, verify_witnes
         cop_win=cop_rank > 0,
         cop_rank=cop_rank,
         comp_id=comp_id,
-        comp_start=comp_start,
-        comp_members=members,
         witness=witness_ci,
         transitions=transitions,
     )
@@ -507,7 +496,7 @@ class TableRobber(RobberStrategy):
     def place(self, graph, cops):
         t = self.table
         ci = t.config_index(cops)
-        options = np.flatnonzero(t.comp_id[:, ci] != len(t.comp_start) - 1)
+        options = np.flatnonzero(t.comp_id[:, ci] != t.comp_id.size)
         if not len(options):
             raise StrategyFault("no free vertex", side="robber")
         return graph.vertex_at(self._pick(ci, options))
@@ -516,8 +505,8 @@ class TableRobber(RobberStrategy):
         t = self.table
         g = state.graph
         ci = t.config_index(state.cops)
-        comp = t.comp_id[g.index(state.robber), ci]
-        options = t.comp_members[t.comp_start[comp]:t.comp_start[comp + 1]] % g.vertex_count
+        column = t.comp_id[:, ci]
+        options = np.flatnonzero(column == column[g.index(state.robber)])
         return g.vertex_at(self._pick(ci, options))
 
 

@@ -320,3 +320,31 @@ def test_replay_on_an_oversized_graph_is_a_resource_error(tmp_path, capsys):
     lines = _recorded_trace(tmp_path, capsys)
     code, out, _ = _replay_lines(tmp_path, capsys, [_edit(lines[0], graph="cube:40")] + lines[1:])
     assert code == 4 and out == ""
+
+
+def test_match_with_a_huge_cop_count_is_a_resource_error(capsys):
+    code, out, err = run_cli(
+        capsys, "match", "--graph", "grid:3x3", "--cop", "row-sweep", "--robber", "stationary",
+        "--k", "1000000000000")
+    assert code == 4 and out == ""
+    assert err.startswith("error: 1000000000000 cops") and "Traceback" not in err
+
+
+def test_replay_of_a_huge_header_k_is_a_resource_error(tmp_path, capsys):
+    lines = _recorded_trace(tmp_path, capsys)
+    code, out, err = _replay_lines(tmp_path, capsys, [_edit(lines[0], k=10**12)] + lines[1:])
+    assert code == 4 and out == ""
+    assert err.startswith("error: 1000000000000 cops")
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--dims", "1000000000000", "--level", "1"),
+    ("bound", "--dims", "1000000000000,2", "--cops", "1"),
+    # the box and each of its equal-sided sub-boxes are small, the 399
+    # sub-boxes together are not
+    ("bound", "--dims", ",".join(["2"] * 400), "--cops", "1"),
+])
+def test_count_and_bound_on_an_oversized_box_are_resource_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4 and out == ""
+    assert err.startswith("error: level counts of") and "capped at 10000000" in err

@@ -2,13 +2,16 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridpursuit.engine import (
+    MAX_MATCH_COPS,
     MAX_MATCH_VERTICES,
+    CopStrategy,
     GameState,
     Phase,
     apply_cop_move,
@@ -685,3 +688,43 @@ def test_run_match_caps_the_vertex_count_before_building_a_lattice():
         run_match(cube(21), RandomCops(), RandomRobber(), 1)
     assert err.value.estimate == 2**21 and err.value.cap == MAX_MATCH_VERTICES
     assert lattice.cache_info().misses == misses
+
+
+class _RecordingCops(CopStrategy):
+    """Cops that only log the calls the engine makes on them."""
+
+    name = "recording"
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def reset(self, graph, k, rng):
+        self.calls.append("reset")
+
+    def place(self, graph, k):
+        self.calls.append("place")
+        return [graph.vertex_at(0)] * k
+
+
+def test_run_match_and_replay_cap_the_cop_count_before_anything_is_built():
+    from gridpursuit.cops import RowSweepCops
+    from gridpursuit.robbers import RandomRobber, StationaryRobber
+
+    assert MAX_MATCH_COPS >= 2581  # the largest wall played anywhere
+    g = grid(3, 3)
+    cops = _RecordingCops()
+    for k in (MAX_MATCH_COPS + 1, 10**12):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError) as err:
+                run_match(g, cops, RandomRobber(), k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.estimate == k and err.value.cap == MAX_MATCH_COPS
+        assert cops.calls == [] and peak < 2**16
+    trace = run_match(g, RowSweepCops(), StationaryRobber(), 3)
+    trace.header["k"] = 10**12
+    with pytest.raises(ResourceLimitError, match="1000000000000 cops"):
+        replay_trace(trace)

@@ -12,7 +12,7 @@ from gridpursuit.errors import ReplayError, ResourceLimitError
 from gridpursuit.grid import cube, grid, parse_graph, product, torus
 from gridpursuit.engine import GameState, Phase, run_match, trace_to_jsonl
 from gridpursuit import solver
-from gridpursuit.solver import TableCops, cop_number, extract_policies, solve_game
+from gridpursuit.solver import TableCops, TableRobber, cop_number, extract_policies, solve_game
 
 from oracles import (
     cops_win_naive,
@@ -176,10 +176,13 @@ def test_block_size_does_not_change_the_table(monkeypatch, text, k, chunk):
     assert np.array_equal(res.table.cop_rank, expected.table.cop_rank)
 
 
-@pytest.mark.parametrize("text, k", [
+EXPLICIT_INSTANCES = [
     ("grid:3x3", 2), ("torus:3x3", 2), ("product:3,4w", 2), ("cube:3", 3),
     ("grid:1x2", 4), ("cube:2", 5),
-])
+]
+
+
+@pytest.mark.parametrize("text, k", EXPLICIT_INSTANCES)
 def test_successor_rows_match_explicit_joint_moves(text, k):
     # each row: the distinct sorted joint moves, ranked by their position
     # in the lexicographic list of sorted configurations.  Stacked cops,
@@ -200,6 +203,32 @@ def test_successor_rows_match_explicit_joint_moves(text, k):
         assert succ[ptr[ci]:ptr[ci + 1]].tolist() == sorted(rank[move] for move in moves)
 
 
+@pytest.mark.parametrize("text, k", EXPLICIT_INSTANCES)
+def test_components_are_named_by_their_smallest_state(text, k):
+    # comp_id[r, ci] is the state ci * V + min(flood of r in G - cfg), or
+    # n_cfg * V under a cop, and TableRobber.move offers exactly that flood
+    g = parse_graph(text)
+    n_vertices = g.vertex_count
+    adj = explicit_adjacency(dims_of(g))
+    t = solve_game(g, k, verify_witness=False).table
+    offered = []
+    robber = TableRobber(t)
+    robber._pick = lambda ci, options: offered.append(options.tolist()) or int(options[0])
+    configs = list(itertools.combinations_with_replacement(range(n_vertices), k))
+    assert t.configs.tolist() == [list(cfg) for cfg in configs]
+    taken = len(configs) * n_vertices
+    for ci, cfg in enumerate(configs):
+        cops = tuple(g.vertex_at(i) for i in cfg)
+        for r in range(n_vertices):
+            if r in cfg:
+                assert t.comp_id[r, ci] == taken
+                continue
+            comp = sorted(g.index(v) for v in flood(adj, set(cops), g.vertex_at(r)))
+            assert t.comp_id[r, ci] == ci * n_vertices + comp[0]
+            robber.move(GameState(g, cops, g.vertex_at(r), Phase.ROBBER_TURN))
+            assert offered.pop() == comp
+
+
 def test_solve_memory_stays_near_its_tables():
     # block temporaries grow with CHUNK_MOVES, not with the state count: a
     # gather over a whole wave of this instance would hold about 25M entries
@@ -213,7 +242,7 @@ def test_solve_memory_stays_near_its_tables():
     t = res.table
     _, padded = solver._closed_neighborhoods(g)
     ptr, succ = solver._successors(t.configs, padded, t.index)
-    arrays = (t.configs, t.cop_win, t.cop_rank, t.comp_id, t.comp_start, t.comp_members, ptr, succ)
+    arrays = (t.configs, t.cop_win, t.cop_rank, t.comp_id, ptr, succ)
     assert peak < sum(a.nbytes for a in arrays) + 4 * 2**20
 
 
