@@ -11,10 +11,12 @@ with the events, an event past the header's max_rounds, a fault whose side
 is not the one acting in its phase, or no final capture/timeout/fault
 event); 2 strategy fault, including a strategy answer that is not an int
 vertex (or a list of them); 3 configuration/usage error, including a
-negative --k or --cops and a malformed trace (a line that is not JSON, or a
-record missing a field); 4 resource cap exceeded (the solver's state cap,
-a match or replay graph above the engine's vertex cap or a cop count above
-its cop cap, or a count or bound box past the level-count step cap).
+negative --k or --cops and a malformed trace (a line that is not JSON, is
+nested past the recursion limit or holds an integer past the int-string
+digit limit, or a record missing a field); 4 resource cap exceeded (the
+solver's state cap, a match or replay graph above the engine's vertex cap
+or a cop count above its cop cap, or a count or bound box past the
+level-count step cap).
 """
 from __future__ import annotations
 

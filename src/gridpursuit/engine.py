@@ -434,8 +434,12 @@ def trace_to_jsonl(trace: MatchTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_event(ev, line_no):
-    """Raise TraceFormatError unless ev has the fields and types _event writes."""
+def _check_event(ev, line_no, checked):
+    """Raise TraceFormatError unless ev has the fields and types _event writes.
+
+    A "cops" value that is the list checked, the same object, is not
+    checked again.
+    """
     if type(ev) is not dict:
         raise TraceFormatError(f"trace line {line_no}: event is not a JSON object")
     if not ev.keys() >= _EVENT_FIELDS:
@@ -445,7 +449,7 @@ def _check_event(ev, line_no):
         type(ev["round"]) is int
         and type(ev["phase"]) is str
         and (ev["event"] is None or type(ev["event"]) is str)
-        and _is_points(ev["cops"])
+        and (ev["cops"] is checked or _is_points(ev["cops"]))
         and (ev["robber"] is None or _is_points([ev["robber"]]))
         and type(ev["annotations"]) is dict
         and all(type(note) is str for note in ev["annotations"].values())
@@ -453,23 +457,81 @@ def _check_event(ev, line_no):
         raise TraceFormatError(f"trace line {line_no}: event field of the wrong type")
 
 
+def _load(ln, line_no):
+    """json.loads of one trace line, or TraceFormatError."""
+    try:
+        return json.loads(ln)
+    except json.JSONDecodeError as err:
+        raise TraceFormatError(f"trace line {line_no} is not JSON: {err}") from None
+    except (RecursionError, ValueError) as err:
+        # nested past the recursion limit, or an integer past the int-string
+        # digit limit
+        raise TraceFormatError(f"trace line {line_no} cannot be decoded: {err}") from None
+
+
+# the scanner json.loads runs (the C one where built): scan(text, at) gives
+# the JSON value that starts at text[at] and the index after it
+_scan = json.JSONDecoder().scan_once
+_TAIL_FIELDS = _EVENT_FIELDS - {"annotations", "cops"}
+
+
+def _load_written(ln, last):
+    """An event line laid out as trace_to_jsonl writes it, decoded in parts:
+    (event, (its "cops" text, the list it decoded to)), or None for a line
+    of any other layout.
+
+    A "cops" text equal to the one in last is not decoded again: the event
+    holds last's list, since equal text decodes to an equal value, types
+    included.  The parts give json.loads(ln): the line must be
+    "annotations", then "cops", then an object of exactly the other four
+    fields, and a JSON value ends where its text does.
+    """
+    if not ln.startswith('{"annotations":'):
+        return None
+    notes, at = _scan(ln, 15)
+    if not ln.startswith(',"cops":', at):
+        return None
+    at += 8
+    if last and ln.startswith(last[0], at) and ln.startswith(',"event":', at + len(last[0])):
+        cops, end = last[1], at + len(last[0])
+    else:
+        cops, end = _scan(ln, at)
+        if not ln.startswith(',"event":', end):
+            return None
+        last = ln[at:end], cops
+    tail, stop = _scan("{" + ln[end + 1:], 0)
+    if stop != len(ln) - end or tail.keys() != _TAIL_FIELDS:
+        return None
+    return {"annotations": notes, "cops": cops, **tail}, last
+
+
 def trace_from_jsonl(text: str) -> MatchTrace:
     """Parse a JSON-lines trace: a header line, then one line per event.
 
-    Raises TraceFormatError when a line is not JSON or a record lacks a
-    field or has one of the wrong type.  Positions become tuples, as in the
-    events run_match records, and consecutive equal cop configurations
-    share one tuple.  Legality is replay_trace's job.
+    Raises TraceFormatError when a line is not JSON (or nests deeper than
+    the recursion limit, or holds an integer longer than Python's int-string
+    limit) or a record lacks a field or has one of the wrong type; every
+    line is decoded before any record is checked.  Positions become tuples,
+    as in the events run_match records, and consecutive equal cop
+    configurations share one tuple.  Legality is replay_trace's job.
+
+    An event line in trace_to_jsonl's layout is decoded in parts, and a
+    "cops" text that repeats the line before (a robber turn repeats the cop
+    turn's) is decoded, checked and converted once.  Any other line goes
+    through json.loads whole, with the same result.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ReplayError("empty trace")
-    records = []
-    for line_no, ln in enumerate(lines, 1):
+    records = [_load(lines[0], 1)]
+    last = None  # the text and list of the last "cops" decoded in parts
+    for line_no, ln in enumerate(lines[1:], 2):
         try:
-            records.append(json.loads(ln))
-        except json.JSONDecodeError as err:
-            raise TraceFormatError(f"trace line {line_no} is not JSON: {err}") from None
+            parsed = _load_written(ln, last)
+        except (StopIteration, ValueError, RecursionError):
+            parsed = None  # json.loads raises the error, or decodes the line
+        ev, last = parsed or (_load(ln, line_no), None)
+        records.append(ev)
     header = records[0]
     if type(header) is not dict or any(
         type(header.get(key)) is not kind for key, kind in _HEADER_FIELDS.items()
@@ -478,13 +540,15 @@ def trace_from_jsonl(text: str) -> MatchTrace:
             f"trace header needs {', '.join(_HEADER_FIELDS)} (string graph, integer rest)"
         )
     trace = MatchTrace(header=header)
-    raw = cops = None  # the last cops list parsed and its tuple
+    raw, cops = [], ()  # the last cops list checked and its tuple
     for line_no, ev in enumerate(records[1:], 2):
-        # share only after the check: 1.0 == 1 and True == 1, so an equal
-        # list may still hold a float or a bool coordinate
-        _check_event(ev, line_no)
+        # a list taken over from the line before was checked there.  An
+        # equal list is shared only after its check: 1.0 == 1 and
+        # True == 1, so it may still hold a float or a bool coordinate
+        _check_event(ev, line_no, raw)
         if ev["cops"] != raw:
-            raw, cops = ev["cops"], tuple(map(tuple, ev["cops"]))
+            cops = tuple(map(tuple, ev["cops"]))
+        raw = ev["cops"]
         ev["cops"] = cops
         if ev["robber"] is not None:
             ev["robber"] = tuple(ev["robber"])

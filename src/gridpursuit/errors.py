@@ -57,8 +57,10 @@ class ResourceLimitError(GridPursuitError, RuntimeError):
 
 
 class TraceFormatError(GridPursuitError, ValueError):
-    """A trace is not well-formed JSON lines: a line is not JSON, or the
-    header or an event lacks a field or has one of the wrong type."""
+    """A trace is not well-formed JSON lines: a line is not JSON (or nests
+    past the recursion limit, or holds an integer past the int-string digit
+    limit), or the header or an event lacks a field or has one of the wrong
+    type."""
 
 
 class ReplayError(GridPursuitError, RuntimeError):

@@ -345,9 +345,11 @@ def solve_game(g: GraphSpec, k: int, cap: int = DEFAULT_STATE_CAP, verify_witnes
             queue[tail:tail + len(added)] = added
             tail += len(added)
     transitions = int(degree[queue[:tail] // n_vertices].sum())
+    # the witness replay below builds comp_key, one int64 per state: the
+    # fixed point's arrays are not needed by then
+    del queue, safe, ptr, succ, degree
 
-    settled_or_taken = (cop_rank > 0) | (comp_id == taken)
-    winning = settled_or_taken.all(axis=0)
+    winning = ((cop_rank > 0) | (comp_id == taken)).all(axis=0)
     witness_ci = int(winning.argmax()) if winning.any() else None
 
     table = _Table(

@@ -2,8 +2,10 @@
 
 Everything here is deliberately naive and derived from first principles:
 explicit adjacency built by pairwise coordinate comparison, plain BFS, and
-set-based flood fill.  Nothing imports the library's graph arithmetic.
+set-based flood fill, and a trace parser that decodes every line whole.
+Nothing imports the library's graph arithmetic.
 """
+import json
 from collections import deque
 from itertools import combinations_with_replacement, product
 
@@ -172,3 +174,64 @@ def robber_certificate_violations(dims, k, safe):
                 violations.append(f"state {(C, r)}: joint move {D} leaves no safe state")
                 break
     return violations
+
+
+class TraceLineError(Exception):
+    """A trace line that parse_trace rejects; line_no counts non-blank lines
+    from 1, the header."""
+
+    def __init__(self, line_no):
+        super().__init__(f"trace line {line_no}")
+        self.line_no = line_no
+
+
+def _is_point(value):
+    return type(value) is list and all(type(c) is int for c in value)
+
+
+def parse_trace(text):
+    """(header, events) of a JSON-lines trace, each line decoded on its own
+    by json.loads and each event checked field by field, with nothing
+    shared between lines.  Positions become tuples.
+
+    Raises TraceLineError at the first line json.loads cannot decode (also
+    one nested too deeply or holding too long an integer); when every line
+    decodes, at the header (line 1) if it lacks a string graph or an integer
+    k, max_rounds or version, and then at the first event that lacks a field
+    or has one of the wrong type.
+    """
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    records = []
+    for line_no, ln in enumerate(lines, 1):
+        try:
+            records.append(json.loads(ln))
+        except (ValueError, RecursionError):
+            raise TraceLineError(line_no) from None
+    header = records[0]
+    if not (
+        type(header) is dict
+        and type(header.get("graph")) is str
+        and all(type(header.get(key)) is int for key in ("k", "max_rounds", "version"))
+    ):
+        raise TraceLineError(1)
+    fields = ("round", "phase", "event", "cops", "robber", "annotations")
+    events = []
+    for line_no, ev in enumerate(records[1:], 2):
+        if not (
+            type(ev) is dict
+            and all(key in ev for key in fields)
+            and type(ev["round"]) is int
+            and type(ev["phase"]) is str
+            and (ev["event"] is None or type(ev["event"]) is str)
+            and type(ev["cops"]) is list
+            and all(_is_point(c) for c in ev["cops"])
+            and (ev["robber"] is None or _is_point(ev["robber"]))
+            and type(ev["annotations"]) is dict
+            and all(type(v) is str for v in ev["annotations"].values())
+        ):
+            raise TraceLineError(line_no)
+        ev["cops"] = tuple(tuple(c) for c in ev["cops"])
+        if ev["robber"] is not None:
+            ev["robber"] = tuple(ev["robber"])
+        events.append(ev)
+    return header, events

@@ -268,6 +268,17 @@ def test_replay_of_a_non_json_line_is_a_usage_error(tmp_path, capsys, line):
     assert "line 3" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["[" * 10**5 + "]" * 10**5, "7" * 5000], ids=["nested", "digits"])
+def test_replay_of_a_line_json_cannot_decode_is_a_usage_error(tmp_path, capsys, value):
+    # nested past the recursion limit, or an integer past the int-string
+    # digit limit: an error line, not a traceback
+    lines = _recorded_trace(tmp_path, capsys)
+    bad = lines[2].replace('"cops":[', f'"cops":[{value},', 1)
+    code, out, err = _replay_lines(tmp_path, capsys, lines[:2] + [bad] + lines[3:])
+    assert code == 3 and out == ""
+    assert err.startswith("error: trace line 3") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("field", ["event", "phase", "cops", "robber", "round", "annotations"])
 def test_replay_of_an_event_missing_a_field_is_a_usage_error(tmp_path, capsys, field):
     lines = _recorded_trace(tmp_path, capsys)

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -25,6 +26,7 @@ from gridpursuit.engine import (
     run_match,
     trace_from_jsonl,
     trace_to_jsonl,
+    _load_written,
 )
 from gridpursuit.errors import (
     InvalidVertexError,
@@ -668,13 +670,112 @@ def test_replay_maps_engine_errors_to_replay_errors():
 def test_trace_from_jsonl_rejects_malformed_lines():
     text = trace_to_jsonl(_greedy_trace())
     header, first, rest = text.split("\n", 2)
-    for bad in ["{", '"just a string"', '{"phase": "cop-placement"}']:
+    # the last four: a line nested past the recursion limit and one holding
+    # an integer past the int-string digit limit, each in another layout
+    # (decoded whole) and in trace_to_jsonl's (decoded in parts)
+    deep, digits = "[" * 10**5 + "]" * 10**5, "1" * 5000
+    for bad in ["{", '"just a string"', '{"phase": "cop-placement"}',
+                deep, first.replace('"cops":[', f'"cops":[{deep},', 1),
+                f'{{"round": {digits}}}', first.replace('"cops":[[', f'"cops":[[{digits}', 1)]:
         with pytest.raises(TraceFormatError, match="line 2"):
             trace_from_jsonl("\n".join([header, bad, rest]))
     for bad_header in ["[]", '{"graph": "grid:4x4"}', header.replace('"k":2', '"k":"2"')]:
         with pytest.raises(TraceFormatError, match="header"):
             trace_from_jsonl("\n".join([bad_header, first, rest]))
     assert trace_to_jsonl(trace_from_jsonl(text)) == text
+
+
+def _parsed_or_error_line(parse, text):
+    """parse(text) as ("ok", header, events), or ("error", the line number
+    its error names; 1 for the header)."""
+    try:
+        header, events = parse(text)
+    except (TraceFormatError, oracles.TraceLineError) as err:
+        named = re.search(r"line (\d+)", str(err))
+        return "error", int(named.group(1)) if named else 1
+    return "ok", header, events
+
+
+def _from_jsonl(text):
+    trace = trace_from_jsonl(text)
+    return trace.header, trace.events
+
+
+def _compact(value):
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def test_trace_from_jsonl_matches_a_line_by_line_parser():
+    from gridpursuit.cops import make_cop_strategy
+    from gridpursuit.errors import StrategyFault
+    from gridpursuit.robbers import make_robber_strategy
+
+    class Stuck(CopStrategy):
+        name = "stuck"
+
+        def place(self, graph, k):
+            return [(0, 0), (3, 3)]
+
+        def move(self, state):
+            raise StrategyFault("no move")
+
+    def match(text, cop, robber, k):
+        cop = cop if isinstance(cop, CopStrategy) else make_cop_strategy(cop)
+        return trace_to_jsonl(run_match(parse_graph(text), cop, make_robber_strategy(robber),
+                                        k, seed=1))
+
+    blockade = match("grid:5x5x5", "blockade-3d", "max-component", 22)
+    fault = match("grid:4x4", Stuck(), "stationary", 2)
+    assert '"level"' in blockade and '"fault"' in fault
+    texts = [blockade, fault, trace_to_jsonl(_greedy_trace()),
+             match("grid:9x9", "diagonal-pairs", "random", 8),
+             match("torus:6x6", "torus-two-rows", "max-component", 12)]
+
+    # hand-edited lines, at a robber turn that repeats the cops before it
+    # (one of them on 1) and at the lines around it
+    header, *lines = blockade.splitlines()
+    records = [json.loads(ln) for ln in lines]
+    i = next(i for i, ev in enumerate(records) if ev["phase"] == "robber-turn"
+             and ev["cops"] == records[i - 1]["cops"] and any(c[0] == 1 for c in ev["cops"]))
+    record = records[i]
+    cops = _compact(record["cops"])
+    head = f'{{"annotations":{_compact(record["annotations"])}'
+    tail = _compact({key: record[key] for key in ("event", "phase", "robber", "round")})[1:]
+    edits = [
+        # an annotation keyed "cops", and a nested object holding "cops" and "event"
+        f'{{"annotations":{{"cops":"[[0,0]]","event":"capture"}},"cops":{cops},{tail}',
+        f'{{"annotations":{{"x":{{"cops":{cops},"event":null}}}},"cops":{cops},{tail}',
+        _compact({**record, "robber": {"cops": record["cops"], "event": None}}),
+        # duplicate top-level keys
+        lines[i].replace(',"event":', ',"event":null,"cops":[[0,0,0]],"event":', 1),
+        lines[i].replace(',"event":', ',"cops":[[0,0,0]],"event":', 1),
+        lines[i].replace('"robber":', '"annotations":{},"robber":', 1),
+        # spaces after separators, in the whole line and in the cops alone
+        json.dumps(record, sort_keys=True),
+        f'{head},"cops":{cops.replace(",", ", ")},{tail}',
+        # cops equal to the line before's, but for a float or a bool
+        f'{head},"cops":{cops.replace("[1,", "[1.0,", 1)},{tail}',
+        f'{head},"cops":{cops.replace("[1,", "[true,", 1)},{tail}',
+        # reordered keys
+        f'{{"cops":{cops},{head[1:]},{tail}',
+        f'{head},{tail[:-1]},"cops":{cops}}}',
+        # trailing space, extra data, bad separators, and nesting past the
+        # recursion limit
+        lines[i] + "  ",
+        lines[i] + "}",
+        lines[i].replace('"cops":', '"cops"=', 1),
+        lines[i].replace(',"event":', ';"event":', 1),
+        lines[i].replace('"cops":[', '"cops":[' + "[" * 10**5 + "]" * 10**5 + ",", 1),
+    ]
+    for edit in edits:
+        for at in (i - 1, i, i + 1):
+            texts.append("\n".join([header, *lines[:at], edit, *lines[at + 1:]]))
+
+    for text in texts:
+        want = _parsed_or_error_line(oracles.parse_trace, text)
+        assert _parsed_or_error_line(_from_jsonl, text) == want
+    # every event line trace_to_jsonl writes is decoded in parts
+    assert all(_load_written(ln, None) for ln in lines)
 
 
 def test_run_match_caps_the_vertex_count_before_building_a_lattice():

@@ -229,21 +229,29 @@ def test_components_are_named_by_their_smallest_state(text, k):
             assert offered.pop() == comp
 
 
-def test_solve_memory_stays_near_its_tables():
+def test_solve_memory_stays_near_its_tables(monkeypatch):
     # block temporaries grow with CHUNK_MOVES, not with the state count: a
-    # gather over a whole wave of this instance would hold about 25M entries
+    # gather over a whole wave of this instance would hold about 25M entries.
+    # The witness replay, which adds comp_key (an int64 per state), starts
+    # after the fixed point's queue, counters and successor table are freed
     g = parse_graph("torus:4x4")
+    held = []
+    verify = solver._verify_witness
+    monkeypatch.setattr(solver, "_verify_witness",
+                        lambda res: held.append(tracemalloc.get_traced_memory()[0]) or verify(res))
     tracemalloc.start()
     try:
-        res = solve_game(g, 4, verify_witness=False)
+        res = solve_game(g, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert res.witness_verified and len(held) == 1
     t = res.table
     _, padded = solver._closed_neighborhoods(g)
     ptr, succ = solver._successors(t.configs, padded, t.index)
-    arrays = (t.configs, t.cop_win, t.cop_rank, t.comp_id, ptr, succ)
-    assert peak < sum(a.nbytes for a in arrays) + 4 * 2**20
+    tables = sum(a.nbytes for a in (t.configs, t.cop_win, t.cop_rank, t.comp_id))
+    assert peak < tables + ptr.nbytes + succ.nbytes + 4 * 2**20
+    assert held[0] < tables + 2**20
 
 
 @pytest.mark.parametrize("text, k, trace_sha256", [
