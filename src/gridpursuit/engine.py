@@ -84,8 +84,9 @@ def reachable_mask(g: GraphSpec, cops, frm, stop: int = 0) -> int:
 
     This is the engine's one reachability primitive.  frm must be a free
     vertex.  With a nonzero stop mask the flood fill ends as soon as it
-    meets stop: the result is then only the part found so far, but it meets
-    stop exactly when the whole component does.
+    meets stop: the result is then a part of the component, or the whole
+    component when the lattice kept it from an earlier flood of the same
+    cops, and it meets stop exactly when the whole component does.
     """
     g.check_vertex(frm)
     lat = lattice(g)

@@ -3,20 +3,24 @@
 Graphs are described by per-dimension (length, wrap) pairs and are never
 materialized: adjacency, distance, and subgrid queries are coordinate
 arithmetic.  Vertex *sets* are manipulated as arbitrary-precision integer
-bitboards (one bit per vertex, mixed-radix index order), which keeps flood
-fills on thousand-vertex products down to a handful of big-integer shifts
-per frontier layer.  Bitboards convert to and from vertex lists in one
-numpy pass over their bytes, never one bit at a time.
+bitboards (one bit per vertex, mixed-radix index order).  A flood fill
+fills whole free runs along one axis at a time by prefix doubling, so a
+pass over an axis of length L costs about 2 log2(L) big-integer shifts,
+whatever the component's radius.  Bitboards convert to and from vertex
+lists in one numpy pass over their bytes, never one bit at a time.
 
 All operations here are pure functions of immutable values and safe for
-concurrent use; the one cache a lattice keeps (mask_of's last answer) is
-replaced in a single attribute store.
+concurrent use.  A lattice keeps two caches, mask_of's last answer and
+component's fill masks with the last component found for them, and
+replaces each in a single attribute store, so a reader never pairs one
+call's key with another call's value.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain as _chain
+from itertools import cycle
 from itertools import product as _iproduct
 
 import numpy as np
@@ -268,9 +272,12 @@ _TUPLE = {tuple}
 class BitLattice:
     """Vertex-set arithmetic over one graph, sets encoded as Python ints.
 
-    Bit i corresponds to the vertex with mixed-radix index i.  A frontier
-    expansion is a constant number of shift/mask operations per dimension,
-    so flood fills cost O(diameter) big-integer operations.
+    Bit i corresponds to the vertex with mixed-radix index i.  expand, one
+    breadth-first layer, is a constant number of shift/mask operations per
+    dimension.  component fills whole free runs along one axis per pass by
+    Kogge-Stone doubling, O(log L) operations for an axis of length L, and
+    repeats passes until every axis is closed; the fill masks depend only
+    on the blocked set and are built once per cop configuration.
     """
 
     def __init__(self, g: GraphSpec):
@@ -286,6 +293,7 @@ class BitLattice:
         strides.reverse()
         self._strides = np.array(strides, dtype=np.intp)
         self._last = ((), 0)  # mask_of's last (tuple of tuples, mask)
+        self._flood = (None, [], 0)  # component's last (blocked, fill masks, component)
         self._steps = []
         index = np.arange(self.size)
         for d, stride in zip(g.dims, strides):
@@ -355,17 +363,78 @@ class BitLattice:
         return set(self.vertices_of(mask))
 
     def component(self, start_index: int, blocked: int, stop: int = 0) -> int:
-        """Connected component of the graph-minus-blocked containing start.
+        """Connected component of the graph-minus-blocked containing start,
+        or 0 when start is blocked.
 
-        With a nonzero stop mask the flood fill ends as soon as it meets
-        stop, returning the part of the component found by then.
+        Each pass fills, along one axis, every free run that holds a bit of
+        the component (see _fill_masks); a wrapped axis also steps across
+        its seam and fills again.  A pass leaves the component closed along
+        its axis, so the passes cycle through the axes until as many passes
+        in a row as there are axes add nothing, or the component is every
+        free vertex.  With a nonzero stop mask the fill ends as soon as it
+        meets stop, returning the part of the component found by then.
+
+        The fill masks of the last blocked set are kept with the last whole
+        component found for it, in one attribute replaced in a single store;
+        a start inside that component returns it at once, even with stop.
         """
-        comp = frontier = 1 << start_index
+        start = 1 << start_index
+        if blocked & start:
+            return 0
+        kept_blocked, axes, kept = self._flood
         free = self.full & ~blocked
-        while frontier and not comp & stop:
-            frontier = self.expand(frontier) & free & ~comp
-            comp |= frontier
+        if blocked != kept_blocked:
+            axes, kept = self._fill_masks(free), 0
+        elif kept & start:
+            return kept
+        comp, quiet = start, 0
+        for steps, wrap_shift, seam in cycle(axes):
+            if quiet == len(axes) or comp == free:
+                break
+            if comp & stop:
+                self._flood = (blocked, axes, kept)
+                return comp
+            before = comp
+            while True:
+                for shift, fwd, bwd in steps:
+                    comp |= fwd & (comp << shift)
+                    comp |= bwd & (comp >> shift)
+                if not seam:
+                    break
+                crossed = comp | comp >> wrap_shift & seam | (comp & seam) << wrap_shift
+                if crossed == comp:
+                    break
+                comp = crossed
+            quiet = quiet + 1 if comp == before else 1
+        self._flood = (blocked, axes, comp)
         return comp
+
+    def _fill_masks(self, free: int) -> list:
+        """Per axis that has a free edge, (steps, wrap_shift, seam).
+
+        Step j of a run fill is (s * 2**j, fwd_j, bwd_j) for the axis
+        stride s: fwd_j holds every x whose segment from x - s * 2**j up to
+        x lies in one free run, and bwd_j = fwd_j >> s * 2**j the mirror
+        image.  fwd_{j+1} = fwd_j & (fwd_j << s * 2**j), so taking
+        comp |= fwd_j & (comp << s * 2**j) and its mirror for j = 0, 1, ...
+        (Kogge-Stone doubling) reaches every vertex of a run that holds a
+        bit of comp; the steps end at the first empty fwd_j, when no run is
+        longer than 2**j.  seam holds the vertices at coordinate 0 of a
+        wrapped axis whose neighbor across the seam is also free (0 on a
+        path).
+        """
+        axes = []
+        for stride, not_hi, _, wrap_shift, hi_mask in self._steps:
+            run = free & ((free & not_hi) << stride)
+            steps, shift = [], stride
+            while run:
+                steps.append((shift, run, run >> shift))
+                run &= run << shift
+                shift <<= 1
+            seam = free & ((free & hi_mask) >> wrap_shift)
+            if steps or seam:
+                axes.append((steps, wrap_shift, seam))
+        return axes
 
     def components(self, blocked: int) -> list[int]:
         """All connected components of the graph minus the blocked set."""

@@ -3,6 +3,8 @@ import itertools
 import json
 import random
 import re
+import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -20,6 +22,7 @@ from gridpursuit.engine import (
     initial_state,
     place_cops,
     place_robber,
+    reachable_mask,
     reachable_set,
     render_ascii,
     replay_trace,
@@ -100,6 +103,62 @@ def test_removing_a_cop_never_shrinks_reachability(seed):
         if src in fewer:
             continue
         assert full <= reachable_set(g, fewer, src)
+
+
+def test_a_kept_component_never_answers_for_another():
+    # the lattice keeps the last component flooded; a robber outside it, or
+    # cops differing from its configuration by one, must be flooded afresh
+    g = grid(5, 5)
+    wall = tuple((2, y) for y in range(5))
+    gap = wall[:4] + ((4, 0),)  # one cop off the wall: one component
+    for flooded in (wall, gap):
+        assert reachable_mask(g, flooded, (0, 0)) >> g.index((1, 1)) & 1
+        # a legal move first: its flood stops at (1, 1), or hits the kept one
+        s = make_state(g, wall, (0, 4), Phase.ROBBER_TURN)
+        assert apply_robber_move(s, (1, 1)).robber == (1, 1)
+        s = make_state(g, wall, (4, 4), Phase.ROBBER_TURN)
+        with pytest.raises(RuleViolation):
+            apply_robber_move(s, (1, 1))
+
+
+def test_concurrent_floods_on_one_lattice_match_the_oracle():
+    # two threads flood through one lattice, each cycling through cop
+    # configurations of its own, two floods per configuration: the first
+    # builds fill masks, the second may find the component kept.  A short
+    # switch interval interleaves the threads inside the floods
+    g = grid(16, 16)
+    adj = oracles.explicit_adjacency(oracles.dims_of(g))
+    rng = random.Random(17)
+    verts = list(g.vertices())
+    jobs = []
+    for _ in range(2):
+        configs = [tuple(rng.sample(verts, 30)) for _ in range(4)]
+        floods = []
+        for i in range(400):
+            cops = configs[i // 2 % len(configs)]
+            src = rng.choice([v for v in verts if v not in cops])
+            floods.append((cops, src, oracles.flood(adj, set(cops), src)))
+        jobs.append(floods)
+    barrier = threading.Barrier(len(jobs))
+    wrong = []
+
+    def flood_all(floods):
+        barrier.wait()
+        for cops, src, expected in floods:
+            if reachable_set(g, cops, src) != expected:
+                wrong.append((cops, src))
+
+    threads = [threading.Thread(target=flood_all, args=(job,)) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not wrong
 
 
 # -- moves ---------------------------------------------------------------------

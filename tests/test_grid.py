@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from gridpursuit.errors import GraphFormatError, InvalidVertexError
 from gridpursuit.grid import (
+    BitLattice,
     CoordMap,
     cube,
     format_graph,
@@ -280,6 +282,86 @@ def test_mask_of_never_returns_a_stale_mask(g):
         holds_lists[0][:] = b[0]
         assert lat.mask_of(holds_lists) == expected(holds_lists)
         assert lat.mask_of(iter(b)) == expected(b)
+
+
+@functools.lru_cache(maxsize=64)
+def _adjacency(dims):
+    return oracles.explicit_adjacency(dims)
+
+
+def _check_floods_against_oracle(g, blocked_sets, rng):
+    """component on one fresh lattice from every start of each blocked set,
+    blocked starts included, against the oracle's flood.  Calls alternate
+    the sets, and each set's starts go round its components, so a kept
+    component or fill masks answering for another call would show.  Each
+    start is flooded with a random stop mask first, so a part kept after
+    the fill met stop would answer the whole flood that follows."""
+    dims = tuple(oracles.dims_of(g))
+    adj = _adjacency(dims)
+    rank = {v: i for i, v in enumerate(oracles.all_vertices(dims))}
+    lat = BitLattice(g)
+    plans = []
+    for blocked in blocked_sets:
+        blocked = set(blocked)
+        comps = oracles.all_components(adj, blocked)
+        # the oracle floods once per component: every member's answer
+        members = [[(rank[v], sum(1 << rank[w] for w in comp)) for v in sorted(comp)]
+                   for comp in comps]
+        starts = [s for s in itertools.chain(*itertools.zip_longest(*members)) if s]
+        starts += [(rank[v], 0) for v in blocked]
+        plans.append((lat.mask_of(blocked), starts))
+    calls = itertools.zip_longest(*([(mask, s) for s in starts] for mask, starts in plans))
+    for mask, (start, expected) in filter(None, itertools.chain.from_iterable(calls)):
+        stop = rng.getrandbits(g.vertex_count)
+        part = lat.component(start, mask, stop)
+        assert part & ~expected == 0 and bool(part & stop) == bool(expected & stop)
+        assert part >> start & 1 or not expected
+        assert lat.component(start, mask) == expected
+
+
+@given(graphs_and_masks(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_component_matches_the_oracle_from_every_start(case, data):
+    # the second blocked set differs from the first in one vertex
+    g, mask = case
+    flip = data.draw(st.integers(0, g.vertex_count - 1))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    sets = [{g.vertex_at(i) for i in range(g.vertex_count) if m >> i & 1}
+            for m in (mask, mask ^ 1 << flip)]
+    _check_floods_against_oracle(g, sets, rng)
+
+
+@pytest.mark.parametrize("text", ["grid:1x300", "grid:17x5", "torus:3x33"])
+def test_component_matches_the_oracle_on_long_axes(text):
+    # runs of 17 to 300 vertices take 5 to 9 doubling steps
+    g = parse_graph(text)
+    rng = random.Random(29)
+    verts = list(g.vertices())
+    for k in (1, 3, g.vertex_count // 8):
+        a = rng.sample(verts, k)
+        b = a[1:] + [rng.choice(verts)]
+        _check_floods_against_oracle(g, [a, b], rng)
+
+
+@pytest.mark.parametrize("g,blocked,crossing", [
+    (product([(9, True)]), [(2,), (6,)], {(7,), (8,), (0,), (1,)}),
+    (product([(2, False), (7, True)]), [(0, 2), (0, 5), (1, 2), (1, 5)],
+     {(x, y) for x in (0, 1) for y in (6, 0, 1)}),
+])
+def test_component_fills_a_run_across_the_seam(g, blocked, crossing):
+    lat = BitLattice(g)
+    comp = lat.component(g.index(min(crossing)), lat.mask_of(blocked))
+    assert lat.set_of(comp) == crossing
+    _check_floods_against_oracle(g, [blocked, blocked[:1]], random.Random(31))
+
+
+def test_a_blocked_start_floods_nothing_and_is_not_kept():
+    g = grid(3, 3)
+    lat = BitLattice(g)
+    blocked = lat.mask_of([(1, 1)])
+    assert lat.component(g.index((1, 1)), blocked) == 0
+    comp = lat.component(g.index((0, 0)), blocked)
+    assert lat.set_of(comp) == set(g.vertices()) - {(1, 1)}
 
 
 def test_bitboard_components_partition():
