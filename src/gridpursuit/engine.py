@@ -174,7 +174,9 @@ def apply_robber_move(state: GameState, dest) -> GameState:
     g.check_vertex(dest)
     if dest in state.cops:
         raise RuleViolation(f"robber destination {dest} is cop-occupied")
-    if dest != state.robber:
+    # a step to a neighbour needs no flood: dest is cop-free, and so is the
+    # robber's own vertex in any robber turn
+    if dest != state.robber and not g.adjacent(state.robber, dest):
         target = 1 << g.index(dest)
         if not reachable_mask(g, state.cops, state.robber, target) & target:
             raise RuleViolation(f"no cop-free path from {state.robber} to {dest}")
@@ -257,7 +259,9 @@ class MatchTrace:
     coordinate tuples and "robber" a tuple or None.  Consecutive events
     with the same cop configuration share one "cops" tuple (a robber turn
     repeats the cop turn's), in traces that run_match records and in those
-    trace_from_jsonl parses.
+    trace_from_jsonl parses.  In a parsed trace, equal coordinates of the
+    cops texts that went through its coordinate memo (those longer than
+    _MEMO_MIN_CHARS characters) also share one tuple.
     """
 
     header: dict
@@ -438,8 +442,9 @@ def trace_to_jsonl(trace: MatchTrace) -> str:
 def _check_event(ev, line_no, checked):
     """Raise TraceFormatError unless ev has the fields and types _event writes.
 
-    A "cops" value that is the list checked, the same object, is not
-    checked again.
+    A "cops" value that is the list checked, the same object, or a tuple
+    (only the coordinate memo makes one, already checked) is not checked
+    again.
     """
     if type(ev) is not dict:
         raise TraceFormatError(f"trace line {line_no}: event is not a JSON object")
@@ -450,7 +455,7 @@ def _check_event(ev, line_no, checked):
         type(ev["round"]) is int
         and type(ev["phase"]) is str
         and (ev["event"] is None or type(ev["event"]) is str)
-        and (ev["cops"] is checked or _is_points(ev["cops"]))
+        and (ev["cops"] is checked or type(ev["cops"]) is tuple or _is_points(ev["cops"]))
         and (ev["robber"] is None or _is_points([ev["robber"]]))
         and type(ev["annotations"]) is dict
         and all(type(note) is str for note in ev["annotations"].values())
@@ -475,17 +480,58 @@ def _load(ln, line_no):
 _scan = json.JSONDecoder().scan_once
 _TAIL_FIELDS = _EVENT_FIELDS - {"annotations", "cops"}
 
+# A new "cops" text longer than this many characters is decoded through the
+# parse's coordinate memo, a shorter one by the scanner whole.  A coordinate
+# the memo holds costs a dict lookup, a new one about twice its share of a
+# whole scan, so the memo wins on long texts whose coordinates repeat.  On
+# traces of random cops where about 90% of a new configuration's coordinates
+# had appeared before, a line parsed in 0.95-1.02x the scan's time from 28 to
+# 84 characters and in 0.84-0.92x from 98 to 165 characters, crossing near
+# 90; on the 25-40 character lines of solver witnesses, where half repeat,
+# it took 1.3x.
+_MEMO_MIN_CHARS = 128
 
-def _load_written(ln, last):
+
+def _memo_points(text, memo):
+    """A "cops" text as a tuple of coordinate tuples taken from memo, or
+    None when it is not the canonical JSON of a list of int lists.
+
+    memo maps a piece of text, the inside of one coordinate's brackets, to
+    the int tuple _encode writes as "[" + piece + "]".  The pieces of a text
+    "[[...]]" are its inside split on "],[".  The pieces memo lacks are
+    decoded together in one scan and stored only if they are int lists that
+    _encode gives back as the very text scanned.  When every piece maps,
+    text is the canonical JSON of those tuples, so json.loads would give
+    the same ints.  A scan error propagates.
+    """
+    if not (text.startswith("[[") and text.endswith("]]")):
+        return None
+    pieces = text[2:-2].split("],[")
+    missing = [piece for piece in pieces if piece not in memo]
+    if missing:
+        joined = "[[" + "],[".join(missing) + "]]"
+        points = _scan(joined, 0)[0]
+        if not _is_points(points) or _encode(points) != joined:
+            return None
+        memo.update(zip(missing, map(tuple, points)))
+    return tuple(map(memo.__getitem__, pieces))
+
+
+def _load_written(ln, last, memo):
     """An event line laid out as trace_to_jsonl writes it, decoded in parts:
-    (event, (its "cops" text, the list it decoded to)), or None for a line
+    (event, (its "cops" text, the value it decoded to)), or None for a line
     of any other layout.
 
     A "cops" text equal to the one in last is not decoded again: the event
-    holds last's list, since equal text decodes to an equal value, types
-    included.  The parts give json.loads(ln): the line must be
-    "annotations", then "cops", then an object of exactly the other four
-    fields, and a JSON value ends where its text does.
+    holds last's value, since equal text decodes to an equal value, types
+    included.  A new text longer than _MEMO_MIN_CHARS ends at the first
+    ',"event":' after it (canonical text holds no quote) and is looked up
+    coordinate by coordinate in memo, a dict that lives for one parse (see
+    _memo_points): the event then holds a tuple of memo's tuples, checked
+    and converted.  Any other text is scanned whole into a list.  The parts
+    give json.loads(ln): the line must be "annotations", then "cops", then
+    an object of exactly the other four fields, and a JSON value ends where
+    its text does.
     """
     if not ln.startswith('{"annotations":'):
         return None
@@ -496,9 +542,12 @@ def _load_written(ln, last):
     if last and ln.startswith(last[0], at) and ln.startswith(',"event":', at + len(last[0])):
         cops, end = last[1], at + len(last[0])
     else:
-        cops, end = _scan(ln, at)
-        if not ln.startswith(',"event":', end):
-            return None
+        end = ln.find(',"event":', at)
+        cops = _memo_points(ln[at:end], memo) if end - at > _MEMO_MIN_CHARS else None
+        if cops is None:
+            cops, end = _scan(ln, at)
+            if not ln.startswith(',"event":', end):
+                return None
         last = ln[at:end], cops
     tail, stop = _scan("{" + ln[end + 1:], 0)
     if stop != len(ln) - end or tail.keys() != _TAIL_FIELDS:
@@ -518,17 +567,26 @@ def trace_from_jsonl(text: str) -> MatchTrace:
 
     An event line in trace_to_jsonl's layout is decoded in parts, and a
     "cops" text that repeats the line before (a robber turn repeats the cop
-    turn's) is decoded, checked and converted once.  Any other line goes
-    through json.loads whole, with the same result.
+    turn's) is decoded, checked and converted once.  A new "cops" text
+    longer than _MEMO_MIN_CHARS characters (on a 3D grid, about 15 cops
+    or more) is read through a coordinate memo local to the call: each
+    distinct coordinate text is decoded, checked and converted once per
+    parse, and equal coordinates share one tuple.  A text takes the memo
+    only when it is the canonical JSON of its coordinates, which json.loads
+    decodes to the same ints, so results and error precedence are
+    unchanged; any other text is scanned whole.  Any other line goes
+    through json.loads whole, with the same result.  No state outlives the
+    call, so parses may run concurrently.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ReplayError("empty trace")
     records = [_load(lines[0], 1)]
-    last = None  # the text and list of the last "cops" decoded in parts
+    last = None  # the text and value of the last "cops" decoded in parts
+    memo = {}  # coordinate text -> int tuple, for this parse only
     for line_no, ln in enumerate(lines[1:], 2):
         try:
-            parsed = _load_written(ln, last)
+            parsed = _load_written(ln, last, memo)
         except (StopIteration, ValueError, RecursionError):
             parsed = None  # json.loads raises the error, or decodes the line
         ev, last = parsed or (_load(ln, line_no), None)
@@ -541,13 +599,16 @@ def trace_from_jsonl(text: str) -> MatchTrace:
             f"trace header needs {', '.join(_HEADER_FIELDS)} (string graph, integer rest)"
         )
     trace = MatchTrace(header=header)
-    raw, cops = [], ()  # the last cops list checked and its tuple
+    raw, cops = [], ()  # the last cops value checked and its tuple
     for line_no, ev in enumerate(records[1:], 2):
-        # a list taken over from the line before was checked there.  An
+        # a value taken over from the line before was checked there.  An
         # equal list is shared only after its check: 1.0 == 1 and
-        # True == 1, so it may still hold a float or a bool coordinate
+        # True == 1, so it may still hold a float or a bool coordinate.
+        # A tuple came from the memo, checked and converted
         _check_event(ev, line_no, raw)
-        if ev["cops"] != raw:
+        if type(ev["cops"]) is tuple:
+            cops = ev["cops"]
+        elif ev["cops"] != raw:
             cops = tuple(map(tuple, ev["cops"]))
         raw = ev["cops"]
         ev["cops"] = cops

@@ -17,6 +17,7 @@ from gridpursuit.engine import (
     CopStrategy,
     GameState,
     Phase,
+    RobberStrategy,
     apply_cop_move,
     apply_robber_move,
     initial_state,
@@ -29,6 +30,7 @@ from gridpursuit.engine import (
     run_match,
     trace_from_jsonl,
     trace_to_jsonl,
+    _MEMO_MIN_CHARS,
     _load_written,
 )
 from gridpursuit.errors import (
@@ -286,6 +288,61 @@ def test_robber_cannot_land_on_cop():
         apply_robber_move(s, (0, 1))
 
 
+class _Pacer(RobberStrategy):
+    """Steps one ahead on the first axis when that vertex is free, else to
+    its smallest free neighbour, else stays."""
+
+    name = "pacer"
+
+    def place(self, graph, cops):
+        return min(v for v in graph.vertices() if v not in cops)
+
+    def move(self, state):
+        x, *rest = state.robber
+        ahead = ((x + 1) % state.graph.lengths[0], *rest)
+        free = state.graph.neighbors(state.robber) - set(state.cops)
+        return ahead if ahead in free else min(free, default=state.robber)
+
+
+def test_a_step_to_a_neighbour_is_checked_without_a_flood(monkeypatch):
+    from gridpursuit.cops import RandomCops
+    from gridpursuit.grid import BitLattice
+
+    floods = []
+    component = BitLattice.component
+
+    def counted(self, *args):
+        floods.append(args)
+        return component(self, *args)
+
+    g = torus(6, 6)
+    trace = trace_from_jsonl(trace_to_jsonl(run_match(g, RandomCops(), _Pacer(), 2, max_rounds=30)))
+    steps = [(a["robber"], b["robber"]) for a, b in zip(trace.events, trace.events[1:])
+             if b["phase"] == "robber-turn" and a["robber"] != b["robber"]]
+    assert len(steps) > 5 and all(g.adjacent(a, b) for a, b in steps)
+    assert any(abs(a[0] - b[0]) == 5 or abs(a[1] - b[1]) == 5 for a, b in steps)  # across the seam
+    monkeypatch.setattr(BitLattice, "component", counted)
+    replay_trace(trace)
+    assert floods == []
+
+    # a step onto a cop, also a neighbour across a seam, and a longer step
+    # across a cop wall are still refused; only the longer step floods
+    wall = tuple((2, y) for y in range(5))
+    s = make_state(grid(5, 5), wall, (1, 2), Phase.ROBBER_TURN)
+    assert apply_robber_move(s, (1, 3)).robber == (1, 3)
+    with pytest.raises(RuleViolation, match="cop-occupied"):
+        apply_robber_move(s, (2, 2))
+    assert floods == []
+    with pytest.raises(RuleViolation, match="no cop-free path"):
+        apply_robber_move(s, (3, 2))
+    assert len(floods) == 1
+    s = make_state(torus(5, 5), ((4, 0),), (0, 0), Phase.ROBBER_TURN)
+    assert apply_robber_move(s, (0, 4)).robber == (0, 4)
+    with pytest.raises(RuleViolation, match="cop-occupied"):
+        apply_robber_move(s, (4, 0))
+    assert len(floods) == 1
+
+
 def test_round_increments_on_robber_turn_only():
     g = grid(2, 2)
     s = initial_state(g)
@@ -399,6 +456,11 @@ def test_trace_lines_are_json_dumps_of_each_record():
             shared = [b["cops"] is a["cops"] for a, b in zip(events, events[1:])
                       if b["phase"].startswith("robber")]
             assert shared and all(shared)
+        if trace is blockade:
+            # its cops texts take the coordinate memo: equal coordinates of
+            # the parsed trace share one tuple
+            coords = [c for ev in parsed.events for c in ev["cops"]]
+            assert len({id(c) for c in coords}) == len(set(coords)) < len(coords)
         assert trace_to_jsonl(parsed) == text
         assert trace_to_jsonl(parsed).splitlines() == _dumps_lines(parsed)
 
@@ -830,11 +892,48 @@ def test_trace_from_jsonl_matches_a_line_by_line_parser():
         for at in (i - 1, i, i + 1):
             texts.append("\n".join([header, *lines[:at], edit, *lines[at + 1:]]))
 
+    # hand-edited coordinates at a cop turn whose configuration is new but
+    # whose coordinates all appeared before, so that its cops text takes
+    # the coordinate memo, and at the robber turn after it
+    seen = set()
+    for i, record in enumerate(records):
+        if (record["phase"] == "cop-turn" and record["cops"] != records[i - 1]["cops"]
+                and seen.issuperset(map(tuple, record["cops"]))):
+            break
+        seen.update(map(tuple, record["cops"]))
+    assert len(_compact(record["cops"])) > _MEMO_MIN_CHARS
+    memo, last = {}, None
+    for ln in lines[:i]:
+        last = _load_written(ln, last, memo)[1]
+    assert type(_load_written(lines[i], last, memo)[0]["cops"]) is tuple
+    coords = [_compact(c) for c in record["cops"]]
+    j = len(coords) // 2
+    a, b, c = record["cops"][j]
+    before = lines[i][:lines[i].index(',"cops":') + 8]
+    after = lines[i][lines[i].index(',"event":'):]
+    edits = [
+        before + "[[]]" + after,
+        # two lists of coordinates where one is expected
+        before + "[" + ",".join(coords[:j]) + "],[" + ",".join(coords[j:]) + "]" + after,
+    ]
+    for new in [
+        f"[0{a},{b},{c}]", f"[-0,{b},{c}]", f"[+1,{b},{c}]", f"[1e0,{b},{c}]",
+        f"[1.0,{b},{c}]", f"[true,{b},{c}]", f"[\u0661,{b},{c}]", f"[{'1' * 5000},{b},{c}]",
+        f"[{a}, {b},{c}]", "[]", "[[]]", f"[{a},{b}]", f"[-1,{b},{c}]",
+    ]:
+        for at in (0, j, -1):
+            edited = list(coords)
+            edited[at] = new
+            edits.append(before + "[" + ",".join(edited) + "]" + after)
+    for edit in edits:
+        for at in (i, i + 1):
+            texts.append("\n".join([header, *lines[:at], edit, *lines[at + 1:]]))
+
     for text in texts:
         want = _parsed_or_error_line(oracles.parse_trace, text)
         assert _parsed_or_error_line(_from_jsonl, text) == want
     # every event line trace_to_jsonl writes is decoded in parts
-    assert all(_load_written(ln, None) for ln in lines)
+    assert all(_load_written(ln, None, {}) for ln in lines)
 
 
 def test_run_match_caps_the_vertex_count_before_building_a_lattice():
