@@ -416,20 +416,31 @@ class GreedyCops(CopStrategy):
 
 
 class RandomCops(CopStrategy):
-    """Independently uniform moves over each cop's closed neighborhood."""
+    """Independently uniform moves over each cop's closed neighborhood.
+
+    Each match keeps a table from a vertex to its closed neighborhood,
+    filled as the cops reach vertices and made anew by reset, so an
+    instance reused on another graph never reads a stale entry.
+    """
 
     name = "random"
+
+    def reset(self, graph, k, rng):
+        super().reset(graph, k, rng)
+        self._options = {}
 
     def place(self, graph, k):
         total = graph.vertex_count
         return [graph.vertex_at(self.rng.randrange(total)) for _ in range(k)]
 
     def move(self, state):
-        g = state.graph
+        g, table, randrange = state.graph, self._options, self.rng.randrange
         dests = []
         for c in state.cops:
-            options = g.closed_neighborhood(c)
-            dests.append(options[self.rng.randrange(len(options))])
+            options = table.get(c)
+            if options is None:
+                options = table[c] = g.closed_neighborhood(c)
+            dests.append(options[randrange(len(options))])
         return dests
 
 

@@ -7,9 +7,12 @@ to .violations (the move emitted stays legal either way).
 
 The grid, torus and 3D evaders share one turn loop, which builds one board
 of the cops per turn (see _ProofEvader): select(board) reads the proof's
-window counts as slice sums, and a row guarantee applies the evader's
-_safe_rows rule to per-row counts.  They share one contract for turns
-outside their guarantee:
+window counts off it, and board.near_cop tests a target for an adjacent
+cop.  The grid and torus board holds per-line cop counts and the set of cop
+vertices, built in one pass over the cops (_LineBoard); the 3D board is two
+numpy arrays shaped like the graph (_Board).  A row guarantee applies the
+evader's _safe_rows rule to per-row counts.  They share one contract for
+turns outside their guarantee:
 
 * more cops than the proof's budget raise ConfigurationError, unless the
   evader is built with allow_excess_cops; a 2D board with n <= 3 has no
@@ -31,13 +34,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 import numpy as np
 
 from .engine import GameState, Phase, RobberStrategy, reachable_mask
 from .errors import ConfigurationError, StrategyFault, require
-from .grid import CoordMap, GraphSpec, format_graph, is_hypercube, lattice, parse_graph
+from .grid import GraphSpec, format_graph, is_hypercube, lattice, parse_graph
 
 __all__ = [
     "StationaryRobber",
@@ -167,18 +171,60 @@ def _within_budget(cops, budget, allow_excess_cops):
 
 def _cop_counts(graph, cops):
     """The number of cops on each vertex, in vertex index order."""
-    coords = np.array(cops, dtype=np.intp).reshape(-1, graph.ndim)
-    return np.bincount(np.ravel_multi_index(coords.T, graph.lengths),
+    flat = np.fromiter(chain.from_iterable(cops), dtype=np.intp, count=len(cops) * graph.ndim)
+    return np.bincount(np.ravel_multi_index(flat.reshape(-1, graph.ndim).T, graph.lengths),
                        minlength=graph.vertex_count)
 
 
 class _Board(NamedTuple):
-    """One turn's cops as two arrays of shape graph.lengths, indexed by
-    vertex: occ counts the cops on each vertex, near marks the cops'
-    closed neighbourhoods."""
+    """The 3D evader's board: one turn's cops as two arrays of shape
+    graph.lengths, indexed by vertex.  occ counts the cops on each vertex
+    (window counts are its slice sums), near marks the cops' closed
+    neighbourhoods.  With hundreds of cops on thousands of vertices, the
+    arrays cost less than per-line counts built cop by cop."""
 
     occ: np.ndarray
     near: np.ndarray
+
+    def near_cop(self, v):
+        """Whether a cop stands on v or next to it."""
+        return bool(self.near[v])
+
+
+class _LineBoard(NamedTuple):
+    """The grid and torus evaders' board: one turn's cops on an n x n board
+    as per-line counts, with no per-vertex array.
+
+    rows[y] counts the cops on row y (the vertices (x, y)) and cols[x]
+    those on column x; rows_high and cols_high count only the cops whose
+    other coordinate is on the high half, at least (n + 1) // 2.  cops is
+    the set of cop vertices; on a torus (wrap) neighbours wrap mod n on
+    both axes.
+    """
+
+    rows: list
+    cols: list
+    rows_high: list
+    cols_high: list
+    cops: frozenset
+    wrap: bool
+
+    def lines(self, transposed):
+        """(per-line totals, high-half counts) of the rows, or of the
+        columns when transposed."""
+        return (self.cols, self.cols_high) if transposed else (self.rows, self.rows_high)
+
+    def near_cop(self, v):
+        """Whether a cop stands on v or next to it."""
+        x, y = v
+        cops = self.cops
+        if self.wrap:
+            n = len(self.rows)
+            steps = (((x + 1) % n, y), ((x - 1) % n, y), (x, (y + 1) % n), (x, (y - 1) % n))
+        else:
+            # a step off the grid is no vertex, so no cop stands there
+            steps = ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
+        return v in cops or not cops.isdisjoint(steps)
 
 
 class _ProofEvader(RobberStrategy):
@@ -187,14 +233,17 @@ class _ProofEvader(RobberStrategy):
     A subclass gives the proof's cop budget (budget: n -> cops), its
     selection rule (select(board) -> (target or None, annotations)) and the
     guarantee it checks after the cops answer a proof move
-    (post_move_check(state, board, reach)).  Every turn builds one _Board
-    of the cops: window counts are slice sums of board.occ, and a target
-    has an adjacent cop exactly where board.near is set.
+    (post_move_check(state, board, reach)).  Every turn builds one board of
+    the cops and tests the target with board.near_cop.  The board kind is
+    fixed per class: by default a _LineBoard of per-line counts, built in
+    one pass over the cops, which the grid and torus evaders read; the 3D
+    evader builds the numpy _Board instead.
 
     The default post-move check is the row guarantee of the 2D and torus
     evaders: some row y (the vertices (x, y)) that `_safe_rows` admits,
-    given the per-row cop counts, is reachable, and while one is, the
-    target is reachable too.
+    given its cop count, is reachable, and while one is, the target is
+    reachable too.  Reach meets row y where it meets the row's bitboard,
+    bits x * n + y, built at reset.
     """
 
     _row = None
@@ -208,8 +257,11 @@ class _ProofEvader(RobberStrategy):
 
     def reset(self, graph, rng):
         super().reset(graph, rng)
-        self._n = graph.dims[0].length
-        self._lat = lattice(graph)
+        n = self._n = graph.dims[0].length
+        self._wrap = graph.dims[0].wrap
+        if self._safe_rows is not None:
+            row0 = sum(1 << x * n for x in range(n))
+            self._row_bits = [row0 << y for y in range(n)]
         self._fallback.reset(graph, rng)
         self.fallback_moves = 0
         self._pending = False  # the last move was the proof's: check it
@@ -218,11 +270,17 @@ class _ProofEvader(RobberStrategy):
         return _within_budget(cops, self.budget(self._n), self.allow_excess_cops)
 
     def _board(self, cops):
-        lat = self._lat
-        shape = lat.graph.lengths
-        mask = lat.mask_of(cops)
-        occ = _cop_counts(lat.graph, cops).reshape(shape)
-        return _Board(occ, lat.bits_of(mask | lat.expand(mask)).reshape(shape))
+        n = self._n
+        half = (n + 1) // 2
+        rows, cols, rows_high, cols_high = [0] * n, [0] * n, [0] * n, [0] * n
+        for x, y in cops:
+            rows[y] += 1
+            cols[x] += 1
+            if x >= half:
+                rows_high[y] += 1
+            if y >= half:
+                cols_high[x] += 1
+        return _LineBoard(rows, cols, rows_high, cols_high, frozenset(cops), self._wrap)
 
     def _give_up(self, in_budget, why):
         """A turn without a usable target: a fault within the budget, where
@@ -239,7 +297,7 @@ class _ProofEvader(RobberStrategy):
         if v is None:
             self._give_up(in_budget, f"{self.name} found no admissible target")
             return self._fallback.place(graph, cops)
-        if self.check_invariants and board.near[v]:
+        if self.check_invariants and board.near_cop(v):
             self.violations.append(f"placement {v} adjacent to a cop")
         self.last_annotations = cert
         self._pending = True
@@ -260,7 +318,7 @@ class _ProofEvader(RobberStrategy):
             return self._fallback.move(state)
         reached = reach >> g.index(v) & 1
         if self.check_invariants:
-            if board.near[v]:
+            if board.near_cop(v):
                 self.violations.append(f"round {state.round}: target {v} adjacent to a cop")
             if not reached and self._row_reachable(board, reach):
                 self.violations.append(
@@ -284,8 +342,8 @@ class _ProofEvader(RobberStrategy):
         guarantee is not a row has none)."""
         if self._safe_rows is None:
             return False
-        met = self._lat.bits_of(reach).reshape(board.occ.shape).any(axis=0)
-        return bool((met & self._safe_rows(board.occ.sum(axis=0))).any())
+        safe = self._safe_rows
+        return any(reach & bits for bits, count in zip(self._row_bits, board.rows) if safe(count))
 
 
 # --------------------------------------------------------------------------
@@ -313,20 +371,21 @@ class Grid2DEvader(_ProofEvader):
       whichever of the two boundary rows is empty, away from the corners
       (transposed retry included).
 
-    Each case reads a canonical frame: a view of the board (transposed for
-    columns, an axis reversed per reflection) whose pick one CoordMap maps
-    back.  Tie-breaks, in order: rows before columns, smaller window first,
-    top before bottom, right half before left, then scanning row-major from
-    the low corner of the canonical frame.  The per-turn guarantees
-    checked: (1) if a cop-free row is reachable so is the target, (2) the
-    target has no adjacent cop, (3) after the next cop move a cop-free row
-    is still reachable.
+    Each case reads a canonical frame of the per-line counts (_Frame:
+    columns for rows when transposed, an axis reversed per reflection),
+    whose pick maps back to a board vertex by arithmetic; window totals are
+    differences of prefix sums.  Tie-breaks, in order: rows before columns,
+    smaller window first, top before bottom, right half before left, then
+    scanning row-major from the low corner of the canonical frame.  The
+    per-turn guarantees checked: (1) if a cop-free row is reachable so is
+    the target, (2) the target has no adjacent cop, (3) after the next cop
+    move a cop-free row is still reachable.
     """
 
     name = "grid2d-evader"
     budget = staticmethod(grid2d_cop_budget)
     _row = "free row"
-    _safe_rows = staticmethod(lambda counts: counts == 0)
+    _safe_rows = staticmethod(lambda count: count == 0)
 
     def reset(self, graph, rng):
         super().reset(graph, rng)
@@ -348,74 +407,98 @@ class Grid2DEvader(_ProofEvader):
         if self._degraded:
             return None, None
         n = self._n
-        c0_high = (n + 1) // 2  # first column of the upper-coordinate half
-        for perm, axes_label in (((0, 1), "rows"), ((1, 0), "cols")):
-            occ, near = board.occ.transpose(perm), board.near.transpose(perm)
+        half = (n + 1) // 2  # first line of the upper-coordinate half
+        for transposed, axes_label in ((False, "rows"), (True, "cols")):
+            # cops on the lines before line i, in all and on the high half
+            total_to, high_to = ([0, *accumulate(c)] for c in board.lines(transposed))
             for k in range(2, n - 1):
                 for flip_y in (False, True):
-                    sy = -1 if flip_y else 1
-                    strip = occ[:, ::sy][:, :k]
-                    total = int(strip.sum())
+                    lo, hi = (n - k, n) if flip_y else (0, k)
+                    total = total_to[hi] - total_to[lo]
                     if total > k - 2:
                         continue
                     threshold = (k - 2) // 2
-                    high = int(strip[c0_high:].sum())
+                    high = high_to[hi] - high_to[lo]
                     for flip_x, count, width in (
-                        (False, high, n - c0_high),
-                        (True, total - high, c0_high),
+                        (False, high, n - half),
+                        (True, total - high, half),
                     ):
                         if count > threshold:
                             continue
-                        sx = -1 if flip_x else 1
-                        v = _sector_pick(occ[::sx, ::sy], near[::sx, ::sy], k, width)
+                        v = _sector_pick(board, _Frame(n, transposed, flip_x, flip_y), k, width)
                         if v is not None:
                             side = ("bottom" if flip_y else "top") + "-" + (
                                 "left" if flip_x else "right"
                             )
-                            cm = CoordMap(self._lat.graph, perm=perm, reflect=(flip_x, flip_y))
-                            return cm.invert(v), {
+                            return v, {
                                 "case": f"sparse-{axes_label}",
                                 "window": k,
                                 "sector": side,
                             }
-        for perm, axes_label in (((0, 1), "rows"), ((1, 0), "cols")):
-            v = _rigid_pick(board.occ.transpose(perm), board.near.transpose(perm))
+        for transposed, axes_label in ((False, "rows"), (True, "cols")):
+            v = _rigid_pick(board, _Frame(n, transposed))
             if v is not None:
-                cm = CoordMap(self._lat.graph, perm=perm)
-                return cm.invert(v), {"case": f"rigid-{axes_label}"}
+                return v, {"case": f"rigid-{axes_label}"}
         return None, None
 
 
-def _sector_pick(occ, near, k, width):
-    """Canonical-frame sector choice: sector = top k rows of the last
-    `width` columns.  Returns None when no admissible vertex exists."""
-    n = len(occ)
-    if width < 2:
-        return None
+class _Frame(NamedTuple):
+    """A canonical orientation of an n x n board: rows are the board's
+    columns when transposed, and each canonical axis runs backwards when
+    its flip is set."""
+
+    n: int
+    transposed: bool
+    flip_x: bool = False
+    flip_y: bool = False
+
+    def vertex(self, a, b):
+        """The board vertex at canonical position (a, b)."""
+        if self.flip_x:
+            a = self.n - 1 - a
+        if self.flip_y:
+            b = self.n - 1 - b
+        return (b, a) if self.transposed else (a, b)
+
+
+def _sector_pick(board, frame, k, width):
+    """Sector choice in a canonical frame: sector = top k rows of the last
+    `width` columns, the high half of each line, or its low half when the
+    frame is flipped in x.  Returns the board vertex, or None when no
+    admissible vertex exists."""
+    n = frame.n
     c0 = n - width
-    rows = occ[c0:, :k].sum(axis=0)  # cops per sector row
-    if not rows[:2].any():
+    lines, highs = board.lines(frame.transposed)
+    rows = []  # cops per sector row
+    for r in range(k):
+        y = n - 1 - r if frame.flip_y else r
+        rows.append(lines[y] - highs[y] if frame.flip_x else highs[y])
+    if not rows[0] and not rows[1]:
         # sector's top two rows are clean: its top row (minus the exposed
         # column) has no neighbors outside those rows
-        return (c0 + 1, 0)
+        return frame.vertex(c0 + 1, 0)
     for r in range(k - 3):
-        if rows[r : r + 4].sum() <= 1:
+        if sum(rows[r : r + 4]) <= 1:
             for y in (r + 1, r + 2):
-                free = np.flatnonzero(~near[c0 + 1 :, y])
-                if free.size:
-                    return (c0 + 1 + int(free[0]), y)
+                for x in range(c0 + 1, n):
+                    v = frame.vertex(x, y)
+                    if not board.near_cop(v):
+                        return v
     return None
 
 
-def _rigid_pick(occ, near):
-    """Canonical-frame choice for the one-cop-per-line configuration: the
-    empty one of the two top rows, off the boundary columns."""
-    top_two = occ[:, :2].sum(axis=0)
-    if top_two.sum() != 1:
+def _rigid_pick(board, frame):
+    """Choice in a canonical frame for the one-cop-per-line configuration:
+    the empty one of the two top rows, off the boundary columns."""
+    lines, _ = board.lines(frame.transposed)
+    if lines[0] + lines[1] != 1:
         return None
-    empty_row = int(top_two[0])  # row 1 when the cop is in row 0
-    free = np.flatnonzero(~near[1:-1, empty_row])
-    return (1 + int(free[0]), empty_row) if free.size else None
+    empty_row = lines[0]  # row 1 when the cop is in row 0
+    for x in range(1, frame.n - 1):
+        v = frame.vertex(x, empty_row)
+        if not board.near_cop(v):
+            return v
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -444,7 +527,7 @@ class TorusEvader(_ProofEvader):
     name = "torus-evader"
     budget = staticmethod(torus_cop_budget)
     _row = "nearly empty row"
-    _safe_rows = staticmethod(lambda counts: counts <= 1)
+    _safe_rows = staticmethod(lambda count: count <= 1)
 
     def reset(self, graph, rng):
         super().reset(graph, rng)
@@ -459,22 +542,21 @@ class TorusEvader(_ProofEvader):
     def select(self, board):
         n = self._n
         d, r = divmod(n, 6)
-        row_count = board.occ.sum(axis=0)
+        rows = board.rows
         start = 0
         for h in [d + 1] * r + [d] * (6 - r):
-            if row_count[start : start + h].sum() <= 2 * h - 5:
+            if sum(rows[start : start + h]) <= 2 * h - 5:
                 break
             start += h
         else:
             return None, None
         # both picks exist: at most 2h-5 cops leave at most h-3 rows with
         # two or more, and meet at most 2h-5 < n/3 columns, each of which
-        # blocks three of the n column triples
-        nearly = np.flatnonzero(row_count[start : start + h] <= 1)
-        free = ~board.occ[:, start : start + h].any(axis=1)
-        free = np.concatenate((free, free[:2]))  # triples wrap around
-        s = int(np.flatnonzero(free[:-2] & free[1:-1] & free[2:])[0])
-        v = ((s + 1) % n, start + int(nearly[1]))
+        # blocks three of the n column triples (which wrap around)
+        nearly = [y for y in range(start, start + h) if rows[y] <= 1]
+        held = {x for x, y in board.cops if start <= y < start + h}
+        s = next(s for s in range(n) if held.isdisjoint((s, (s + 1) % n, (s + 2) % n)))
+        v = ((s + 1) % n, nearly[1])
         return v, {"case": "band", "band_start": start, "band_height": h}
 
 
@@ -529,7 +611,15 @@ class Grid3DEvader(_ProofEvader):
             f"3d evader needs a cubic grid, got {format_graph(graph)}",
         )
         require(self._n % 10 == 0, f"3d evader needs n divisible by 10, got {self._n}")
+        self._lat = lattice(graph)
         self.component_failures = 0
+
+    def _board(self, cops):
+        lat = self._lat
+        shape = lat.graph.lengths
+        mask = lat.mask_of(cops)
+        occ = _cop_counts(lat.graph, cops).reshape(shape)
+        return _Board(occ, lat.bits_of(mask | lat.expand(mask)).reshape(shape))
 
     def _give_up(self, in_budget, why):
         # the guarantee is asymptotic: within the budget too, a board can

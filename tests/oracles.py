@@ -2,12 +2,15 @@
 
 Everything here is deliberately naive and derived from first principles:
 explicit adjacency built by pairwise coordinate comparison, plain BFS, and
-set-based flood fill, and a trace parser that decodes every line whole.
+set-based flood fill, a trace parser that decodes every line whole, and
+the 2D evaders' target selection read off per-vertex numpy arrays.
 Nothing imports the library's graph arithmetic.
 """
 import json
 from collections import deque
 from itertools import combinations_with_replacement, product
+
+import numpy as np
 
 
 def all_vertices(dims):
@@ -28,6 +31,20 @@ def adjacent(u, v, dims):
     if wrap:
         return gap == 1 or gap == length - 1
     return gap == 1
+
+
+def neighbours(v, dims):
+    """The vertices adjacent to v, built from the product definition one
+    coordinate at a time: moved by 1, mod length on a cycle, and dropped
+    past the end of a path."""
+    out = set()
+    for i, (length, wrap) in enumerate(dims):
+        for c in (v[i] - 1, v[i] + 1):
+            if wrap:
+                c %= length
+            if 0 <= c < length and c != v[i]:
+                out.add(v[:i] + (c,) + v[i + 1 :])
+    return out
 
 
 def explicit_adjacency(dims):
@@ -235,3 +252,118 @@ def parse_trace(text):
             ev["robber"] = tuple(ev["robber"])
         events.append(ev)
     return header, events
+
+
+# --------------------------------------------------------------------------
+# 2D evader selection on per-vertex arrays
+# --------------------------------------------------------------------------
+
+
+def cop_board(dims, cops):
+    """(occ, near), two arrays shaped like the graph: occ counts the cops on
+    each vertex, near marks each vertex that holds a cop or neighbours one."""
+    occ = np.zeros([length for length, _ in dims], dtype=np.intp)
+    near = np.zeros(occ.shape, dtype=bool)
+    for c in cops:
+        occ[c] += 1
+        for v in neighbours(c, dims) | {c}:
+            near[v] = True
+    return occ, near
+
+
+def grid2d_select(occ, near):
+    """Grid2DEvader's (target, annotations) on an n x n grid, n >= 4.
+
+    Every window count is a slice sum over a view of occ: transposed for
+    columns, then reflected per sector.  The pick in that canonical frame
+    maps back through the same view of the vertex numbers x * n + y.
+    """
+    n = len(occ)
+    number = np.arange(n * n).reshape(n, n)
+    c0_high = (n + 1) // 2  # first column of the upper-coordinate half
+    for perm, axes_label in (((0, 1), "rows"), ((1, 0), "cols")):
+        o, nr, num = (a.transpose(perm) for a in (occ, near, number))
+        for k in range(2, n - 1):
+            for flip_y in (False, True):
+                sy = -1 if flip_y else 1
+                strip = o[:, ::sy][:, :k]
+                total = int(strip.sum())
+                if total > k - 2:
+                    continue
+                threshold = (k - 2) // 2
+                high = int(strip[c0_high:].sum())
+                for flip_x, count, width in (
+                    (False, high, n - c0_high),
+                    (True, total - high, c0_high),
+                ):
+                    if count > threshold:
+                        continue
+                    sx = -1 if flip_x else 1
+                    v = _sector_pick(o[::sx, ::sy], nr[::sx, ::sy], k, width)
+                    if v is not None:
+                        side = ("bottom" if flip_y else "top") + "-" + (
+                            "left" if flip_x else "right"
+                        )
+                        return divmod(int(num[::sx, ::sy][v]), n), {
+                            "case": f"sparse-{axes_label}",
+                            "window": k,
+                            "sector": side,
+                        }
+    for perm, axes_label in (((0, 1), "rows"), ((1, 0), "cols")):
+        o, nr, num = (a.transpose(perm) for a in (occ, near, number))
+        v = _rigid_pick(o, nr)
+        if v is not None:
+            return divmod(int(num[v]), n), {"case": f"rigid-{axes_label}"}
+    return None, None
+
+
+def _sector_pick(occ, near, k, width):
+    """Canonical-frame sector choice: sector = top k rows of the last
+    `width` columns.  Returns None when no admissible vertex exists."""
+    n = len(occ)
+    if width < 2:
+        return None
+    c0 = n - width
+    rows = occ[c0:, :k].sum(axis=0)  # cops per sector row
+    if not rows[:2].any():
+        return (c0 + 1, 0)
+    for r in range(k - 3):
+        if rows[r : r + 4].sum() <= 1:
+            for y in (r + 1, r + 2):
+                free = np.flatnonzero(~near[c0 + 1 :, y])
+                if free.size:
+                    return (c0 + 1 + int(free[0]), y)
+    return None
+
+
+def _rigid_pick(occ, near):
+    """Canonical-frame choice for the one-cop-per-line configuration: the
+    empty one of the two top rows, off the boundary columns."""
+    top_two = occ[:, :2].sum(axis=0)
+    if top_two.sum() != 1:
+        return None
+    empty_row = int(top_two[0])
+    free = np.flatnonzero(~near[1:-1, empty_row])
+    return (1 + int(free[0]), empty_row) if free.size else None
+
+
+def torus_select(occ):
+    """TorusEvader's (target, annotations) on an n x n torus, n >= 18: the
+    first of six bands with at most 2h - 5 cops, its second nearly empty
+    row and the middle of its first band-empty column triple."""
+    n = len(occ)
+    d, r = divmod(n, 6)
+    row_count = occ.sum(axis=0)
+    start = 0
+    for h in [d + 1] * r + [d] * (6 - r):
+        if row_count[start : start + h].sum() <= 2 * h - 5:
+            break
+        start += h
+    else:
+        return None, None
+    nearly = np.flatnonzero(row_count[start : start + h] <= 1)
+    free = ~occ[:, start : start + h].any(axis=1)
+    free = np.concatenate((free, free[:2]))  # triples wrap around
+    s = int(np.flatnonzero(free[:-2] & free[1:-1] & free[2:])[0])
+    v = ((s + 1) % n, start + int(nearly[1]))
+    return v, {"case": "band", "band_start": start, "band_height": h}

@@ -15,7 +15,7 @@ from gridpursuit.cops import (
     blockade_nd_cop_count,
     make_cop_strategy,
 )
-from gridpursuit.engine import GameState, Phase, reachable_set, run_match
+from gridpursuit.engine import GameState, Phase, reachable_set, run_match, trace_to_jsonl
 from gridpursuit.errors import ConfigurationError
 from gridpursuit.grid import cube, grid, torus
 from gridpursuit.robbers import MaxComponentRobber, RandomRobber, StationaryRobber
@@ -272,6 +272,18 @@ def test_random_cops_moves_always_legal_and_reproducible():
     t2 = run_match(grid(4, 4), RandomCops(), RandomRobber(), 3, max_rounds=50, seed=12)
     assert t1.fault_side is None
     assert [e["cops"] for e in t1.events] == [e["cops"] for e in t2.events]
+
+
+def test_random_cops_reused_on_other_graphs_plays_like_a_fresh_instance():
+    # the neighborhood table is per match: a stale grid:5x5 entry would
+    # offer a torus:5x5 boundary cop the wrong moves
+    reused = RandomCops()
+    for g in (grid(5, 5), torus(5, 5), grid(4, 4, 4)):
+        traces = [
+            trace_to_jsonl(run_match(g, cops, MaxComponentRobber(), 3, max_rounds=40, seed=7))
+            for cops in (reused, RandomCops())
+        ]
+        assert traces[0] == traces[1], g
 
 
 def test_random_cop_move_distribution_uniform():

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,16 @@ from gridpursuit.robbers import (
     validate_retraction,
 )
 
-from oracles import dims_of, distances_from, explicit_adjacency
+from oracles import (
+    cop_board,
+    dims_of,
+    distances_from,
+    explicit_adjacency,
+    flood,
+    grid2d_select,
+    neighbours,
+    torus_select,
+)
 
 
 def robber_turn_state(g, cops, robber, round_no=1):
@@ -433,6 +443,73 @@ def test_grid3d_post_move_check_counts_component_failure():
     assert v == (6, 7, 7)
     assert evader.component_failures == 1
     assert f"round 1: {v} not in a largest component" in evader.violations
+
+
+# -- 2D selection against the per-vertex reference ---------------------------------
+
+
+def _random_cops(rng, n):
+    """0 to 2n + 2 cops, some boards with cops stacked on others; about 30%
+    of boards hold n - 4 to n cops, at most one on each row and column."""
+    if rng.random() < 0.3:
+        m = rng.randint(n - 4, n)
+        return tuple(zip(rng.sample(range(n), m), rng.sample(range(n), m)))
+    cops = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(2 * n + 3))]
+    if rng.random() < 0.3:
+        cops = [rng.choice(cops) if rng.random() < 0.5 else c for c in cops]
+    return tuple(cops)
+
+
+def test_neighbours_match_the_pairwise_adjacency():
+    for g in (grid(4, 4), grid(1, 3), torus(3, 3), torus(5, 4),
+              product([(4, True), (1, False), (3, False)])):
+        dims = dims_of(g)
+        assert {v: neighbours(v, dims) for v in g.vertices()} == explicit_adjacency(dims)
+
+
+def test_2d_selection_matches_the_per_vertex_reference():
+    """On random grid (n = 4..24) and torus (n = 18..30) boards, the line
+    board gives the reference's target and annotations, its near_cop test
+    the reference near array at every vertex, and the row guarantee what a
+    flood from a free vertex reaches."""
+    rng = random.Random(18)
+    vertices, adjacency = {}, {}  # per graph
+    seen = Counter()
+    for _ in range(5000):
+        if rng.random() < 0.6:
+            n = rng.randint(4, 24)
+            g, evader, safe_max = grid(n, n), Grid2DEvader(allow_excess_cops=True), 0
+        else:
+            n = rng.randint(18, 30)
+            g, evader, safe_max = torus(n, n), TorusEvader(allow_excess_cops=True), 1
+        dims = dims_of(g)
+        if g not in vertices:
+            vertices[g] = list(g.vertices())  # index order
+            adjacency[g] = {v: neighbours(v, dims) for v in vertices[g]}
+        evader.reset(g, None)
+        cops = _random_cops(rng, n)
+        occ, near = cop_board(dims, cops)
+        board = evader._board(cops)
+
+        target, annotations = evader.select(board)
+        reference = grid2d_select(occ, near) if safe_max == 0 else torus_select(occ)
+        assert (target, annotations) == reference, (format_graph(g), cops)
+        seen[evader.name, annotations["case"] if annotations else None] += 1
+
+        assert [board.near_cop(v) for v in vertices[g]] == near.ravel().tolist(), cops
+
+        src = rng.choice(vertices[g])
+        while src in cops:
+            src = rng.choice(vertices[g])
+        comp = flood(adjacency[g], set(cops), src)
+        # bit i of reach is the vertex of index i
+        reach = int("".join("1" if v in comp else "0" for v in reversed(vertices[g])), 2)
+        safe = {y for y, count in enumerate(occ.sum(axis=0)) if count <= safe_max}
+        assert evader._row_reachable(board, reach) == any(y in safe for _, y in comp), cops
+    for key in ("sparse-rows", "sparse-cols", "rigid-rows", "rigid-cols", None):
+        assert seen["grid2d-evader", key] >= 20, seen
+    for key in ("band", None):
+        assert seen["torus-evader", key] >= 20, seen
 
 
 # -- retraction -------------------------------------------------------------------
