@@ -10,6 +10,9 @@ is part of the trace-replay contract.
 """
 from __future__ import annotations
 
+from itertools import compress, count
+from operator import ne
+
 from .counts import level_closed_form
 from .engine import CopStrategy, GameState
 from .errors import ConfigurationError, require
@@ -277,16 +280,12 @@ class _LevelBlockadeCops(CopStrategy):
 
     def _slice_targets(self, graph, level):
         """Vertices of the next level the downshift cannot reach: those with
-        the shift coordinate already at n-1."""
-        n = graph.dims[0].length
-        rest = level - 1 - (n - 1)
-        if rest < 0:
-            return []
-        out = []
-        for v in graph.vertices():
-            if v[self.shift_axis] == n - 1 and sum(v) == level - 1:
-                out.append(v)
-        return out
+        the shift coordinate already at n-1, in index order.  The other
+        coordinates sum to level - n; they are enumerated directly, not by
+        a scan of every vertex."""
+        n, axis = graph.dims[0].length, self.shift_axis
+        return [rest[:axis] + (n - 1,) + rest[axis:]
+                for rest in _compositions(level - n, graph.ndim - 1, n - 1)]
 
     def move(self, state):
         g = state.graph
@@ -310,7 +309,7 @@ class _LevelBlockadeCops(CopStrategy):
         if not self._targets:
             wanted = self._slice_targets(g, self._level)
             pool = sorted(self._reserve, key=lambda i: canon[i])
-            self._targets = dict(zip(pool, sorted(wanted)))
+            self._targets = dict(zip(pool, wanted))
 
         in_transit = {
             i: t for i, t in self._targets.items() if canon[i] != t
@@ -337,11 +336,20 @@ class _LevelBlockadeCops(CopStrategy):
         # the engine plays every answer as given, so only the cops that
         # move need mapping back
         cops = self._cops
-        for i, (v, d) in enumerate(zip(canon, dests)):
-            if v != d:
-                cops[i] = cm.invert(d)
+        for i in compress(count(), map(ne, canon, dests)):
+            cops[i] = cm.invert(dests[i])
         self._canon = dests
         return list(cops)
+
+
+def _compositions(total, parts, top):
+    """Every tuple of parts ints in [0, top] that sum to total, in
+    lexicographic order."""
+    if parts == 0:
+        return [()] if total == 0 else []
+    return [(first, *rest)
+            for first in range(max(0, total - top * (parts - 1)), min(top, total) + 1)
+            for rest in _compositions(total - first, parts - 1, top)]
 
 
 def _lex_step(g, src, dst):
@@ -418,9 +426,11 @@ class GreedyCops(CopStrategy):
 class RandomCops(CopStrategy):
     """Independently uniform moves over each cop's closed neighborhood.
 
-    Each match keeps a table from a vertex to its closed neighborhood,
-    filled as the cops reach vertices and made anew by reset, so an
-    instance reused on another graph never reads a stale entry.
+    Each match keeps a table from a vertex to its closed neighborhood, a
+    tuple, filled as the cops reach vertices and made anew by reset, so an
+    instance reused on another graph never reads a stale entry.  The table
+    holds one tuple per vertex, keys and neighborhoods alike, so a cop that
+    stays put answers with the very tuple it stands on.
     """
 
     name = "random"
@@ -428,6 +438,7 @@ class RandomCops(CopStrategy):
     def reset(self, graph, k, rng):
         super().reset(graph, k, rng)
         self._options = {}
+        self._vertex = {}  # a vertex -> the one tuple the table holds for it
 
     def place(self, graph, k):
         total = graph.vertex_count
@@ -439,7 +450,8 @@ class RandomCops(CopStrategy):
         for c in state.cops:
             options = table.get(c)
             if options is None:
-                options = table[c] = g.closed_neighborhood(c)
+                one, near = self._vertex.setdefault, g.closed_neighborhood(c)
+                options = table[one(c, c)] = tuple(map(one, near, near))
             dests.append(options[randrange(len(options))])
         return dests
 

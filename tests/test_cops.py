@@ -231,6 +231,19 @@ def test_blockade_3d_high_side_robber_is_mirrored():
     assert trace.outcome == "capture"
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_blockade_slice_targets_match_a_scan_of_every_vertex(d):
+    for n in (3, 5, 7, 9):
+        g = grid(*([n] * d))
+        verts = list(g.vertices())  # index order
+        for axis in (0, d - 1):
+            cops = BlockadeNDCops()
+            cops.shift_axis = axis
+            for level in range(d * (n - 1) + 2):
+                scan = [v for v in verts if v[axis] == n - 1 and sum(v) == level - 1]
+                assert cops._slice_targets(g, level) == scan, (n, axis, level)
+
+
 def test_blockade_understaffed_mode_runs_without_guarantee():
     g = grid(4, 4, 4)  # even side: only the relaxed mode accepts it
     cops = Blockade3DCops(allow_understaffed=True)
@@ -284,6 +297,21 @@ def test_random_cops_reused_on_other_graphs_plays_like_a_fresh_instance():
             for cops in (reused, RandomCops())
         ]
         assert traces[0] == traces[1], g
+
+
+def test_random_cops_table_holds_one_tuple_per_vertex():
+    g = grid(6, 6)
+    cops = RandomCops()
+    trace = run_match(g, cops, MaxComponentRobber(), 5, max_rounds=60, seed=4)
+    table = cops._options
+    assert all(type(options) is tuple for options in table.values())
+    entries = [*table, *(v for options in table.values() for v in options)]
+    assert len({id(v) for v in entries}) == len(set(entries)) < len(entries)
+    # so a cop that stays put answers with the tuple it stands on
+    configs = [ev["cops"] for ev in trace.events if ev["phase"] == "cop-turn"]
+    kept = [(a, b) for last, now in zip(configs, configs[1:])
+            for a, b in zip(last, now) if a == b]
+    assert kept and all(a is b for a, b in kept)
 
 
 def test_random_cop_move_distribution_uniform():

@@ -16,6 +16,7 @@ from gridpursuit.engine import (
     MAX_MATCH_VERTICES,
     CopStrategy,
     GameState,
+    MatchTrace,
     Phase,
     RobberStrategy,
     apply_cop_move,
@@ -31,6 +32,7 @@ from gridpursuit.engine import (
     trace_from_jsonl,
     trace_to_jsonl,
     _MEMO_MIN_CHARS,
+    _SHARE_MIN_COPS,
     _load_written,
 )
 from gridpursuit.errors import (
@@ -220,12 +222,15 @@ def test_cop_move_wrong_arity_rejected():
 
 
 def _explicit_cop_move_error(g, cops, dests):
-    """(type, cop_index, message) of the error a joint move of int tuples
-    raises, from explicit adjacency: the first cop that moves off the graph
-    or to a non-neighbor, an off-graph vertex as InvalidVertexError; None
-    for a legal move."""
+    """(type, cop_index, message) of the error a joint move raises, from
+    explicit adjacency: first any destination that is not a list or tuple
+    of Python ints (bools and floats are not), then the first cop that
+    moves off the graph or to a non-neighbor, an off-graph vertex as
+    InvalidVertexError; None for a legal move."""
+    if not all(type(d) in (list, tuple) and all(type(c) is int for c in d) for d in dests):
+        return InvalidVertexError, None, f"not a list of int coordinate tuples: {dests!r}"
     dims = oracles.dims_of(g)
-    for i, (src, dst) in enumerate(zip(cops, dests)):
+    for i, (src, dst) in enumerate(zip(cops, map(tuple, dests))):
         if dst == src:
             continue
         if len(dst) != len(dims) or not all(0 <= c < n for c, (n, _) in zip(dst, dims)):
@@ -233,6 +238,10 @@ def _explicit_cop_move_error(g, cops, dests):
         if not oracles.adjacent(src, dst, dims):
             return RuleViolation, i, f"cop {i} cannot step {src} -> {dst}"
     return None
+
+
+def _with_coordinate(src, a, value):
+    return src[:a] + (value,) + src[a + 1:]
 
 
 @settings(max_examples=400, deadline=None)
@@ -243,17 +252,36 @@ def test_cop_move_errors_match_explicit_adjacency(g, data):
     dims = oracles.dims_of(g)
     adj = oracles.explicit_adjacency(dims)
     verts = oracles.all_vertices(dims)
-    cops = data.draw(st.lists(st.sampled_from(verts), min_size=1, max_size=4))
+    # short configurations take the full check, long ones the check of the
+    # entries that are not the state's own tuples
+    k = data.draw(st.one_of(st.integers(1, 4), st.integers(_SHARE_MIN_COPS, _SHARE_MIN_COPS + 4)))
+    cops = data.draw(st.lists(st.sampled_from(verts), min_size=k, max_size=k))
+    state = make_state(g, cops, data.draw(st.sampled_from(verts)))
     wider = st.tuples(*(st.integers(-1, n) for n, _ in dims))
     wrong_length = st.lists(st.integers(-1, 7), max_size=g.ndim + 2).filter(
         lambda c: len(c) != g.ndim).map(tuple)
-    dests = [data.draw(st.one_of(st.just(src), st.sampled_from(sorted(adj[src])), wider,
-                                 wrong_length))
-             for src in cops]
-    state = make_state(g, cops, data.draw(st.sampled_from(verts)))
-    expected = _explicit_cop_move_error(g, cops, dests)
+
+    def other(src):
+        # an equal tuple that is another object, an equal list, an equal
+        # float or bool coordinate, or a tuple that may not be a vertex
+        bits = [a for a, c in enumerate(src) if c in (0, 1)]
+        return st.one_of(
+            st.just(tuple(list(src))),
+            st.just(list(src)),
+            st.integers(0, len(src) - 1).map(lambda a: _with_coordinate(src, a, float(src[a]))),
+            st.sampled_from(bits).map(lambda a: _with_coordinate(src, a, bool(src[a])))
+            if bits else st.just(list(src)),
+            wider, wrong_length)
+
+    # the state's own tuple, a neighbor, or at a few drawn cops anything else
+    odd = data.draw(st.sets(st.integers(0, k - 1), max_size=3))
+    dests = [data.draw(other(src) if i in odd
+                       else st.one_of(st.just(src), st.sampled_from(sorted(adj[src]))))
+             for i, src in enumerate(state.cops)]
+    expected = _explicit_cop_move_error(g, state.cops, dests)
     if expected is None:
-        assert apply_cop_move(state, dests).cops == tuple(dests)
+        assert apply_cop_move(state, dests).cops == tuple(map(tuple, dests))
+        assert {type(c) for c in apply_cop_move(state, dests).cops} == {tuple}
     else:
         with pytest.raises((InvalidVertexError, RuleViolation)) as err:
             apply_cop_move(state, dests)
@@ -419,6 +447,16 @@ def _dumps_lines(trace):
             for record in (trace.header, *trace.events)]
 
 
+def _configs_trace(configs):
+    """A hand-built trace: a cop turn and a robber turn for each
+    configuration, the robber turn sharing the cop turn's object."""
+    events = [{"round": r, "phase": phase, "cops": cops, "robber": (0, 0),
+               "event": None, "annotations": {}}
+              for r, cops in enumerate(configs, 1) for phase in ("cop-turn", "robber-turn")]
+    return MatchTrace({"graph": "grid:99x99", "k": len(configs[0]), "max_rounds": 9,
+                       "version": 1}, events)
+
+
 def test_trace_lines_are_json_dumps_of_each_record():
     from gridpursuit.cops import GreedyCops, make_cop_strategy
     from gridpursuit.engine import CopStrategy
@@ -473,6 +511,82 @@ def test_trace_lines_are_json_dumps_of_each_record():
     events[4]["annotations"] = {"z": 1, "a": [2.5, True]}
     events[5]["round"] = 1.5
     assert trace_to_jsonl(blockade).splitlines() == _dumps_lines(blockade)
+
+    # long configurations that keep most entries of the one before (the
+    # same objects at the same index), where a kept or a new entry is not
+    # an int tuple
+    k = _SHARE_MIN_COPS + 4
+    base = tuple((i, 2 * i) for i in range(k))
+
+    def changed(cops, **at):
+        cops = list(cops)
+        for i, value in at.items():
+            cops[int(i[1:])] = value
+        return tuple(cops)
+
+    shared_list = [5, 6]
+    first = changed(base, i3=(True, 0), i4=((1, 2), (3, 4)))  # not canonical, then reused
+    odd = [
+        changed(base, i2=[4, 4]),  # a shared position turns into a list
+        changed(base, i2=(True, 4)),  # a bool
+        changed(base, i2=(4.0, 4)),  # a float
+        changed(base, i2=((4, 4), (5, 5))),  # a nested tuple
+        changed(base, i2=(4, 4, 4), i5=()),
+        tuple(list(base)),  # every entry kept
+        base + ((9, 9),),  # one entry longer
+        base[:-1],
+        (),
+        changed(base, i0=shared_list),
+        changed(base, i0=shared_list, i1=(1, 1)),  # a kept list
+        changed(base, **{f"i{i}": (i, i) for i in range(k // 2)}),  # half kept
+        changed(base, **{f"i{i}": (i, i) for i in range(k // 2 + 1)}),  # less than half
+        list(base),
+        [(0, 0)] + list(base[1:]),
+    ]
+    configs = [first, changed(first, i0=(7, 7), i9=(8, 8)), changed(base, i0=(7, 7))]
+    for cops in odd:
+        configs += [base, cops, changed(cops, i1=(9, 9)) if len(cops) > 1 else cops]
+    configs += [base[:1], base[:1]]
+    trace = _configs_trace(configs)
+    assert trace_to_jsonl(trace).splitlines() == _dumps_lines(trace)
+
+
+def test_trace_writer_encodes_only_the_changed_coordinates(monkeypatch):
+    import gridpursuit.engine as engine
+    from gridpursuit.cops import make_cop_strategy
+    from gridpursuit.robbers import make_robber_strategy
+
+    trace = run_match(parse_graph("grid:5x5x5"), make_cop_strategy("blockade-3d"),
+                      make_robber_strategy("max-component"), 22)
+    assert len(trace.events[0]["cops"]) >= _SHARE_MIN_COPS
+    text = trace_to_jsonl(trace)
+    seen = []
+    encode = engine._encode
+
+    def counting(value):
+        if type(value) in (list, tuple):
+            seen.append(value)
+        return encode(value)
+
+    monkeypatch.setattr(engine, "_encode", counting)
+    assert trace_to_jsonl(trace) == text
+    # each new configuration is encoded whole, or, when it keeps at least
+    # half of the one before by identity, as the list of its other entries
+    configs = [trace.events[0]["cops"]]
+    for ev in trace.events[1:]:
+        if ev["cops"] is not configs[-1]:
+            configs.append(ev["cops"])
+    expected = [configs[0]]
+    for last, cops in zip(configs, configs[1:]):
+        fresh = [c for c, was in zip(cops, last) if c is not was]
+        if 2 * len(fresh) > len(cops):
+            expected.append(cops)
+        elif fresh:
+            expected.append(fresh)
+    assert seen == expected
+    assert all(a is b for got, want in zip(seen, expected) for a, b in zip(got, want))
+    encoded = sum(map(len, seen))
+    assert encoded < sum(map(len, configs)) / 4
 
 
 def test_shared_cops_lines_keep_their_checks():
