@@ -93,7 +93,10 @@ class RandomRobber(RobberStrategy):
 
     def place(self, graph, cops):
         lat = lattice(graph)
-        return self._draw(graph, lat.full & ~lat.mask_of(cops))
+        free = lat.full & ~lat.mask_of(cops)
+        if not free:
+            raise StrategyFault("no free vertex", side="robber")
+        return self._draw(graph, free)
 
     def move(self, state):
         return self._draw(state.graph, reachable_mask(state.graph, state.cops, state.robber))
@@ -119,16 +122,29 @@ class MaxComponentRobber(RobberStrategy):
     @staticmethod
     def choose(graph, cops, candidate_mask):
         """Candidate farthest from the nearest cop, ties to the lowest
-        vertex index (multi-source BFS over the full graph, which ends once
-        every candidate has been reached)."""
+        vertex index; a candidate on a cop is at distance 0.
+
+        A multi-source BFS from the cops, confined to the union of the
+        cop-free components that hold a free candidate, and ended once
+        every candidate has been reached.  It is exact: a shortest path
+        from a free vertex to its nearest cop runs through free vertices
+        joined to it, so inside its component, up to the cop.  The region
+        is found by component from each component's lowest free candidate;
+        for move's reachable set that is the component the lattice kept
+        from reachable_mask's flood, so no new flood is made."""
         if not candidate_mask:
             return None
         lat = lattice(graph)
-        frontier = seen = lat.mask_of(cops)
-        last_hit = frontier & candidate_mask
-        while frontier and candidate_mask & ~seen:
-            frontier = lat.expand(frontier) & ~seen
-            seen |= frontier
+        frontier = blocked = lat.mask_of(cops)
+        last_hit = blocked & candidate_mask
+        left, rest = 0, candidate_mask & ~blocked
+        while rest:
+            comp = lat.component((rest & -rest).bit_length() - 1, blocked)
+            left |= comp
+            rest &= ~comp
+        while frontier and candidate_mask & left:
+            frontier = lat.expand(frontier) & left
+            left ^= frontier
             hit = frontier & candidate_mask
             if hit:
                 last_hit = hit

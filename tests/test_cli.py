@@ -106,6 +106,20 @@ def test_match_retract_robber(capsys):
     assert json.loads(out)["outcome"] == "timeout"
 
 
+@pytest.mark.parametrize("seed", ["0", "6"])
+def test_random_robber_with_no_free_vertex_is_a_robber_fault(capsys, seed):
+    # both cops land on the two vertices the retraction maps onto
+    code, out, err = run_cli(
+        capsys,
+        "match", "--graph", "grid:4x4", "--cop", "random",
+        "--robber", "retract:random/grid:1x2", "--k", "2", "--seed", seed,
+        "--max-rounds", "50",
+    )
+    assert code == 2 and "Traceback" not in err
+    summary = json.loads(out)
+    assert (summary["outcome"], summary["fault_side"]) == ("fault", "robber")
+
+
 def test_bad_strategy_name_is_config_error(capsys):
     code, _, err = run_cli(
         capsys, "match", "--graph", "grid:3x3", "--cop", "bogus",

@@ -779,6 +779,10 @@ PINNED_TRACES = [
      "f94d14d77944c9efa909c8f673ddb3184e8b784c158a9ae9a1124b63e6588949"),
     ("torus:6x6", "torus-two-rows", "max-component", 12, 0, None,
      "5556859de740d447edd0061a1b822ecf6ac38888d7c2a35480cd6e110edce1d7"),
+    # the wall sweeps row by row, so max-component searches ever smaller
+    # components; captured at round 11
+    ("grid:12x12", "row-sweep", "max-component", 12, 0, None,
+     "66d4b6a9dea10f42edf32a6bd9c2e51270297ee5e0797840a0a3e22dbf8b4ac3"),
 ]
 
 

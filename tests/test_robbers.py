@@ -8,7 +8,7 @@ import pytest
 
 from gridpursuit.cops import Blockade3DCops, GreedyCops, RandomCops
 from gridpursuit.engine import GameState, Phase, run_match, trace_to_jsonl
-from gridpursuit.errors import ConfigurationError
+from gridpursuit.errors import ConfigurationError, StrategyFault
 from gridpursuit.grid import cube, format_graph, grid, parse_graph, product, torus
 from gridpursuit.robbers import (
     Grid2DEvader,
@@ -566,6 +566,19 @@ def test_stationary_places_first_free_vertex():
     assert v == (0, 2)
 
 
+def test_random_robber_with_no_free_vertex_faults():
+    g = grid(1, 2)
+    with pytest.raises(StrategyFault, match="no free vertex") as fault:
+        RandomRobber().place(g, ((0, 1), (0, 0)))
+    assert fault.value.side == "robber"
+    # a retraction onto a 1x2 grid maps two cops onto both of its vertices
+    g = grid(4, 4)
+    lifted = make_robber_strategy("retract:random/grid:1x2", g)
+    trace = run_match(g, RandomCops(), lifted, 2, max_rounds=50, seed=0)
+    assert (trace.outcome, trace.fault_side) == ("fault", "robber")
+    assert "no free vertex" in trace.events[-1]["annotations"]["error"]
+
+
 def test_random_robber_reproducible():
     t1 = run_match(grid(4, 4), GreedyCops(), RandomRobber(), 1, max_rounds=30, seed=5)
     t2 = run_match(grid(4, 4), GreedyCops(), RandomRobber(), 1, max_rounds=30, seed=5)
@@ -589,17 +602,44 @@ def test_max_component_choose_matches_a_bfs_oracle(g):
     verts = sorted(adj)  # lexicographic order is vertex index order
     rng = random.Random(format_graph(g))
     ties = 0
-    for _ in range(60):
-        # stacked cops, no cops, and candidates that hold a cop all occur
-        cops = [rng.choice(verts) for _ in range(rng.choice([0, 1, 1, 2, 3, 5]))]
-        candidates = rng.sample(verts, rng.randint(1, len(verts)))
+
+    def check(cops, candidates):
+        nonlocal ties
         mask = sum(1 << g.index(v) for v in candidates)
         dist = distances_from(adj, set(cops)) if cops else dict.fromkeys(verts, 0)
         far = max(dist[v] for v in candidates)
         best = [v for v in verts if v in candidates and dist[v] == far]
         ties += len(best) > 1
         assert MaxComponentRobber.choose(g, cops, mask) == best[0], (cops, candidates)
+
+    for _ in range(60):
+        # stacked cops, no cops, and candidates that hold a cop all occur
+        cops = [rng.choice(verts) for _ in range(rng.choice([0, 1, 1, 2, 3, 5]))]
+        check(cops, rng.sample(verts, rng.randint(1, len(verts))))
+    # the two callers' inputs on cops that cut the graph: move's one whole
+    # cop-free component, and place's union of the largest ones.  The cuts
+    # are full walls across a path axis, two walls across a cycle axis, and
+    # the spheres around a corner (a cube's Hamming levels among them)
+    cuts = [[v for v in verts if v[axis] in ({0, d.length // 2} if d.wrap else {d.length // 2})]
+            for axis, d in enumerate(g.dims) if d.length >= 3]
+    walled = len(cuts)
+    corner = distances_from(adj, {verts[0]})
+    cuts += [[v for v in verts if corner[v] == r] for r in range(1, max(corner.values()))]
+    largest = 0
+    for cops in cuts:
+        comps, rest = [], set(verts) - set(cops)
+        while rest:
+            comps.append(flood(adj, set(cops), min(rest)))
+            rest -= comps[-1]
+        assert len(comps) > 1
+        for comp in comps:
+            check(cops, comp)
+        top = max(map(len, comps))
+        union = set().union(*(c for c in comps if len(c) == top))
+        largest += len(union) > top
+        check(cops, union)
     assert ties
+    assert largest or not walled
     assert MaxComponentRobber.choose(g, [verts[0]], 0) is None
 
 
