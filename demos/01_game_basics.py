@@ -12,11 +12,15 @@ g = parse_graph("grid:5x5")
 print(f"graph {g!r}: {g.vertex_count} vertices")
 print("neighbors of (0, 0):", sorted(g.neighbors((0, 0))))
 
+# inside the library a vertex is its index, the mixed-radix rank of its
+# coordinates; g.index and g.vertex_at convert
+print("index of (2, 3):", g.index((2, 3)), "- vertex 13:", g.vertex_at(13))
+
 # a full column of cops is a wall: the far side is unreachable
-wall = [(2, y) for y in range(5)]
-component = reachable_set(g, wall, (0, 0))
+wall = [g.index((2, y)) for y in range(5)]
+component = reachable_set(g, wall, g.index((0, 0)))
 print(f"\nwith cops on column 2, a robber at (0,0) can reach {len(component)} vertices:")
-print(sorted(component))
+print(sorted(map(g.vertex_at, component)))
 
 # one cop per column sweeping downward always catches the robber
 print("\nrow sweep vs a component-maximizing robber on grid:5x5")

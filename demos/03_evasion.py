@@ -45,4 +45,4 @@ phis = [Fraction(ev["annotations"]["phi"]) for ev in trace.events
         if "phi" in ev["annotations"]]
 print(f"max potential ever held: {max(phis)} (= {float(max(phis)):.4f} < 1/2)")
 print("a cop at distance d contributes 1/C(n, d-1); e.g. adjacent cop:",
-      potential(cube(n), [(1,) + (0,) * 9], (0,) * 10))
+      potential(cube(n), [cube(n).index((1,) + (0,) * 9)], 0))

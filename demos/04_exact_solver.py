@@ -24,7 +24,7 @@ for label, g in [("path:5", grid(5, 1)), ("grid:2x2", grid(2, 2)),
 t0 = time.perf_counter()
 res = cop_number(grid(4, 4))
 print(f"\ngrid:4x4 resolves to {res.cop_number} cops "
-      f"({time.perf_counter()-t0:.1f}s, witness {res.witness_placement})")
+      f"({time.perf_counter()-t0:.1f}s, witness {[res.graph.vertex_at(v) for v in res.witness_placement]})")
 
 # optimal play straight off the table: one cop can never win on grid:3x3
 single = solve_game(grid(3, 3), 1)

@@ -9,8 +9,8 @@ trace, or a solver's witness, that does not replay through the match loop
 (an illegal or divergent move, a header whose version, k or graph disagrees
 with the events, an event past the header's max_rounds, a fault whose side
 is not the one acting in its phase, or no final capture/timeout/fault
-event); 2 strategy fault, including a strategy answer that is not an int
-vertex (or a list of them); 3 configuration/usage error, including a
+event); 2 strategy fault, including a strategy answer that is not a
+vertex index (or a list of them); 3 configuration/usage error, including a
 negative --k or --cops and a malformed trace (a line that is not JSON, is
 nested past the recursion limit or holds an integer past the int-string
 digit limit, or a record missing a field); 4 resource cap exceeded (the
@@ -49,9 +49,14 @@ def _emit(obj):
     print(json.dumps(obj, sort_keys=True))
 
 
+def _coords(graph, vertices):
+    """Vertex indices as coordinate lists."""
+    return [list(graph.vertex_at(v)) for v in vertices]
+
+
 def _witness(res):
     """A solver result's witness placement as coordinate lists, or None."""
-    return [list(v) for v in res.witness_placement] if res.witness_placement else None
+    return None if res.witness_placement is None else _coords(res.graph, res.witness_placement)
 
 
 def _parse_dims(text):
@@ -230,8 +235,8 @@ def cmd_replay(args) -> int:
             "events": len(trace.events),
             "outcome": trace.outcome,
             "round": trace.rounds,
-            "final_cops": [list(c) for c in final.cops],
-            "final_robber": list(final.robber) if final.robber else None,
+            "final_cops": _coords(final.graph, final.cops),
+            "final_robber": None if final.robber is None else list(final.graph.vertex_at(final.robber)),
             "replayed": True,
         }
     )

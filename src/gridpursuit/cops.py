@@ -6,7 +6,8 @@ surfaced through trace annotations so tests can assert them.  Greedy and
 random play exist as adversaries for exercising the evaders.
 
 All tie-breaking is fixed and documented per strategy: deterministic play
-is part of the trace-replay contract.
+is part of the trace-replay contract.  Like the engine, strategies see and
+answer positions as vertex indices.
 """
 from __future__ import annotations
 
@@ -54,11 +55,12 @@ class RowSweepCops(CopStrategy):
         _require_grid_2d(graph)
         width = graph.dims[0].length
         require(k >= width, f"row sweep needs k >= {width}, got {k}")
-        return [(x, 0) for x in range(width)] + [(0, 0)] * (k - width)
+        return [graph.index((x, 0)) for x in range(width)] + [0] * (k - width)
 
     def move(self, state):
-        bottom = state.graph.dims[1].length - 1
-        return [(x, y + 1 if y < bottom else y) for x, y in state.cops]
+        # a step down a row is one index up: y is the last coordinate
+        height = state.graph.dims[1].length
+        return [c + 1 if c % height < height - 1 else c for c in state.cops]
 
 
 class TorusTwoRowsCops(CopStrategy):
@@ -82,23 +84,20 @@ class TorusTwoRowsCops(CopStrategy):
         )
         width, height = graph.lengths
         require(k >= 2 * width, f"torus pincer needs k >= {2 * width}, got {k}")
-        wall = [(x, 0) for x in range(width)]
-        wall += [(x, height - 1) for x in range(width)]
-        return wall + [(0, 0)] * (k - 2 * width)
+        wall = [graph.index((x, 0)) for x in range(width)]
+        wall += [graph.index((x, height - 1)) for x in range(width)]
+        return wall + [0] * (k - 2 * width)
 
     def move(self, state):
         width, height = state.graph.lengths
         t = self._turns
         advancing = 2 * t + 2 <= height - 1  # new walls must not cross
-        dests = []
-        for i, (x, y) in enumerate(state.cops):
-            if not advancing or i >= 2 * width:
-                dests.append((x, y))
-            elif i < width:
-                dests.append((x, y + 1))
-            else:
-                dests.append((x, y - 1))
+        dests = list(state.cops)
         if advancing:
+            # a step along y, the last coordinate, moves the index by one
+            for i in range(width):
+                dests[i] += 1
+                dests[width + i] -= 1
             self._turns += 1
         self.last_annotations = {"top_row": min(t + 1, height - 1), "bottom_row": max(height - 2 - t, 0)}
         return dests
@@ -132,15 +131,15 @@ class DiagonalPairsCops(CopStrategy):
         require(k >= n - 1, f"diagonal pairs needs k >= {n - 1}, got {k}")
         pairs = []
         for j in range((n - 1) // 2):
-            pairs += [(2 * j + 1, 2 * j + 1)] * 2
-        return pairs + [(1, 1)] * (k - (n - 1))
+            pairs += [graph.index((2 * j + 1, 2 * j + 1))] * 2
+        return pairs + [graph.index((1, 1))] * (k - (n - 1))
 
     def move(self, state):
         g = state.graph
         n = g.dims[0].length
         strategists = n - 1  # cops beyond these are stacked extras
         if self._mode == "await":
-            x, y = state.robber
+            x, y = g.vertex_at(state.robber)
             if x == y:
                 self._mode = "surround"
                 self._map = CoordMap(g)
@@ -148,27 +147,28 @@ class DiagonalPairsCops(CopStrategy):
                 # work in coordinates where the robber is on the low-x side
                 self._map = CoordMap(g, perm=(0, 1) if x < y else (1, 0))
                 self._mode = "split"
+            # the canonical frame's unit steps as index offsets: across
+            # (+1 in canonical x) and down (+1 in canonical y)
+            cm = self._map
+            self._across, self._down = (g.index(cm.invert(v)) for v in ((1, 0), (0, 1)))
 
-        cm = self._map
-        canon = [cm.apply(c) for c in state.cops]
-        dests = list(canon)
+        cm, across, down = self._map, self._across, self._down
+        dests = list(state.cops)
 
         if self._mode == "split":
             for j in range(strategists // 2):
                 a, b = 2 * j, 2 * j + 1  # the pair that started on (2j+1, 2j+1)
-                cx, cy = canon[a]
-                dests[a] = (cx - 1, cy)
-                dests[b] = (cx, cy + 1)
+                dests[a] -= across
+                dests[b] += down
             self._mode = "sweep"
             self.last_annotations = {"phase": "split"}
         elif self._mode == "sweep":
             for i in range(strategists):
-                cx, cy = canon[i]
-                if cy < n - 1:
-                    dests[i] = (cx, cy + 1)
+                if dests[i] // down % n < n - 1:  # canonical y above the bottom row
+                    dests[i] += down
             self.last_annotations = {"phase": "sweep"}
         elif self._mode == "surround":
-            d = state.robber[0]
+            d = g.vertex_at(state.robber)[0]
             if d == 0:
                 targets = {(1, 1): [(0, 1), (1, 0)]}
             elif d == n - 1:
@@ -179,23 +179,23 @@ class DiagonalPairsCops(CopStrategy):
                     (d + 1, d + 1): [(d + 1, d), (d, d + 1)],
                 }
             for src, outs in targets.items():
+                src, outs = g.index(cm.invert(src)), [g.index(cm.invert(v)) for v in outs]
                 moved = 0
                 for i in range(strategists):
-                    if canon[i] == src and moved < len(outs):
+                    if state.cops[i] == src and moved < len(outs):
                         dests[i] = outs[moved]
                         moved += 1
             self._mode = "close"
             self.last_annotations = {"phase": "surround"}
         elif self._mode == "close":
             # the robber is pinned; walk one adjacent cop onto him
-            pinned = cm.apply(state.robber)
             for i in range(strategists):
-                if g.distance(canon[i], pinned) == 1:
-                    dests[i] = pinned
+                if g.is_edge(state.cops[i], state.robber):
+                    dests[i] = state.robber
                     break
             self.last_annotations = {"phase": "close"}
 
-        return [cm.invert(d) for d in dests]
+        return dests
 
 
 # --------------------------------------------------------------------------
@@ -240,8 +240,9 @@ class _LevelBlockadeCops(CopStrategy):
 
     def reset(self, graph, k, rng):
         super().reset(graph, k, rng)
-        self._map = None
-        self._canon = None  # the cops as the last move left them, canonical
+        self._flip = None  # whether the play is reflected, fixed at the first move
+        self._canon = None  # the cops' indices as the last move left them, canonical
+        self._sums = None  # and their canonical coordinate sums
         self._cops = None  # and as played
         self._level = None
         self._blocking = []
@@ -269,12 +270,11 @@ class _LevelBlockadeCops(CopStrategy):
         n = self._validate(graph, k)
         d = graph.ndim
         m = d * (n - 1) // 2
-        wall = [v for v in graph.vertices() if sum(v) == m]
+        wall = [i for i, v in enumerate(graph.vertices()) if sum(v) == m]
         positions = wall[:k]
         self._blocking = list(range(len(positions)))
-        depot = (n - 1,) * d
         self._reserve = list(range(len(positions), k))
-        positions += [depot] * (k - len(positions))
+        positions += [graph.vertex_count - 1] * (k - len(positions))  # the corner (n-1, ..., n-1)
         self._level = m
         return positions
 
@@ -290,25 +290,24 @@ class _LevelBlockadeCops(CopStrategy):
     def move(self, state):
         g = state.graph
         n = g.dims[0].length
-        axis = self.shift_axis
-        if self._map is None:
-            total = g.ndim * (n - 1)
-            if sum(state.robber) > self._level:
-                self._map = CoordMap(g, reflect=(True,) * g.ndim)
-                self._level = total - self._level
-            else:
-                self._map = CoordMap(g)
+        stride = g.strides[self.shift_axis]
+        # reflecting every coordinate maps index i to top - i
+        top = g.vertex_count - 1
+        if self._flip is None:
+            self._flip = sum(g.vertex_at(state.robber)) > self._level
+            if self._flip:
+                self._level = g.ndim * (n - 1) - self._level
             self._targets = {}
-            self._canon = [self._map.apply(c) for c in state.cops]
+            self._canon = [top - c if self._flip else c for c in state.cops]
+            self._sums = [sum(g.vertex_at(c)) for c in self._canon]
             self._cops = list(state.cops)
 
-        cm = self._map
-        canon = self._canon
+        canon, sums = self._canon, self._sums
         dests = list(canon)
 
         if not self._targets:
-            wanted = self._slice_targets(g, self._level)
-            pool = sorted(self._reserve, key=lambda i: canon[i])
+            wanted = map(g.index, self._slice_targets(g, self._level))
+            pool = sorted(self._reserve, key=canon.__getitem__)  # index order is lexicographic
             self._targets = dict(zip(pool, wanted))
 
         in_transit = {
@@ -317,27 +316,27 @@ class _LevelBlockadeCops(CopStrategy):
         if in_transit:
             for i, target in in_transit.items():
                 dests[i] = _lex_step(g, canon[i], target)
+                sums[i] += 1 if dests[i] > canon[i] else -1  # one coordinate, one step
             self.last_annotations = {"phase": "transit", "level": self._level}
         else:
             # shift: the wall steps down along the shift axis; cops already
             # on the axis floor hold still, arrived reserves become wall
             for i in self._blocking:
-                v = canon[i]
-                if v[axis] >= 1:
-                    dests[i] = v[:axis] + (v[axis] - 1,) + v[axis + 1 :]
+                if canon[i] // stride % n:
+                    dests[i] -= stride
+                    sums[i] -= 1
             self._level -= 1
             new_wall, new_reserve = [], []
-            for i in range(len(dests)):
-                (new_wall if sum(dests[i]) == self._level else new_reserve).append(i)
+            for i, level in enumerate(sums):
+                (new_wall if level == self._level else new_reserve).append(i)
             self._blocking, self._reserve = new_wall, new_reserve
             self._targets = {}
             self.last_annotations = {"phase": "shift", "level": self._level, "boundary": 1}
 
-        # the engine plays every answer as given, so only the cops that
-        # move need mapping back
+        # only the cops that move need mapping back
         cops = self._cops
         for i in compress(count(), map(ne, canon, dests)):
-            cops[i] = cm.invert(dests[i])
+            cops[i] = top - dests[i] if self._flip else dests[i]
         self._canon = dests
         return list(cops)
 
@@ -353,20 +352,21 @@ def _compositions(total, parts, top):
 
 
 def _lex_step(g, src, dst):
-    """One step along the lexicographic shortest path from src to dst:
-    lowest differing dimension first, decreasing before increasing."""
-    for i, d in enumerate(g.dims):
-        a, b = src[i], dst[i]
+    """One step along the lexicographic shortest path from vertex index src
+    to dst: lowest differing dimension first, decreasing before increasing
+    when a cycle offers both directions equally."""
+    if src == dst:
+        return src
+    for d, stride in zip(g.dims, g.strides):
+        length = d.length
+        a, b = src // stride % length, dst // stride % length
         if a == b:
             continue
-        length = d.length
         if d.wrap:
             delta = (b - a) % length
             step = -1 if delta >= length - delta else 1
-        else:
-            step = 1 if b > a else -1
-        c = (a + step) % length if d.wrap else a + step
-        return src[:i] + (c,) + src[i + 1 :]
+            return src + ((a + step) % length - a) * stride
+        return src + (stride if b > a else -stride)
     return src
 
 
@@ -417,20 +417,19 @@ class GreedyCops(CopStrategy):
 
     def place(self, graph, k):
         total = graph.vertex_count
-        return [graph.vertex_at(i * total // k) for i in range(k)]
+        return [i * total // k for i in range(k)]
 
     def move(self, state):
         return [_lex_step(state.graph, c, state.robber) for c in state.cops]
 
 
 class RandomCops(CopStrategy):
-    """Independently uniform moves over each cop's closed neighborhood.
+    """Independently uniform moves over each cop's closed neighborhood, in
+    ascending index order.
 
     Each match keeps a table from a vertex to its closed neighborhood, a
     tuple, filled as the cops reach vertices and made anew by reset, so an
-    instance reused on another graph never reads a stale entry.  The table
-    holds one tuple per vertex, keys and neighborhoods alike, so a cop that
-    stays put answers with the very tuple it stands on.
+    instance reused on another graph never reads a stale entry.
     """
 
     name = "random"
@@ -438,11 +437,10 @@ class RandomCops(CopStrategy):
     def reset(self, graph, k, rng):
         super().reset(graph, k, rng)
         self._options = {}
-        self._vertex = {}  # a vertex -> the one tuple the table holds for it
 
     def place(self, graph, k):
         total = graph.vertex_count
-        return [graph.vertex_at(self.rng.randrange(total)) for _ in range(k)]
+        return [self.rng.randrange(total) for _ in range(k)]
 
     def move(self, state):
         g, table, randrange = state.graph, self._options, self.rng.randrange
@@ -450,8 +448,7 @@ class RandomCops(CopStrategy):
         for c in state.cops:
             options = table.get(c)
             if options is None:
-                one, near = self._vertex.setdefault, g.closed_neighborhood(c)
-                options = table[one(c, c)] = tuple(map(one, near, near))
+                options = table[c] = tuple(g.closed_neighbors(c))
             dests.append(options[randrange(len(options))])
         return dests
 

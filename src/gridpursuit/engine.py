@@ -6,6 +6,12 @@ robber relocates anywhere within the cop-free connected component of his
 current vertex).  Capture is co-location only: a cop must land on the
 robber; the robber may never end a move on an occupied vertex.
 
+Positions are vertex indices (GraphSpec.index, the mixed-radix rank of a
+vertex's coordinates): a state's cops are a tuple of ints, the robber an
+int or None, and strategies answer the same way.  Coordinates appear only
+at the boundary: in traces, in rendering and in the text of errors,
+violations and annotations.
+
 GameState values are immutable; run_match keeps all mutable strategy
 memory inside the strategy instances, so distinct matches can run
 concurrently as long as they do not share instances.
@@ -16,9 +22,9 @@ import json
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import chain as _chain
+from functools import lru_cache
 from itertools import compress, count
-from operator import countOf, is_, is_not, ne
+from operator import ne
 
 from .errors import (
     ConfigurationError,
@@ -59,15 +65,17 @@ class Phase(Enum):
 class GameState:
     """Snapshot between actions.
 
-    round is 0 during placement, then counts completed-or-running rounds;
-    it increments exactly when play passes from a robber turn back to a cop
+    cops is a tuple of vertex indices, robber a vertex index or None before
+    his placement; graph.vertex_at gives their coordinates.  round is 0
+    during placement, then counts completed-or-running rounds; it
+    increments exactly when play passes from a robber turn back to a cop
     turn.  winner is set ("cops") only on capture; a timeout is a property
     of the match runner, not of the state.
     """
 
     graph: GraphSpec
     cops: tuple
-    robber: tuple | None
+    robber: int | None
     phase: Phase
     round: int = 0
     winner: str | None = None
@@ -77,10 +85,40 @@ def initial_state(g: GraphSpec) -> GameState:
     return GameState(g, (), None, Phase.COP_PLACEMENT)
 
 
-def reachable_mask(g: GraphSpec, cops, frm, stop: int = 0) -> int:
-    """Bitboard of the vertices the robber at frm can reach through cop-free
-    paths: the connected component of frm after deleting every cop-occupied
-    vertex, frm included.
+def _point(g: GraphSpec, v):
+    """The coordinates of vertex index v; any other value as it is."""
+    return g.vertex_at(v) if type(v) is int and 0 <= v < g.vertex_count else v
+
+
+def _points(g: GraphSpec, vertices):
+    """_point of each entry of a list or tuple; any other value as it is."""
+    return [_point(g, v) for v in vertices] if type(vertices) in _SEQ else vertices
+
+
+def _check_vertex(g: GraphSpec, v):
+    if type(v) is not int or not 0 <= v < g.vertex_count:
+        raise InvalidVertexError(f"{v!r} is not a vertex of {format_graph(g)}")
+
+
+_INT, _SEQ = {int}, {list, tuple}
+
+
+def _vertices(g: GraphSpec, answer) -> tuple:
+    """A strategy's answer as a tuple of vertex indices, or
+    InvalidVertexError at its first entry that is no vertex index: it must
+    be a list or tuple of Python ints (a bool is not one) in
+    range(vertex_count)."""
+    if type(answer) not in _SEQ:
+        raise InvalidVertexError(f"not a list of vertices: {answer!r}")
+    for v in answer:
+        _check_vertex(g, v)
+    return tuple(answer)
+
+
+def reachable_mask(g: GraphSpec, cops, frm: int, stop: int = 0) -> int:
+    """Bitboard of the vertices the robber at index frm can reach through
+    cop-free paths: the connected component of frm after deleting every
+    cop-occupied vertex (cops: vertex indices), frm included.
 
     This is the engine's one reachability primitive.  frm must be a free
     vertex.  With a nonzero stop mask the flood fill ends as soon as it
@@ -88,122 +126,61 @@ def reachable_mask(g: GraphSpec, cops, frm, stop: int = 0) -> int:
     component when the lattice kept it from an earlier flood of the same
     cops, and it meets stop exactly when the whole component does.
     """
-    g.check_vertex(frm)
+    _check_vertex(g, frm)
     lat = lattice(g)
     blocked = lat.mask_of(cops)
-    start = g.index(frm)
-    if blocked >> start & 1:
-        raise RuleViolation(f"source {frm} is occupied by a cop")
-    return lat.component(start, blocked, stop)
+    if blocked >> frm & 1:
+        raise RuleViolation(f"source {g.vertex_at(frm)} is occupied by a cop")
+    return lat.component(frm, blocked, stop)
 
 
-def reachable_set(g: GraphSpec, cops, frm) -> set:
-    """Vertices the robber at frm can reach (see reachable_mask)."""
+def reachable_set(g: GraphSpec, cops, frm: int) -> set:
+    """Indices of the vertices the robber at frm can reach (see
+    reachable_mask)."""
     return lattice(g).set_of(reachable_mask(g, cops, frm))
-
-
-_INT, _SEQ, _TUPLE = {int}, {list, tuple}, {tuple}
-
-
-def _is_points(value) -> bool:
-    """Whether value is a list or tuple of lists or tuples of Python ints."""
-    return (
-        type(value) in _SEQ
-        and _SEQ.issuperset(map(type, value))
-        and _INT.issuperset(map(type, _chain.from_iterable(value)))
-    )
-
-
-def _int_tuples(points: list) -> bool:
-    """Whether every entry of points is a tuple of Python ints."""
-    return _TUPLE.issuperset(map(type, points)) and _INT.issuperset(
-        map(type, _chain.from_iterable(points))
-    )
-
-
-def _vertices(answer) -> tuple:
-    """A strategy's answer as a tuple of coordinate tuples, or
-    InvalidVertexError.  Ranges are check_vertex's job.  apply_cop_move
-    checks a long answer's changed entries alone (see _changed) and calls
-    this only when that check does not pass, for the full check's error or
-    to convert lists."""
-    if not _is_points(answer):
-        raise InvalidVertexError(f"not a list of int coordinate tuples: {answer!r}")
-    return tuple(map(tuple, answer))
-
-
-def _changed(answer, known) -> list | None:
-    """The indices at which answer holds another object than known does,
-    or None unless answer is a list or tuple as long as known and its
-    entries at those indices are tuples of Python ints."""
-    if type(answer) in _SEQ and len(answer) == len(known):
-        changed = list(compress(count(), map(is_not, answer, known)))
-        if _int_tuples(list(map(answer.__getitem__, changed))):
-            return changed
-    return None
 
 
 def place_cops(state: GameState, positions) -> GameState:
     if state.phase is not Phase.COP_PLACEMENT:
         raise RuleViolation(f"cannot place cops during {state.phase.value}")
-    positions = _vertices(positions)
-    for p in positions:
-        state.graph.check_vertex(p)
-    return replace(state, cops=positions, phase=Phase.ROBBER_PLACEMENT)
+    return replace(state, cops=_vertices(state.graph, positions), phase=Phase.ROBBER_PLACEMENT)
 
 
 def place_robber(state: GameState, v) -> GameState:
     if state.phase is not Phase.ROBBER_PLACEMENT:
         raise RuleViolation(f"cannot place robber during {state.phase.value}")
-    (v,) = _vertices((v,))
-    state.graph.check_vertex(v)
+    _check_vertex(state.graph, v)
     if v in state.cops:
-        raise RuleViolation(f"robber placement {v} is cop-occupied")
+        raise RuleViolation(f"robber placement {state.graph.vertex_at(v)} is cop-occupied")
     return replace(state, robber=v, phase=Phase.COP_TURN, round=1)
 
 
-# A configuration of at least this many cops is compared entry by entry
-# with the one before it, by identity: apply_cop_move checks only the
-# entries that are not the state's own tuples, and trace_to_jsonl reuses
-# the texts of the shared ones.  On short configurations the index pass
-# costs more than it saves: in apply_cop_move, with 15-20% of the entries
-# unchanged it broke even at 18-23 cops and cost 5% at 8-12 (best of 31),
-# while the level blockades, 252-342 cops with 93-96% unchanged, check
-# about 3x faster.
-_SHARE_MIN_COPS = 16
-
-
 def apply_cop_move(state: GameState, dests) -> GameState:
-    """Joint cop move: dests[i] must lie in the closed neighborhood of cop i.
+    """Joint cop move: dests[i], a vertex index, must lie in the closed
+    neighborhood of cop i.
 
-    An answer of at least _SHARE_MIN_COPS entries is checked only where it
-    holds another object than the state: an entry that is the very tuple
-    state.cops holds at its index was checked when it entered the state (a
-    GameState's positions are those the engine checked), and a tuple of
-    ints cannot change, so it is neither type-checked again nor a move.  An
-    equal entry that is another object, such as a fresh tuple, a list or a
-    tuple holding a float or a bool, is checked as before.  Errors, their
-    order (type, then the number of entries, then the first bad step) and
-    their cop_index are those of the full check.
+    dests must be a list or tuple of Python ints as long as state.cops.
+    Only the cops whose entry differs from the state's are checked, each
+    by index arithmetic (GraphSpec.is_edge): an entry equal to the state's
+    is a vertex already.  Errors come in this order: a value that is no
+    list of ints (InvalidVertexError), the number of entries, then the
+    first cop in order whose step fails, as InvalidVertexError when its
+    destination is off the graph and otherwise as RuleViolation with that
+    cop's cop_index.
     """
     if state.phase is not Phase.COP_TURN:
         raise RuleViolation(f"not a cop turn: {state.phase.value}")
     g, cops = state.graph, state.cops
-    if len(cops) < _SHARE_MIN_COPS or (changed := _changed(dests, cops)) is None:
-        dests = _vertices(dests)
-        if len(dests) != len(cops):
-            raise RuleViolation(f"expected {len(cops)} destinations, got {len(dests)}")
-        changed = compress(count(), map(ne, cops, dests))
-    else:
-        dests = tuple(dests)
-    # only the cops whose entry changed are checked, and an equal entry is
-    # no move: an int tuple equal to a vertex is one, and adjacent() is
-    # true only of a neighbor in range, so the vertex check runs on a failed
-    # step alone, to raise InvalidVertexError ahead of RuleViolation
-    for i in changed:
-        if not g.adjacent(cops[i], dests[i]) and cops[i] != dests[i]:
-            g.check_vertex(dests[i])
-            raise RuleViolation(f"cop {i} cannot step {cops[i]} -> {dests[i]}", cop_index=i)
+    if type(dests) not in _SEQ or not _INT.issuperset(map(type, dests)):
+        _vertices(g, dests)  # raises the type error
+    if len(dests) != len(cops):
+        raise RuleViolation(f"expected {len(cops)} destinations, got {len(dests)}")
+    for i in compress(count(), map(ne, cops, dests)):
+        if not g.is_edge(cops[i], dests[i]):
+            _check_vertex(g, dests[i])
+            raise RuleViolation(f"cop {i} cannot step {g.vertex_at(cops[i])} -> "
+                                f"{g.vertex_at(dests[i])}", cop_index=i)
+    dests = tuple(dests)
     # direct construction: dataclasses.replace costs twice as much per turn
     if state.robber in dests:
         return GameState(g, dests, state.robber, Phase.OVER, state.round, "cops")
@@ -211,20 +188,21 @@ def apply_cop_move(state: GameState, dests) -> GameState:
 
 
 def apply_robber_move(state: GameState, dest) -> GameState:
-    """Robber relocation along any cop-free path; staying put is always legal."""
+    """Robber relocation to the vertex index dest along any cop-free path;
+    staying put is always legal."""
     if state.phase is not Phase.ROBBER_TURN:
         raise RuleViolation(f"not a robber turn: {state.phase.value}")
-    (dest,) = _vertices((dest,))
     g = state.graph
-    g.check_vertex(dest)
+    _check_vertex(g, dest)
     if dest in state.cops:
-        raise RuleViolation(f"robber destination {dest} is cop-occupied")
+        raise RuleViolation(f"robber destination {g.vertex_at(dest)} is cop-occupied")
     # a step to a neighbour needs no flood: dest is cop-free, and so is the
     # robber's own vertex in any robber turn
-    if dest != state.robber and not g.adjacent(state.robber, dest):
-        target = 1 << g.index(dest)
+    if dest != state.robber and not g.is_edge(state.robber, dest):
+        target = 1 << dest
         if not reachable_mask(g, state.cops, state.robber, target) & target:
-            raise RuleViolation(f"no cop-free path from {state.robber} to {dest}")
+            raise RuleViolation(
+                f"no cop-free path from {g.vertex_at(state.robber)} to {g.vertex_at(dest)}")
     return GameState(g, state.cops, dest, Phase.COP_TURN, state.round + 1)
 
 
@@ -300,18 +278,13 @@ class MatchTrace:
     (0 when the robber had no free placement vertex) or the number of
     completed rounds otherwise.
 
-    Events hold positions as GameState does: "cops" is a tuple of
-    coordinate tuples and "robber" a tuple or None.  Consecutive events
-    with the same cop configuration share one "cops" tuple (a robber turn
-    repeats the cop turn's), in traces that run_match records and in those
-    trace_from_jsonl parses.  In a parsed trace, equal coordinates of the
-    cops texts that went through its coordinate memo (those longer than
-    _MEMO_MIN_CHARS characters) also share one tuple.  In a recorded one, a
-    cop whose strategy answered with the tuple it stood on keeps that
-    tuple in the next configuration (the blockades and the random cops do
-    so).  A coordinate tuple kept this way, the same object at the same
-    index, is what apply_cop_move does not check again and trace_to_jsonl
-    does not encode again.
+    Events hold positions as GameState does: "cops" is a tuple of vertex
+    indices and "robber" an index or None.  Consecutive events with the
+    same cop configuration share one "cops" tuple (a robber turn repeats
+    the cop turn's), in traces that run_match records and in those
+    trace_from_jsonl parses.  A parsed trace may also hold a coordinate
+    that is no vertex of its graph (out of range, or of another arity) as
+    a tuple of ints, which replay rejects as an illegal action.
     """
 
     header: dict
@@ -463,75 +436,124 @@ _TERMINAL = ("capture", "timeout", "fault")
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def _cops_json(cops, last, last_json, pieces):
-    """The JSON text of cops, given the last configuration written (last),
-    its text and, when known, its per-coordinate texts: (text, pieces of
-    cops or None).
+class _Codec:
+    """One graph's vertex texts in traces: a vertex's coordinates as
+    _encode writes them, without the brackets ("3,0,12").
 
-    When cops has at least _SHARE_MIN_COPS entries, at least half of them
-    are the very objects at the same index in last, and every entry of
-    last and every other entry of cops is a tuple of Python ints, the
-    shared entries reuse last's texts and the others are encoded together
-    by one _encode call, split on "],[".  An int tuple's text is "[" + its
-    ints + "]", with no "],[" inside, so the joined text is the one _encode
-    gives for the whole.  Otherwise cops is encoded whole.
+    text maps a vertex index to its text and index a text to its vertex
+    index.  Both fill as vertices are written or read, never ahead, so the
+    table holds only the vertices met and nothing sized by the vertex
+    count; an entry's text is one string shared by both maps.  Entries are
+    added whole and never change, so concurrent writes and parses may
+    share the table.
     """
-    if (
-        type(cops) in _SEQ
-        and type(last) in _SEQ
-        and len(last) >= _SHARE_MIN_COPS
-        and 2 * countOf(map(is_, cops, last), True) >= len(cops)
-        and (changed := _changed(cops, last)) is not None
-        and (pieces is not None or _int_tuples(last))
-    ):
-        # the identity count first: it is cheaper than _changed's type
-        # check, which a configuration that keeps less than half skips
-        pieces = last_json[2:-2].split("],[") if pieces is None else pieces.copy()
-        if changed:
-            fresh = list(map(cops.__getitem__, changed))
-            for i, text in zip(changed, _encode(fresh)[2:-2].split("],[")):
-                pieces[i] = text
-        return "[[" + "],[".join(pieces) + "]]", pieces
-    return _encode(cops), None
+
+    def __init__(self, graph: GraphSpec):
+        self.graph, self.text, self.index = graph, {}, {}
+
+    def _add(self, text: str, v: int):
+        self.index[text] = v
+        self.text[v] = text
+
+    def _admit(self, text: str) -> bool:
+        """Whether text is the canonical text of a vertex, which is then
+        in the table: one int per dimension, in range, each as str(int)
+        writes it (int() alone would also take signs, spaces and leading
+        zeros)."""
+        try:
+            coords = tuple(map(int, text.split(",")))
+        except ValueError:
+            return False
+        if ",".join(map(str, coords)) != text or not self.graph.contains(coords):
+            return False
+        self._add(text, self.graph.index(coords))
+        return True
+
+    def cops_json(self, cops) -> str:
+        """The JSON text of a cop configuration, joined from the texts of
+        its vertices, or _encode's text of its coordinates when an entry
+        is no vertex index."""
+        if type(cops) in _SEQ and _INT.issuperset(map(type, cops)):
+            try:
+                return "[[" + "],[".join(map(self.text.__getitem__, cops)) + "]]" if cops else "[]"
+            except KeyError:
+                g = self.graph
+                if 0 <= min(cops) and max(cops) < g.vertex_count:
+                    for v in set(cops):
+                        if v not in self.text:
+                            self._add(",".join(map(str, g.vertex_at(v))), v)
+                    return self.cops_json(cops)
+        return _encode(_points(self.graph, cops))
+
+    def cops_of(self, text: str):
+        """The vertex indices of a "cops" text as a tuple, or None unless
+        the text is the canonical JSON of a list of vertices, which
+        json.loads decodes to the same coordinates."""
+        if text == "[]":
+            return ()
+        if text[:2] != "[[" or text[-2:] != "]]":
+            return None
+        pieces = text[2:-2].split("],[")
+        try:
+            return tuple(map(self.index.__getitem__, pieces))
+        except KeyError:
+            if all(piece in self.index or self._admit(piece) for piece in pieces):
+                return tuple(map(self.index.__getitem__, pieces))
+        return None
+
+    def vertex(self, coords):
+        """The vertex index of a list of ints, or the ints as a tuple when
+        they are no vertex of the graph."""
+        text = ",".join(map(str, coords))
+        return self.index[text] if text in self.index or self._admit(text) else tuple(coords)
+
+
+# the codec table of each graph, made on first use
+_codec = lru_cache(maxsize=256)(_Codec)
 
 
 def trace_to_jsonl(trace: MatchTrace) -> str:
     """Serialize header + events, one JSON object per line, byte-stable.
 
-    Each line is json.dumps(record, sort_keys=True, separators=(",", ":")).
+    Each line is json.dumps(record, sort_keys=True, separators=(",", ":"))
+    of the record with its positions as coordinate lists (graph.vertex_at
+    of each index; a value that is no vertex index is written as it is).
     An event with exactly the six fields _event writes is assembled from
-    its encoded parts, and "cops" shared with the event before (the same
-    object) is encoded once for both.  A new "cops" that keeps at least
-    half of the previous one's coordinate tuples, the same objects at the
-    same index, reuses their texts and encodes only the others (see
-    _cops_json): a level blockade's wall stands still while a few reserves
-    walk.  The writer's state lives in the call.
+    its encoded parts: its "cops" text joins the texts the graph's codec
+    table keeps per vertex, and "cops" shared with the event before (the
+    same object) is joined once for both.  The header's graph must parse.
     """
     if not trace.events:
         raise ValueError("trace has no recorded events (record_events=False?)")
+    codec = _codec(parse_graph(trace.header["graph"]))
+    g = codec.graph
     lines = [_encode(trace.header)]
-    cops, cops_json, pieces = None, "null", None  # a pair _encode agrees with
+    cops, cops_json = None, "null"  # a pair _encode agrees with
     for ev in trace.events:
         if type(ev) is not dict or ev.keys() != _EVENT_FIELDS:
+            if type(ev) is dict:  # positions as coordinates, where it has them
+                ev = {**ev, **{key: (_points if key == "cops" else _point)(g, ev[key])
+                               for key in ("cops", "robber") if key in ev}}
             lines.append(_encode(ev))
             continue
         if ev["cops"] is not cops:
-            cops_json, pieces = _cops_json(ev["cops"], cops, cops_json, pieces)
-            cops = ev["cops"]
+            cops, cops_json = ev["cops"], codec.cops_json(ev["cops"])
         # sorted keys: annotations, cops, then the rest in one object
         rest = _encode({"event": ev["event"], "phase": ev["phase"],
-                        "robber": ev["robber"], "round": ev["round"]})
+                        "robber": _point(g, ev["robber"]), "round": ev["round"]})
         lines.append(f'{{"annotations":{_encode(ev["annotations"])},"cops":{cops_json},{rest[1:]}')
     return "\n".join(lines) + "\n"
 
 
-def _check_event(ev, line_no, checked):
-    """Raise TraceFormatError unless ev has the fields and types _event writes.
+def _is_point(value) -> bool:
+    """Whether a decoded JSON value is a list of ints (a bool is not one)."""
+    return type(value) is list and _INT.issuperset(map(type, value))
 
-    A "cops" value that is the list checked, the same object, or a tuple
-    (only the coordinate memo makes one, already checked) is not checked
-    again.
-    """
+
+def _check_event(ev, line_no):
+    """Raise TraceFormatError unless ev has the fields and types _event
+    writes.  Positions held as a tuple of indices were checked and
+    converted when the line was decoded in parts."""
     if type(ev) is not dict:
         raise TraceFormatError(f"trace line {line_no}: event is not a JSON object")
     if not ev.keys() >= _EVENT_FIELDS:
@@ -541,8 +563,8 @@ def _check_event(ev, line_no, checked):
         type(ev["round"]) is int
         and type(ev["phase"]) is str
         and (ev["event"] is None or type(ev["event"]) is str)
-        and (ev["cops"] is checked or type(ev["cops"]) is tuple or _is_points(ev["cops"]))
-        and (ev["robber"] is None or _is_points([ev["robber"]]))
+        and (type(ev["cops"]) is tuple or (type(ev["cops"]) is list and all(map(_is_point, ev["cops"]))
+                                            and (ev["robber"] is None or _is_point(ev["robber"]))))
         and type(ev["annotations"]) is dict
         and all(type(note) is str for note in ev["annotations"].values())
     ):
@@ -566,58 +588,19 @@ def _load(ln, line_no):
 _scan = json.JSONDecoder().scan_once
 _TAIL_FIELDS = _EVENT_FIELDS - {"annotations", "cops"}
 
-# A new "cops" text longer than this many characters is decoded through the
-# parse's coordinate memo, a shorter one by the scanner whole.  A coordinate
-# the memo holds costs a dict lookup, a new one about twice its share of a
-# whole scan, so the memo wins on long texts whose coordinates repeat.  On
-# traces of random cops where about 90% of a new configuration's coordinates
-# had appeared before, a line parsed in 0.95-1.02x the scan's time from 28 to
-# 84 characters and in 0.84-0.92x from 98 to 165 characters, crossing near
-# 90; on the 25-40 character lines of solver witnesses, where half repeat,
-# it took 1.3x.
-_MEMO_MIN_CHARS = 128
 
-
-def _memo_points(text, memo):
-    """A "cops" text as a tuple of coordinate tuples taken from memo, or
-    None when it is not the canonical JSON of a list of int lists.
-
-    memo maps a piece of text, the inside of one coordinate's brackets, to
-    the int tuple _encode writes as "[" + piece + "]".  The pieces of a text
-    "[[...]]" are its inside split on "],[".  The pieces memo lacks are
-    decoded together in one scan and stored only if they are int lists that
-    _encode gives back as the very text scanned.  When every piece maps,
-    text is the canonical JSON of those tuples, so json.loads would give
-    the same ints.  A scan error propagates.
-    """
-    if not (text.startswith("[[") and text.endswith("]]")):
-        return None
-    pieces = text[2:-2].split("],[")
-    missing = [piece for piece in pieces if piece not in memo]
-    if missing:
-        joined = "[[" + "],[".join(missing) + "]]"
-        points = _scan(joined, 0)[0]
-        if not _is_points(points) or _encode(points) != joined:
-            return None
-        memo.update(zip(missing, map(tuple, points)))
-    return tuple(map(memo.__getitem__, pieces))
-
-
-def _load_written(ln, last, memo):
-    """An event line laid out as trace_to_jsonl writes it, decoded in parts:
-    (event, (its "cops" text, the value it decoded to)), or None for a line
-    of any other layout.
+def _load_written(ln, last, codec):
+    """An event line laid out as trace_to_jsonl writes it, decoded in parts
+    with its positions as vertex indices: (event, (its "cops" text, the
+    tuple it maps to)), or None for a line of any other layout or whose
+    positions are not canonical coordinate lists.
 
     A "cops" text equal to the one in last is not decoded again: the event
-    holds last's value, since equal text decodes to an equal value, types
-    included.  A new text longer than _MEMO_MIN_CHARS ends at the first
-    ',"event":' after it (canonical text holds no quote) and is looked up
-    coordinate by coordinate in memo, a dict that lives for one parse (see
-    _memo_points): the event then holds a tuple of memo's tuples, checked
-    and converted.  Any other text is scanned whole into a list.  The parts
-    give json.loads(ln): the line must be "annotations", then "cops", then
-    an object of exactly the other four fields, and a JSON value ends where
-    its text does.
+    holds last's tuple.  A new text ends at the first ',"event":' after it
+    (canonical text holds no quote) and maps coordinate by coordinate
+    through codec.  The parts give json.loads(ln): the line must be
+    "annotations", then "cops", then an object of exactly the other four
+    fields, and a JSON value ends where its text does.
     """
     if not ln.startswith('{"annotations":'):
         return None
@@ -629,15 +612,16 @@ def _load_written(ln, last, memo):
         cops, end = last[1], at + len(last[0])
     else:
         end = ln.find(',"event":', at)
-        cops = _memo_points(ln[at:end], memo) if end - at > _MEMO_MIN_CHARS else None
+        cops = codec.cops_of(ln[at:end]) if end > at else None
         if cops is None:
-            cops, end = _scan(ln, at)
-            if not ln.startswith(',"event":', end):
-                return None
+            return None
         last = ln[at:end], cops
     tail, stop = _scan("{" + ln[end + 1:], 0)
-    if stop != len(ln) - end or tail.keys() != _TAIL_FIELDS:
+    robber = tail.get("robber")
+    if stop != len(ln) - end or tail.keys() != _TAIL_FIELDS or not (
+            robber is None or _is_point(robber)):
         return None
+    tail["robber"] = robber if robber is None else codec.vertex(robber)
     return {"annotations": notes, "cops": cops, **tail}, last
 
 
@@ -647,59 +631,55 @@ def trace_from_jsonl(text: str) -> MatchTrace:
     Raises TraceFormatError when a line is not JSON (or nests deeper than
     the recursion limit, or holds an integer longer than Python's int-string
     limit) or a record lacks a field or has one of the wrong type; every
-    line is decoded before any record is checked.  Positions become tuples,
-    as in the events run_match records, and consecutive equal cop
-    configurations share one tuple.  Legality is replay_trace's job.
+    line is decoded before any record is checked.  Then the header's graph
+    must parse (GraphFormatError).  Positions become vertex indices, as in
+    the events run_match records, and consecutive equal cop configurations
+    share one tuple.  A coordinate list that is no vertex of the graph (out
+    of range, or of another arity) stays a tuple of ints, which replay
+    rejects.  Legality is replay_trace's job.
 
-    An event line in trace_to_jsonl's layout is decoded in parts, and a
-    "cops" text that repeats the line before (a robber turn repeats the cop
-    turn's) is decoded, checked and converted once.  A new "cops" text
-    longer than _MEMO_MIN_CHARS characters (on a 3D grid, about 15 cops
-    or more) is read through a coordinate memo local to the call: each
-    distinct coordinate text is decoded, checked and converted once per
-    parse, and equal coordinates share one tuple.  A text takes the memo
-    only when it is the canonical JSON of its coordinates, which json.loads
-    decodes to the same ints, so results and error precedence are
-    unchanged; any other text is scanned whole.  Any other line goes
-    through json.loads whole, with the same result.  No state outlives the
-    call, so parses may run concurrently.
+    An event line in trace_to_jsonl's layout is decoded in parts: each
+    canonical coordinate text maps to its index through the graph's codec
+    table, and a "cops" text that repeats the line before (a robber turn
+    repeats the cop turn's) is mapped once.  Any other line, and one whose
+    positions are not all canonical text, goes through json.loads whole
+    with the same result.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ReplayError("empty trace")
-    records = [_load(lines[0], 1)]
-    last = None  # the text and value of the last "cops" decoded in parts
-    memo = {}  # coordinate text -> int tuple, for this parse only
+    records = [header := _load(lines[0], 1)]
+    try:
+        codec = _codec(parse_graph(header["graph"]))
+    except (TypeError, KeyError, ValueError):  # GraphFormatError is a ValueError
+        codec = None  # every line is decoded whole, and the header's error follows
+    last = None  # the text and tuple of the last "cops" decoded in parts
     for line_no, ln in enumerate(lines[1:], 2):
         try:
-            parsed = _load_written(ln, last, memo)
+            parsed = codec and _load_written(ln, last, codec)
         except (StopIteration, ValueError, RecursionError):
             parsed = None  # json.loads raises the error, or decodes the line
         ev, last = parsed or (_load(ln, line_no), None)
         records.append(ev)
-    header = records[0]
     if type(header) is not dict or any(
         type(header.get(key)) is not kind for key, kind in _HEADER_FIELDS.items()
     ):
         raise TraceFormatError(
             f"trace header needs {', '.join(_HEADER_FIELDS)} (string graph, integer rest)"
         )
-    trace = MatchTrace(header=header)
-    raw, cops = [], ()  # the last cops value checked and its tuple
     for line_no, ev in enumerate(records[1:], 2):
-        # a value taken over from the line before was checked there.  An
-        # equal list is shared only after its check: 1.0 == 1 and
-        # True == 1, so it may still hold a float or a bool coordinate.
-        # A tuple came from the memo, checked and converted
-        _check_event(ev, line_no, raw)
-        if type(ev["cops"]) is tuple:
-            cops = ev["cops"]
-        elif ev["cops"] != raw:
-            cops = tuple(map(tuple, ev["cops"]))
-        raw = ev["cops"]
-        ev["cops"] = cops
-        if ev["robber"] is not None:
-            ev["robber"] = tuple(ev["robber"])
+        _check_event(ev, line_no)
+    codec = codec or _codec(parse_graph(header["graph"]))
+    trace = MatchTrace(header=header)
+    cops = None
+    for ev in records[1:]:
+        if type(ev["cops"]) is list:  # decoded whole: coordinate lists
+            ev["cops"] = tuple(map(codec.vertex, ev["cops"]))
+            if ev["robber"] is not None:
+                ev["robber"] = codec.vertex(ev["robber"])
+        if ev["cops"] == cops:
+            ev["cops"] = cops
+        cops = ev["cops"]
         trace.events.append(ev)
         if ev["event"] in _TERMINAL:
             trace.outcome = ev["event"]
@@ -741,9 +721,10 @@ class _Replay:
                 f"max_rounds={self.header['max_rounds']}"
             )
         if (state.cops, state.robber) != (ev["cops"], ev["robber"]):
+            g = state.graph
             raise ReplayError(
-                f"replay diverged at {_where(ev)}: engine {state.cops}/{state.robber} "
-                f"vs trace {list(map(list, ev['cops']))}/{ev['robber']}"
+                f"replay diverged at {_where(ev)}: engine {_points(g, state.cops)}/"
+                f"{_point(g, state.robber)} vs trace {_points(g, ev['cops'])}/{_point(g, ev['robber'])}"
             )
 
 
@@ -776,9 +757,9 @@ def replay_trace(trace: MatchTrace) -> GameState:
 
     Both sides answer from the trace and run_match's own turn sequence
     plays them, so replay applies the same rules as play.  Every position
-    of every event is compared with the recorded tuples, so events must
-    hold positions as run_match records them and trace_from_jsonl parses
-    them.  Raises ReplayError at the first event the loop does not emit as
+    of every event is compared with the recorded vertex indices, so events
+    must hold positions as run_match records them and trace_from_jsonl
+    parses them.  Raises ReplayError at the first event the loop does not emit as
     recorded: an illegal move, a state, round, phase or tag the engine does
     not reach (including events past the header's max_rounds, a fault
     whose side is not the acting one, and a cop count other than the
@@ -816,27 +797,14 @@ def render_ascii(state: GameState) -> str:
     coordinates.
     """
     g = state.graph
-    cops = set(state.cops)
-
-    def cell(v):
-        if v in cops:
-            return "X" if v == state.robber else "C"
-        return "R" if v == state.robber else "·"
-
-    if g.ndim == 1:
-        return "".join(cell((x,)) for x in range(g.dims[0].length))
-    if g.ndim == 2:
-        w, h = g.dims[0].length, g.dims[1].length
-        return "\n".join("".join(cell((x, y)) for x in range(w)) for y in range(h))
-    if g.ndim == 3:
-        w, h, depth = (d.length for d in g.dims)
-        blocks = []
-        for z in range(depth):
-            rows = "\n".join(
-                "".join(cell((x, y, z)) for x in range(w)) for y in range(h)
-            )
-            blocks.append(f"z={z}\n{rows}")
-        return "\n\n".join(blocks)
-    lines = [f"cop {i}: {c}" for i, c in enumerate(state.cops)]
-    lines.append(f"robber: {state.robber}")
-    return "\n".join(lines)
+    mark = dict.fromkeys(state.cops, "C")
+    if state.robber is not None:
+        mark[state.robber] = "X" if state.robber in mark else "R"
+    if g.ndim > 3:
+        lines = [f"cop {i}: {_point(g, c)}" for i, c in enumerate(state.cops)]
+        return "\n".join(lines + [f"robber: {_point(g, state.robber)}"])
+    # x runs along a line, y down the lines, z over the planes
+    (w, h, depth), (sx, sy, sz) = (*g.lengths, 1, 1)[:3], (*g.strides, 0, 0)[:3]
+    planes = ["\n".join("".join(mark.get(x * sx + y * sy + z * sz, "·") for x in range(w))
+                        for y in range(h)) for z in range(depth)]
+    return "\n\n".join(f"z={z}\n{plane}" for z, plane in enumerate(planes)) if g.ndim == 3 else planes[0]

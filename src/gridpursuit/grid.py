@@ -2,8 +2,10 @@
 
 Graphs are described by per-dimension (length, wrap) pairs and are never
 materialized: adjacency, distance, and subgrid queries are coordinate
-arithmetic.  Vertex *sets* are manipulated as arbitrary-precision integer
-bitboards (one bit per vertex, mixed-radix index order).  A flood fill
+arithmetic, or index arithmetic on vertex indices (a vertex's mixed-radix
+rank, the form positions take inside the library).  Vertex *sets* are
+manipulated as arbitrary-precision integer bitboards (one bit per vertex,
+mixed-radix index order).  A flood fill
 fills whole free runs along one axis at a time by prefix doubling, so a
 pass over an axis of length L costs about 2 log2(L) big-integer shifts,
 whatever the component's radius.  Bitboards convert to and from vertex
@@ -18,8 +20,7 @@ call's key with another call's value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain as _chain
+from functools import cached_property, lru_cache
 from itertools import cycle
 from itertools import product as _iproduct
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import GraphFormatError, InvalidVertexError
 
-Vertex = tuple  # coordinate tuple, one non-negative int per dimension
+Vertex = tuple  # coordinate tuple, one non-negative int per dimension; its index is GraphSpec.index
 
 
 @dataclass(frozen=True)
@@ -67,12 +68,51 @@ class GraphSpec:
     def lengths(self) -> tuple[int, ...]:
         return tuple(d.length for d in self.dims)
 
-    @property
+    @cached_property
     def vertex_count(self) -> int:
         n = 1
         for d in self.dims:
             n *= d.length
         return n
+
+    @cached_property
+    def strides(self) -> tuple[int, ...]:
+        """Per dimension, how much a vertex index grows when that coordinate
+        grows by one."""
+        out, s = [], 1
+        for d in reversed(self.dims):
+            out.append(s)
+            s *= d.length
+        return tuple(reversed(out))
+
+    @cached_property
+    def moves(self) -> dict:
+        """Every edge as index arithmetic: index offset -> (stride, length,
+        low, high).  A vertex i has the neighbor i + offset exactly when its
+        coordinate i // stride % length lies in [low, high].  On a cycle the
+        steps across the seam are offsets of -(length - 1) and length - 1
+        strides.  Offsets never repeat: a step along a dimension moves the
+        index by less than one stride of any earlier dimension."""
+        out = {}
+        for d, s in zip(self.dims, self.strides):
+            n = d.length
+            if n > 1:
+                out[s], out[-s] = (s, n, 0, n - 2), (s, n, 1, n - 1)
+                if d.wrap:
+                    out[(1 - n) * s], out[(n - 1) * s] = (s, n, n - 1, n - 1), (s, n, 0, 0)
+        return out
+
+    def is_edge(self, a: int, b: int) -> bool:
+        """Whether the vertices of indices a and b share an edge.  a must be
+        a vertex index; b may be any int, and a true answer makes it one."""
+        move = self.moves.get(b - a)
+        return move is not None and move[2] <= a // move[0] % move[1] <= move[3]
+
+    def closed_neighbors(self, i: int) -> list:
+        """The index i and its neighbors' indices, ascending.  i must be a
+        vertex index: nothing is validated."""
+        return sorted([i] + [i + offset for offset, (s, n, low, high) in self.moves.items()
+                             if low <= i // s % n <= high])
 
     def vertices(self):
         """Iterate all vertices in lexicographic (index) order."""
@@ -108,47 +148,6 @@ class GraphSpec:
                 if c > 0:
                     out.add(v[:i] + (c - 1,) + v[i + 1 :])
         return out
-
-    def closed_neighborhood(self, v) -> list:
-        """v and its neighbors in ascending order, as sorted(neighbors(v) |
-        {v}) lists them, built directly: the smaller neighbors by ascending
-        dimension, v, then the larger ones by descending dimension (a
-        wrapped coordinate at 0 or length - 1 has both its neighbors on one
-        side).  v must already be known to be a vertex: nothing is
-        validated."""
-        below, above = [], []  # above is built by ascending dimension, then reversed
-        for i, d in enumerate(self.dims):
-            c, last = v[i], d.length - 1
-            head, tail = v[:i], v[i + 1 :]
-            if d.wrap and c == last:
-                below.append(head + (0,) + tail)
-            if c > 0:
-                below.append(head + (c - 1,) + tail)
-            if d.wrap and c == 0:
-                above.append(head + (last,) + tail)
-            if c < last:
-                above.append(head + (c + 1,) + tail)
-        above.reverse()
-        return below + [v] + above
-
-    def adjacent(self, u, v) -> bool:
-        """Whether u and v share an edge.  u must already be known to be a
-        vertex; v may be any tuple of Python ints.  v is adjacent when it
-        has one coordinate per dimension and differs from u on exactly one
-        axis, by one step (mod length on a wrapped axis) to an in-range
-        coordinate, so a true answer also makes v a vertex."""
-        if len(v) != len(self.dims):
-            return False
-        moved = False
-        for a, b, d in zip(u, v, self.dims):
-            if a != b:
-                gap = abs(a - b)
-                if moved or not 0 <= b < d.length or (
-                    gap != 1 and not (d.wrap and gap == d.length - 1)
-                ):
-                    return False
-                moved = True
-        return moved
 
     def distance(self, u, v) -> int:
         """Graph distance: per-dimension path/cycle distances summed."""
@@ -261,12 +260,8 @@ def format_graph(g: GraphSpec) -> str:
 
 
 # Below this many vertices mask_of sets bits one at a time: numpy's fixed
-# cost of about 7 us per call loses to a Python loop there (4 cops on 4x4:
-# 3 us against 8 us), and wins above it (342 cops on 21^3: 60 us against
-# 350 us).
+# cost of about 7 us per call loses to a Python loop there.
 _NUMPY_MIN_VERTICES = 8
-
-_TUPLE = {tuple}
 
 
 class BitLattice:
@@ -284,19 +279,11 @@ class BitLattice:
         self.graph = g
         self.size = g.vertex_count
         self.full = (1 << self.size) - 1
-        self._shape = g.lengths
-        strides = []
-        s = 1
-        for d in reversed(g.dims):
-            strides.append(s)
-            s *= d.length
-        strides.reverse()
-        self._strides = np.array(strides, dtype=np.intp)
-        self._last = ((), 0)  # mask_of's last (tuple of tuples, mask)
+        self._last = ((), 0)  # mask_of's last (tuple of indices, mask)
         self._flood = (None, [], 0)  # component's last (blocked, fill masks, component)
         self._steps = []
         index = np.arange(self.size)
-        for d, stride in zip(g.dims, strides):
+        for d, stride in zip(g.dims, g.strides):
             length = d.length
             if length == 1:
                 continue
@@ -322,12 +309,12 @@ class BitLattice:
         return out
 
     def mask_of(self, vertices) -> int:
-        """Bitboard of a collection of vertices; repeats are allowed.
+        """Bitboard of a collection of vertex indices; repeats are allowed.
 
-        The last tuple of tuples converted is kept with its mask and
-        recognised by identity, so the calls one turn makes on the same
-        cop configuration convert it once.  Only a tuple of tuples is kept:
-        a list, or a tuple holding lists, can change after the call.
+        The last tuple converted is kept with its mask and recognised by
+        identity, so the calls one turn makes on the same cop configuration
+        convert it once.  Only a tuple is kept: a list can change after the
+        call.
         """
         last = self._last
         if vertices is last[0]:
@@ -335,15 +322,13 @@ class BitLattice:
         given, vertices = vertices, tuple(vertices)
         if len(vertices) < _NUMPY_MIN_VERTICES:
             mask = 0
-            for v in vertices:
-                mask |= 1 << self.graph.index(v)
+            for i in vertices:
+                mask |= 1 << i
         else:
-            flat = np.fromiter(_chain.from_iterable(vertices), dtype=np.intp)
-            coords = flat.reshape(-1, len(self._shape))
             bits = np.zeros(self.size, dtype=bool)
-            bits[coords @ self._strides] = True
+            bits[np.fromiter(vertices, dtype=np.intp, count=len(vertices))] = True
             mask = self._pack(bits)
-        if vertices is given and _TUPLE.issuperset(map(type, vertices)):
+        if vertices is given:
             # one attribute, so a concurrent reader never pairs a tuple
             # with another tuple's mask
             self._last = (vertices, mask)
@@ -355,9 +340,8 @@ class BitLattice:
         return np.unpackbits(raw, count=self.size, bitorder="little").view(bool)
 
     def vertices_of(self, mask: int) -> list:
-        """Members of the set in index order, which is lexicographic order."""
-        index = np.flatnonzero(self.bits_of(mask))
-        return list(zip(*(c.tolist() for c in np.unravel_index(index, self._shape))))
+        """Indices of the members of the set, ascending."""
+        return np.flatnonzero(self.bits_of(mask)).tolist()
 
     def set_of(self, mask: int) -> set:
         return set(self.vertices_of(mask))

@@ -29,12 +29,16 @@ turns outside their guarantee:
 
 The hypercube potential evader refuses excess cops the same way but has no
 fallback: it always plays its minimizer.
+
+Like the engine, strategies see and answer positions as vertex indices;
+the evaders select in coordinates where their proofs do, and violations
+name vertices by their coordinates.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -76,7 +80,7 @@ class StationaryRobber(RobberStrategy):
 
     def place(self, graph, cops):
         occupied = set(cops)
-        for v in graph.vertices():
+        for v in range(graph.vertex_count):
             if v not in occupied:
                 return v
         raise StrategyFault("no free vertex", side="robber")
@@ -103,9 +107,9 @@ class RandomRobber(RobberStrategy):
 
     def _draw(self, graph, mask):
         # randrange(count) is the draw rng.choice makes over the members in
-        # index order; only the drawn member is decoded
+        # index order
         i = self.rng.randrange(mask.bit_count())
-        return graph.vertex_at(int(np.flatnonzero(lattice(graph).bits_of(mask))[i]))
+        return int(np.flatnonzero(lattice(graph).bits_of(mask))[i])
 
 
 class MaxComponentRobber(RobberStrategy):
@@ -151,7 +155,7 @@ class MaxComponentRobber(RobberStrategy):
         if not last_hit:
             last_hit = candidate_mask
         low = last_hit & -last_hit
-        return graph.vertex_at(low.bit_length() - 1)
+        return low.bit_length() - 1
 
     def place(self, graph, cops):
         lat = lattice(graph)
@@ -187,8 +191,7 @@ def _within_budget(cops, budget, allow_excess_cops):
 
 def _cop_counts(graph, cops):
     """The number of cops on each vertex, in vertex index order."""
-    flat = np.fromiter(chain.from_iterable(cops), dtype=np.intp, count=len(cops) * graph.ndim)
-    return np.bincount(np.ravel_multi_index(flat.reshape(-1, graph.ndim).T, graph.lengths),
+    return np.bincount(np.fromiter(cops, dtype=np.intp, count=len(cops)),
                        minlength=graph.vertex_count)
 
 
@@ -214,7 +217,7 @@ class _LineBoard(NamedTuple):
     rows[y] counts the cops on row y (the vertices (x, y)) and cols[x]
     those on column x; rows_high and cols_high count only the cops whose
     other coordinate is on the high half, at least (n + 1) // 2.  cops is
-    the set of cop vertices; on a torus (wrap) neighbours wrap mod n on
+    the set of cop coordinates; on a torus (wrap) neighbours wrap mod n on
     both axes.
     """
 
@@ -289,6 +292,7 @@ class _ProofEvader(RobberStrategy):
         n = self._n
         half = (n + 1) // 2
         rows, cols, rows_high, cols_high = [0] * n, [0] * n, [0] * n, [0] * n
+        cops = [divmod(c, n) for c in cops]  # (x, y): index x * n + y
         for x, y in cops:
             rows[y] += 1
             cols[x] += 1
@@ -317,7 +321,7 @@ class _ProofEvader(RobberStrategy):
             self.violations.append(f"placement {v} adjacent to a cop")
         self.last_annotations = cert
         self._pending = True
-        return v
+        return graph.index(v)
 
     def move(self, state):
         g, cops = state.graph, state.cops
@@ -332,7 +336,8 @@ class _ProofEvader(RobberStrategy):
         if v is None:
             self._give_up(in_budget, f"{self.name} found no admissible target")
             return self._fallback.move(state)
-        reached = reach >> g.index(v) & 1
+        target = g.index(v)
+        reached = reach >> target & 1
         if self.check_invariants:
             if board.near_cop(v):
                 self.violations.append(f"round {state.round}: target {v} adjacent to a cop")
@@ -345,12 +350,13 @@ class _ProofEvader(RobberStrategy):
             return self._fallback.move(state)
         self.last_annotations = cert
         self._pending = True
-        return v
+        return target
 
     def post_move_check(self, state, board, reach):
         if not self._row_reachable(board, reach):
             self.violations.append(
-                f"round {state.round}: no {self._row} reachable from {state.robber}"
+                f"round {state.round}: no {self._row} reachable from "
+                f"{state.graph.vertex_at(state.robber)}"
             )
 
     def _row_reachable(self, board, reach):
@@ -648,7 +654,7 @@ class Grid3DEvader(_ProofEvader):
         if reach.bit_count() < max(c.bit_count() for c in components):
             self.component_failures += 1
             self.violations.append(
-                f"round {state.round}: {state.robber} not in a largest component"
+                f"round {state.round}: {state.graph.vertex_at(state.robber)} not in a largest component"
             )
 
     def select(self, board):
@@ -719,7 +725,8 @@ def potential_cop_budget(n: int) -> int:
 
 
 def potential(g: GraphSpec, cops, v) -> Fraction:
-    """Total pressure the cops exert on vertex v of a hypercube.
+    """Total pressure the cops exert on vertex v of a hypercube (cops and v
+    are vertex indices).
 
     A cop on v counts 1; a cop at distance d counts 1 / C(n, d-1).  Exact
     rational arithmetic: the 1/2 threshold the evader plays against is
@@ -729,7 +736,7 @@ def potential(g: GraphSpec, cops, v) -> Fraction:
     n = g.ndim
     total = Fraction(0)
     for c in cops:
-        d = g.distance(c, v)
+        d = (c ^ v).bit_count()  # on a hypercube an index is its coordinate bits
         total += 1 if d == 0 else Fraction(1, math.comb(n, d - 1))
     return total
 
@@ -821,7 +828,7 @@ class PotentialEvader(RobberStrategy):
             self.last_annotations["phi_fallback"] = 1
             if self.check_invariants:
                 self.violations.append(f"minimum potential {phi} is not below 1/2")
-        return graph.vertex_at(i)
+        return i
 
     def place(self, graph, cops):
         _within_budget(cops, self._budget, self.allow_excess_cops)
@@ -891,6 +898,9 @@ class RetractLift(RobberStrategy):
     strategy sees them; the inner strategy's chosen vertex is played
     directly (the robber never leaves the subgraph, and any cop-free path
     between subgraph vertices avoiding the cop images avoids the cops).
+    The inner strategy sees and answers inner-graph vertex indices; phi
+    maps coordinates, and the lift converts between the two graphs'
+    indices through them.
     """
 
     def __init__(self, inner_strategy: RobberStrategy, outer: GraphSpec, inner: GraphSpec):
@@ -911,13 +921,23 @@ class RetractLift(RobberStrategy):
         self._inner_seen = 0
 
     def _images(self, cops):
-        images = tuple(self.phi(c) for c in cops)
+        images = tuple(self.phi(self.outer.vertex_at(c)) for c in cops)
         if self.check_invariants and self._prev_images is not None:
             for i, (a, b) in enumerate(zip(self._prev_images, images)):
                 if a != b and self.inner.distance(a, b) != 1:
                     self.violations.append(f"cop {i} image jumped {a} -> {b}")
         self._prev_images = images
-        return images
+        return tuple(map(self.inner.index, images))
+
+    def _lift(self, v):
+        """The inner strategy's answer as an outer vertex index, or as it is
+        when it is no inner vertex index (the engine rejects it)."""
+        inner = self.inner
+        if type(v) is int and 0 <= v < inner.vertex_count:
+            return self.outer.index(inner.vertex_at(v))
+        if self.check_invariants:
+            self.violations.append(f"lifted robber left the subgraph: {v!r}")
+        return v
 
     def _pull_inner_violations(self):
         new = self.inner_strategy.violations[self._inner_seen :]
@@ -929,24 +949,20 @@ class RetractLift(RobberStrategy):
         v = self.inner_strategy.place(self.inner, self._images(cops))
         self._pull_inner_violations()
         self.last_annotations = dict(self.inner_strategy.last_annotations)
-        if self.check_invariants and not self.inner.contains(v):
-            self.violations.append(f"lifted robber left the subgraph: {v}")
-        return v
+        return self._lift(v)
 
     def move(self, state):
         shadow = GameState(
             self.inner,
             self._images(state.cops),
-            state.robber,
+            self.inner.index(self.outer.vertex_at(state.robber)),
             Phase.ROBBER_TURN,
             state.round,
         )
         v = self.inner_strategy.move(shadow)
         self._pull_inner_violations()
         self.last_annotations = dict(self.inner_strategy.last_annotations)
-        if self.check_invariants and not self.inner.contains(v):
-            self.violations.append(f"lifted robber left the subgraph: {v}")
-        return v
+        return self._lift(v)
 
 
 # --------------------------------------------------------------------------

@@ -83,7 +83,7 @@ class _Table:
     transitions: int = 0
 
     def config_index(self, cops):
-        return int(self.index(sorted(self.graph.index(c) for c in cops)))
+        return int(self.index(sorted(cops)))
 
     @cached_property
     def comp_key(self):
@@ -145,10 +145,11 @@ def _config_ranker(n_vertices, k):
 
 def _closed_neighborhoods(g: GraphSpec):
     """Sorted closed neighborhoods, and the same padded with the vertex itself
-    to a (V, max size) array."""
-    nbhd = []
-    for i in range(g.vertex_count):
-        nbhd.append([g.index(w) for w in g.closed_neighborhood(g.vertex_at(i))])
+    to a (V, max size) array.  They come from the coordinate adjacency
+    (GraphSpec.neighbors), not from the index arithmetic the engine checks
+    moves with, so a witness replay through the engine checks the two
+    against each other."""
+    nbhd = [sorted(map(g.index, g.neighbors(v) | {v})) for v in g.vertices()]
     width = max(len(nb) for nb in nbhd)
     padded = np.array([nb + [i] * (width - len(nb)) for i, nb in enumerate(nbhd)], dtype=np.int32)
     return nbhd, padded
@@ -366,7 +367,7 @@ def solve_game(g: GraphSpec, k: int, cap: int = DEFAULT_STATE_CAP, verify_witnes
     )
     witness = None
     if witness_ci is not None:
-        witness = tuple(g.vertex_at(int(i)) for i in configs[witness_ci])
+        witness = tuple(configs[witness_ci].tolist())
 
     result = SolveResult(
         graph=g,
@@ -392,9 +393,8 @@ def _verify_witness(result: SolveResult):
         result.graph, cop_policy, robber_policy, result.k, max_rounds=limit, record_events=False
     )
     if trace.outcome != "capture":
-        raise ReplayError(
-            f"witness replay failed: {trace.outcome} from {result.witness_placement}"
-        )
+        placement = tuple(map(result.graph.vertex_at, result.witness_placement))
+        raise ReplayError(f"witness replay failed: {trace.outcome} from {placement}")
 
 
 def cop_number(g: GraphSpec, k_max: int | None = None, cap: int = DEFAULT_STATE_CAP,
@@ -454,15 +454,13 @@ class TableCops(CopStrategy):
 
     def place(self, graph, k):
         t = self.table
-        cfg = t.configs[t.witness if t.witness is not None else 0]
-        return [graph.vertex_at(int(i)) for i in cfg]
+        return t.configs[t.witness if t.witness is not None else 0].tolist()
 
     def move(self, state):
         t = self.table
-        g = state.graph
-        r = g.index(state.robber)
+        r = state.robber
         # every joint move, in the order of itertools.product over the cops
-        axes = np.meshgrid(*(t.nbhd[g.index(c)] for c in state.cops), indexing="ij")
+        axes = np.meshgrid(*(t.nbhd[c] for c in state.cops), indexing="ij")
         joints = np.stack(axes, axis=-1).reshape(-1, len(state.cops))
         capture = (joints == r).any(axis=1)
         if capture.any():
@@ -474,7 +472,7 @@ class TableCops(CopStrategy):
             if key.min() == _UNSETTLED:
                 return list(state.cops)
             best = joints[key.argmin()]
-        return [g.vertex_at(int(i)) for i in best]
+        return best.tolist()
 
 
 class TableRobber(RobberStrategy):
@@ -501,15 +499,14 @@ class TableRobber(RobberStrategy):
         options = np.flatnonzero(t.comp_id[:, ci] != t.comp_id.size)
         if not len(options):
             raise StrategyFault("no free vertex", side="robber")
-        return graph.vertex_at(self._pick(ci, options))
+        return self._pick(ci, options)
 
     def move(self, state):
         t = self.table
-        g = state.graph
         ci = t.config_index(state.cops)
         column = t.comp_id[:, ci]
-        options = np.flatnonzero(column == column[g.index(state.robber)])
-        return g.vertex_at(self._pick(ci, options))
+        options = np.flatnonzero(column == column[state.robber])
+        return self._pick(ci, options)
 
 
 def extract_policies(result: SolveResult):

@@ -163,7 +163,7 @@ def test_criterion_3_cop_strategy_guarantees():
                     and ev["event"] is None
                     and ev["annotations"].get("phase") in ("split", "sweep")
                 ):
-                    comp = reachable_set(g, [tuple(c) for c in ev["cops"]], tuple(ev["robber"]))
+                    comp = reachable_set(g, ev["cops"], ev["robber"])
                     sizes.append(len(comp))
             if not all(a > b for a, b in zip(sizes, sizes[1:])):
                 problems.append(f"diagonal-pairs n={n} vs {label}/{seed}: component sizes {sizes}")
@@ -190,7 +190,7 @@ def test_criterion_3_cop_strategy_guarantees():
             for ev in trace.events:
                 if ev["phase"] == "cop-turn" and ev["annotations"].get("boundary") == "1":
                     level = int(ev["annotations"]["level"])
-                    cops_set = {tuple(c) for c in ev["cops"]}
+                    cops_set = set(map(g.vertex_at, ev["cops"]))
                     wall = {v for v in g.vertices() if sum(v) == level}
                     mirrored = {v for v in g.vertices() if sum(v) == top - level}
                     boundary_checks += 1

@@ -16,7 +16,9 @@ def test_copnum_grid_3x3(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["cop_number"] == 2
-    assert payload["witness"] is not None
+    # the witness placement as coordinate lists
+    assert len(payload["witness"]) == 2
+    assert all(len(v) == 2 and all(0 <= c < 3 for c in v) for v in payload["witness"])
     assert payload["k_range"] == [1, 9]
     assert "millis" in payload and "states" in payload
 
@@ -251,6 +253,64 @@ def test_replay_rejects_an_illegal_move(tmp_path, capsys):
         tmp_path, capsys, lines[:turn] + [_edit(lines[turn], cops=cops)] + lines[turn + 1:])
     assert code == 1 and out == ""
     assert "cop 0 cannot step" in err
+
+
+def _cop_turn(lines):
+    return next(i for i, ln in enumerate(lines) if json.loads(ln).get("phase") == "cop-turn")
+
+
+def test_replay_of_a_bare_int_robber_is_a_usage_error(tmp_path, capsys):
+    # a vertex index is no position in a trace: positions are coordinate lists
+    lines = _recorded_trace(tmp_path, capsys)
+    code, out, err = _replay_lines(
+        tmp_path, capsys, lines[:2] + [_edit(lines[2], robber=3)] + lines[3:])
+    assert code == 3 and out == ""
+    assert "line 3" in err and "wrong type" in err
+
+
+@pytest.mark.parametrize("old, new", [
+    ('"cops":[[1,0]', '"cops":[[1,-0]'),  # a negative zero coordinate
+    ('"robber":[5,0]', '"robber":[5,-0]'),
+    ('"cops":[[1,0],[2,1]', '"cops":[[1, 0], [2, 1]'),  # spaces after separators
+])
+def test_replay_of_non_canonical_coordinate_text_replays(tmp_path, capsys, old, new):
+    lines = _recorded_trace(tmp_path, capsys)
+    turn = _cop_turn(lines)
+    assert old in lines[turn]
+    code, out, err = _replay_lines(
+        tmp_path, capsys, lines[:turn] + [lines[turn].replace(old, new, 1)] + lines[turn + 1:])
+    assert code == 0, err
+    _, want, _ = _replay_lines(tmp_path, capsys, lines)
+    assert json.loads(out) == json.loads(want)
+
+
+@pytest.mark.parametrize("coordinate, shown", [
+    (lambda x, y: [7, y], "(7, 0)"),  # out of range on grid:7x7
+    (lambda x, y: [x, y, 0], "(1, 0, 0)"),  # of the wrong arity
+])
+def test_replay_of_a_coordinate_off_the_graph_is_a_mismatch(tmp_path, capsys, coordinate, shown):
+    lines = _recorded_trace(tmp_path, capsys)
+    turn = _cop_turn(lines)
+    cops = json.loads(lines[turn])["cops"]
+    cops[0] = coordinate(*cops[0])
+    code, out, err = _replay_lines(
+        tmp_path, capsys, lines[:turn] + [_edit(lines[turn], cops=cops)] + lines[turn + 1:])
+    assert code == 1 and out == ""
+    assert f"illegal action at round 1 (cop-turn) on grid:7x7: {shown} is not a vertex" in err
+
+
+def test_replay_reports_a_robber_on_vertex_zero(tmp_path, capsys):
+    # the trace ends with the robber on (0, 0), vertex index 0
+    path = tmp_path / "corner.jsonl"
+    code, out, _ = run_cli(
+        capsys, "match", "--graph", "grid:3x3", "--cop", "random", "--robber", "stationary",
+        "--k", "1", "--max-rounds", "1", "--seed", "0", "--trace", str(path))
+    assert code == 0 and json.loads(out)["outcome"] == "timeout"
+    code, out, _ = run_cli(capsys, "replay", "--trace", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["final_robber"] == [0, 0]
+    assert payload["final_cops"] == [[2, 0]]
 
 
 @pytest.mark.parametrize("phase", ["robber-placement", "robber-turn"])

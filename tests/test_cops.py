@@ -21,6 +21,16 @@ from gridpursuit.grid import cube, grid, torus
 from gridpursuit.robbers import MaxComponentRobber, RandomRobber, StationaryRobber
 
 
+def ix(g, *vertices):
+    """The vertex indices of coordinate tuples, as a tuple."""
+    return tuple(map(g.index, vertices))
+
+
+def coords(g, indices):
+    """The coordinate tuples of vertex indices, as a list."""
+    return [g.vertex_at(i) for i in indices]
+
+
 def capture_rounds(trace):
     assert trace.outcome == "capture", f"expected capture, got {trace.outcome}"
     return trace.rounds
@@ -30,7 +40,8 @@ def capture_rounds(trace):
 
 
 def test_row_sweep_placement_is_top_row():
-    assert RowSweepCops().place(grid(3, 3), 3) == [(0, 0), (1, 0), (2, 0)]
+    g = grid(3, 3)
+    assert coords(g, RowSweepCops().place(g, 3)) == [(0, 0), (1, 0), (2, 0)]
 
 
 def test_row_sweep_needs_full_row():
@@ -39,10 +50,11 @@ def test_row_sweep_needs_full_row():
 
 
 def test_row_sweep_advances_one_row_per_turn():
-    trace = run_match(grid(4, 4), RowSweepCops(), StationaryRobber(), 4, max_rounds=10)
+    g = grid(4, 4)
+    trace = run_match(g, RowSweepCops(), StationaryRobber(), 4, max_rounds=10)
     for ev in trace.events:
         if ev["phase"] == "cop-turn":
-            rows = {y for _, y in (tuple(c) for c in ev["cops"])}
+            rows = {y for _, y in coords(g, ev["cops"])}
             assert rows == {min(ev["round"], 3)}
     assert trace.outcome == "capture"
 
@@ -61,11 +73,12 @@ def test_row_sweep_beats_even_the_optimal_robber():
 
 @pytest.mark.parametrize("n", [3, 5, 8])
 def test_row_sweep_robber_always_below_wall(n):
-    trace = run_match(grid(n, n), RowSweepCops(), MaxComponentRobber(), n)
+    g = grid(n, n)
+    trace = run_match(g, RowSweepCops(), MaxComponentRobber(), n)
     for ev in trace.events:
         if ev["phase"] == "cop-turn" and ev["event"] is None:
-            wall_row = max(y for _, y in ev["cops"])
-            assert ev["robber"][1] > wall_row
+            wall_row = max(y for _, y in coords(g, ev["cops"]))
+            assert g.vertex_at(ev["robber"])[1] > wall_row
     assert capture_rounds(trace) <= n
 
 
@@ -73,8 +86,9 @@ def test_row_sweep_robber_always_below_wall(n):
 
 
 def test_diagonal_pairs_placement_paired_on_diagonal():
-    placement = DiagonalPairsCops().place(grid(5, 5), 4)
-    assert sorted(placement) == [(1, 1), (1, 1), (3, 3), (3, 3)]
+    g = grid(5, 5)
+    placement = DiagonalPairsCops().place(g, 4)
+    assert sorted(coords(g, placement)) == [(1, 1), (1, 1), (3, 3), (3, 3)]
 
 
 def test_diagonal_pairs_rejects_even_or_small():
@@ -86,31 +100,33 @@ def test_diagonal_pairs_rejects_even_or_small():
 
 def test_diagonal_pairs_split_below_diagonal():
     # robber below the diagonal (x < y): pairs fan out to the staircase
+    g = grid(5, 5)
     cops = DiagonalPairsCops()
-    state = GameState(grid(5, 5), ((1, 1), (1, 1), (3, 3), (3, 3)), (0, 3), Phase.COP_TURN, 1)
-    cops.reset(grid(5, 5), 4, None)
+    state = GameState(g, ix(g, (1, 1), (1, 1), (3, 3), (3, 3)), g.index((0, 3)), Phase.COP_TURN, 1)
+    cops.reset(g, 4, None)
     dests = cops.move(state)
-    assert sorted(dests) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    assert sorted(coords(g, dests)) == [(0, 1), (1, 2), (2, 3), (3, 4)]
 
 
 def test_diagonal_pairs_split_above_diagonal_is_transposed():
+    g = grid(5, 5)
     cops = DiagonalPairsCops()
-    state = GameState(grid(5, 5), ((1, 1), (1, 1), (3, 3), (3, 3)), (3, 0), Phase.COP_TURN, 1)
-    cops.reset(grid(5, 5), 4, None)
+    state = GameState(g, ix(g, (1, 1), (1, 1), (3, 3), (3, 3)), g.index((3, 0)), Phase.COP_TURN, 1)
+    cops.reset(g, 4, None)
     dests = cops.move(state)
-    assert sorted(dests) == [(1, 0), (2, 1), (3, 2), (4, 3)]
+    assert sorted(coords(g, dests)) == [(1, 0), (2, 1), (3, 2), (4, 3)]
 
 
 def test_diagonal_pairs_surrounds_corner_diagonal_robber():
     g = grid(5, 5)
     cops = DiagonalPairsCops()
     cops.reset(g, 4, None)
-    state = GameState(g, ((1, 1), (1, 1), (3, 3), (3, 3)), (0, 0), Phase.COP_TURN, 1)
+    state = GameState(g, ix(g, (1, 1), (1, 1), (3, 3), (3, 3)), 0, Phase.COP_TURN, 1)
     dests = cops.move(state)
-    assert {(0, 1), (1, 0)} <= set(dests)
+    assert {(0, 1), (1, 0)} <= set(coords(g, dests))
     # robber is now pinned on (0,0); the next cop move captures
-    state2 = GameState(g, tuple(dests), (0, 0), Phase.COP_TURN, 2)
-    assert (0, 0) in cops.move(state2)
+    state2 = GameState(g, tuple(dests), 0, Phase.COP_TURN, 2)
+    assert 0 in cops.move(state2)
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9])
@@ -121,8 +137,7 @@ def test_diagonal_pairs_captures_and_component_shrinks(n):
     sizes = []
     for ev in trace.events:
         if ev["phase"] == "cop-turn" and ev["event"] is None and ev["annotations"].get("phase") in ("split", "sweep"):
-            robber = tuple(ev["robber"])
-            comp = reachable_set(g, [tuple(c) for c in ev["cops"]], robber)
+            comp = reachable_set(g, ev["cops"], ev["robber"])
             sizes.append(len(comp))
     assert all(a > b for a, b in zip(sizes, sizes[1:])), sizes
 
@@ -131,19 +146,21 @@ def test_diagonal_pairs_captures_and_component_shrinks(n):
 
 
 def test_torus_two_rows_placement():
-    placement = TorusTwoRowsCops().place(torus(4, 4), 8)
-    assert Counter(y for _, y in placement) == {0: 4, 3: 4}
+    g = torus(4, 4)
+    placement = TorusTwoRowsCops().place(g, 8)
+    assert Counter(y for _, y in coords(g, placement)) == {0: 4, 3: 4}
 
 
 def test_torus_two_rows_walls_advance():
-    trace = run_match(torus(5, 5), TorusTwoRowsCops(), MaxComponentRobber(), 10)
+    g = torus(5, 5)
+    trace = run_match(g, TorusTwoRowsCops(), MaxComponentRobber(), 10)
     assert capture_rounds(trace) <= 3
     for ev in trace.events:
         if ev["phase"] == "cop-turn" and ev["event"] is None:
             t = ev["round"]
-            rows = Counter(y for _, y in (tuple(c) for c in ev["cops"]))
+            rows = Counter(y for _, y in coords(g, ev["cops"]))
             assert rows[t] == 5 and rows[5 - 1 - t] == 5
-            assert t < ev["robber"][1] < 5 - 1 - t
+            assert t < g.vertex_at(ev["robber"])[1] < 5 - 1 - t
 
 
 @pytest.mark.parametrize("n", [4, 6, 9])
@@ -164,7 +181,7 @@ def test_blockade_3d_placement_covers_level_set():
     g = grid(3, 3, 3)
     placement = Blockade3DCops().place(g, blockade_3d_cop_count(3))
     wall = {v for v in g.vertices() if sum(v) == 3}
-    assert wall <= set(placement)
+    assert wall <= set(coords(g, placement))
     assert len(wall) == 7
 
 
@@ -202,8 +219,8 @@ def test_blockade_3d_boundary_occupancy_and_capture(n):
     for ev in level_boundary_events(trace):
         seen_boundary = True
         level = int(ev["annotations"]["level"])
-        cops = {tuple(c) for c in ev["cops"]}
-        robber = tuple(ev["robber"]) if ev["robber"] else None
+        cops = set(coords(g, ev["cops"]))
+        robber = None if ev["robber"] is None else g.vertex_at(ev["robber"])
         wall = {v for v in g.vertices() if sum(v) == level}
         mirrored = {v for v in g.vertices() if sum(v) == 3 * (n - 1) - level}
         assert wall <= cops or mirrored <= cops
@@ -225,7 +242,7 @@ def test_blockade_3d_high_side_robber_is_mirrored():
 
     class HighCorner(StationaryRobber):
         def place(self, graph, cops):
-            return (2, 2, 1)  # coordinate sum 5: the far side of the wall
+            return graph.index((2, 2, 1))  # coordinate sum 5: the far side of the wall
 
     trace = run_match(g, Blockade3DCops(), HighCorner(), blockade_3d_cop_count(3))
     assert trace.outcome == "capture"
@@ -259,8 +276,8 @@ def test_greedy_step_tie_break():
     # lowest dimension index first: from (0,0) toward (2,2) moves along x
     g = grid(3, 3)
     cops = GreedyCops()
-    state = GameState(g, ((0, 0),), (2, 2), Phase.COP_TURN, 1)
-    assert cops.move(state) == [(1, 0)]
+    state = GameState(g, ix(g, (0, 0)), g.index((2, 2)), Phase.COP_TURN, 1)
+    assert coords(g, cops.move(state)) == [(1, 0)]
 
 
 def test_greedy_adjacent_cop_captures():
@@ -271,13 +288,16 @@ def test_greedy_adjacent_cop_captures():
 def test_greedy_placement_spreads_evenly():
     g = grid(4, 4)
     placement = GreedyCops().place(g, 4)
-    assert placement == [g.vertex_at(0), g.vertex_at(4), g.vertex_at(8), g.vertex_at(12)]
+    assert placement == [0, 4, 8, 12]
 
 
 def test_greedy_torus_steps_shorter_way_around():
     g = torus(5, 5)
-    state = GameState(g, ((0, 0),), (4, 0), Phase.COP_TURN, 1)
-    assert GreedyCops().move(state) == [(4, 0)]
+    state = GameState(g, ix(g, (0, 0)), g.index((4, 0)), Phase.COP_TURN, 1)
+    assert coords(g, GreedyCops().move(state)) == [(4, 0)]
+    # and along the last axis, across its seam too
+    state = GameState(g, ix(g, (2, 4)), g.index((2, 1)), Phase.COP_TURN, 1)
+    assert coords(g, GreedyCops().move(state)) == [(2, 0)]
 
 
 def test_random_cops_moves_always_legal_and_reproducible():
@@ -300,18 +320,17 @@ def test_random_cops_reused_on_other_graphs_plays_like_a_fresh_instance():
 
 
 def test_random_cops_table_holds_one_tuple_per_vertex():
+    # one entry per vertex a cop moved from, its closed neighborhood in
+    # ascending index order, filled as the cops reach vertices
     g = grid(6, 6)
     cops = RandomCops()
     trace = run_match(g, cops, MaxComponentRobber(), 5, max_rounds=60, seed=4)
     table = cops._options
-    assert all(type(options) is tuple for options in table.values())
-    entries = [*table, *(v for options in table.values() for v in options)]
-    assert len({id(v) for v in entries}) == len(set(entries)) < len(entries)
-    # so a cop that stays put answers with the tuple it stands on
-    configs = [ev["cops"] for ev in trace.events if ev["phase"] == "cop-turn"]
-    kept = [(a, b) for last, now in zip(configs, configs[1:])
-            for a, b in zip(last, now) if a == b]
-    assert kept and all(a is b for a, b in kept)
+    moved_from = {c for ev in trace.events[:-1] if ev["phase"] != "cop-turn" for c in ev["cops"]}
+    assert set(table) == moved_from
+    for v, options in table.items():
+        near = {g.vertex_at(v)} | g.neighbors(g.vertex_at(v))
+        assert type(options) is tuple and options == tuple(sorted(map(g.index, near)))
 
 
 def test_random_cop_move_distribution_uniform():
@@ -320,11 +339,11 @@ def test_random_cop_move_distribution_uniform():
     g = grid(3, 3)
     cops = RandomCops()
     cops.reset(g, 1, random.Random(99))
-    state = GameState(g, ((1, 1),), (0, 0), Phase.COP_TURN, 1)
+    state = GameState(g, ix(g, (1, 1)), 0, Phase.COP_TURN, 1)
     counts = Counter()
     samples = 100_000
     for _ in range(samples):
-        counts[cops.move(state)[0]] += 1
+        counts[g.vertex_at(cops.move(state)[0])] += 1
     assert set(counts) == {(1, 1), (0, 1), (2, 1), (1, 0), (1, 2)}
     for v, c in counts.items():
         assert abs(c / samples - 0.2) < 0.02, (v, c)

@@ -31,8 +31,7 @@ from gridpursuit.engine import (
     run_match,
     trace_from_jsonl,
     trace_to_jsonl,
-    _MEMO_MIN_CHARS,
-    _SHARE_MIN_COPS,
+    _codec,
     _load_written,
 )
 from gridpursuit.errors import (
@@ -47,8 +46,24 @@ from gridpursuit.grid import cube, format_graph, grid, parse_graph, product, tor
 import oracles
 
 
+def ix(g, *vertices):
+    """The vertex indices of coordinate tuples, as a tuple."""
+    return tuple(map(g.index, vertices))
+
+
+def coords(g, indices):
+    """The coordinate tuples of vertex indices, as a tuple."""
+    return tuple(map(g.vertex_at, indices))
+
+
 def make_state(g, cops, robber, phase=Phase.COP_TURN, round_no=1):
-    return GameState(g, tuple(cops), robber, phase, round_no)
+    """A state from coordinate tuples (robber: a tuple or None)."""
+    return GameState(g, ix(g, *cops), None if robber is None else g.index(robber), phase, round_no)
+
+
+def reach(g, cops, src):
+    """reachable_set from coordinates, as a set of coordinate tuples."""
+    return set(coords(g, reachable_set(g, ix(g, *cops), g.index(src))))
 
 
 # -- reachability --------------------------------------------------------------
@@ -56,27 +71,27 @@ def make_state(g, cops, robber, phase=Phase.COP_TURN, round_no=1):
 
 def test_reachable_no_cops_is_everything():
     g = grid(3, 3)
-    assert reachable_set(g, [], (0, 0)) == set(g.vertices())
+    assert reachable_set(g, [], 0) == set(range(g.vertex_count))
 
 
 def test_reachable_blocked_by_wall():
     g = grid(3, 3)
     cops = [(1, 0), (1, 1), (1, 2)]
-    assert reachable_set(g, cops, (0, 1)) == {(0, 0), (0, 1), (0, 2)}
+    assert reachable_set(g, ix(g, *cops), g.index((0, 1))) == set(ix(g, (0, 0), (0, 1), (0, 2)))
 
 
 def test_reachable_torus_wall_leaves_two_sides_joined():
     g = torus(4, 4)
     cops = [(1, 0), (1, 1), (1, 2), (1, 3)]
-    got = reachable_set(g, cops, (3, 0))
+    got = reach(g, cops, (3, 0))
     assert got == {(x, y) for x in (0, 2, 3) for y in range(4)}
     assert len(got) == 12
 
 
 def test_reachable_occupied_source_raises():
     g = grid(3, 3)
-    with pytest.raises(RuleViolation):
-        reachable_set(g, [(0, 0)], (0, 0))
+    with pytest.raises(RuleViolation, match=r"source \(0, 0\) is occupied"):
+        reachable_set(g, [0], 0)
 
 
 def test_reachable_matches_flood_exhaustively_small():
@@ -89,7 +104,7 @@ def test_reachable_matches_flood_exhaustively_small():
         for src in verts:
             if src in cops:
                 continue
-            assert reachable_set(g, cops, src) == oracles.flood(adj, set(cops), src)
+            assert reach(g, cops, src) == oracles.flood(adj, set(cops), src)
 
 
 @given(st.integers(0, 10_000))
@@ -101,12 +116,12 @@ def test_removing_a_cop_never_shrinks_reachability(seed):
     cops = rng.sample(verts, rng.randint(1, 4))
     free = [v for v in verts if v not in cops]
     src = rng.choice(free)
-    full = reachable_set(g, cops, src)
+    full = reach(g, cops, src)
     for i in range(len(cops)):
         fewer = cops[:i] + cops[i + 1 :]
         if src in fewer:
             continue
-        assert full <= reachable_set(g, fewer, src)
+        assert full <= reach(g, fewer, src)
 
 
 def test_a_kept_component_never_answers_for_another():
@@ -115,14 +130,15 @@ def test_a_kept_component_never_answers_for_another():
     g = grid(5, 5)
     wall = tuple((2, y) for y in range(5))
     gap = wall[:4] + ((4, 0),)  # one cop off the wall: one component
+    target = g.index((1, 1))
     for flooded in (wall, gap):
-        assert reachable_mask(g, flooded, (0, 0)) >> g.index((1, 1)) & 1
+        assert reachable_mask(g, ix(g, *flooded), 0) >> target & 1
         # a legal move first: its flood stops at (1, 1), or hits the kept one
         s = make_state(g, wall, (0, 4), Phase.ROBBER_TURN)
-        assert apply_robber_move(s, (1, 1)).robber == (1, 1)
+        assert apply_robber_move(s, target).robber == target
         s = make_state(g, wall, (4, 4), Phase.ROBBER_TURN)
         with pytest.raises(RuleViolation):
-            apply_robber_move(s, (1, 1))
+            apply_robber_move(s, target)
 
 
 def test_concurrent_floods_on_one_lattice_match_the_oracle():
@@ -136,12 +152,14 @@ def test_concurrent_floods_on_one_lattice_match_the_oracle():
     verts = list(g.vertices())
     jobs = []
     for _ in range(2):
-        configs = [tuple(rng.sample(verts, 30)) for _ in range(4)]
+        # index tuples, each configuration one object, as a match holds them
+        configs = [ix(g, *rng.sample(verts, 30)) for _ in range(4)]
         floods = []
         for i in range(400):
             cops = configs[i // 2 % len(configs)]
-            src = rng.choice([v for v in verts if v not in cops])
-            floods.append((cops, src, oracles.flood(adj, set(cops), src)))
+            src = rng.choice([v for v in verts if g.index(v) not in cops])
+            expected = set(ix(g, *oracles.flood(adj, set(coords(g, cops)), src)))
+            floods.append((cops, g.index(src), expected))
         jobs.append(floods)
     barrier = threading.Barrier(len(jobs))
     wrong = []
@@ -165,50 +183,101 @@ def test_concurrent_floods_on_one_lattice_match_the_oracle():
     assert not wrong
 
 
+def test_concurrent_writes_and_parses_share_one_codec_table():
+    # four threads (more than the cores) write and parse traces of one graph
+    # through its codec table, filled from empty while they run; a short
+    # switch interval interleaves them inside the fills
+    from gridpursuit.cops import RandomCops
+    from gridpursuit.robbers import RandomRobber
+
+    g = grid(30, 30)
+    traces = [run_match(g, RandomCops(), RandomRobber(), 40, max_rounds=15, seed=seed)
+              for seed in range(8)]
+    texts = [trace_to_jsonl(t) for t in traces]
+    _codec.cache_clear()
+    barrier = threading.Barrier(4)
+    wrong = []
+
+    def work(offset):
+        barrier.wait()
+        for i in range(len(traces)):
+            j = (i + offset) % len(traces)
+            if trace_from_jsonl(texts[j]).events != traces[j].events:
+                wrong.append(("parse", j))
+            if trace_to_jsonl(traces[j]) != texts[j]:
+                wrong.append(("write", j))
+
+    threads = [threading.Thread(target=work, args=(offset,)) for offset in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong
+    codec = _codec(g)
+    assert all(codec.index[text] == v and g.vertex_at(v) == tuple(map(int, text.split(",")))
+               for v, text in codec.text.items())
+
+
 # -- moves ---------------------------------------------------------------------
 
 
 def test_cop_move_legal_step():
-    s = make_state(grid(3, 3), [(0, 0)], (2, 2))
-    s2 = apply_cop_move(s, [(0, 1)])
+    g = grid(3, 3)
+    s = make_state(g, [(0, 0)], (2, 2))
+    s2 = apply_cop_move(s, ix(g, (0, 1)))
     assert s2.phase is Phase.ROBBER_TURN
-    assert s2.cops == ((0, 1),)
+    assert s2.cops == ix(g, (0, 1))
 
 
 def test_cop_move_capture_by_colocation():
-    s = make_state(grid(3, 3), [(2, 1)], (2, 2))
-    s2 = apply_cop_move(s, [(2, 2)])
+    g = grid(3, 3)
+    s = make_state(g, [(2, 1)], (2, 2))
+    s2 = apply_cop_move(s, ix(g, (2, 2)))
     assert s2.phase is Phase.OVER
     assert s2.winner == "cops"
 
 
 def test_cop_move_diagonal_rejected_with_index():
-    s = make_state(grid(3, 3), [(2, 2), (0, 0)], (1, 2))
-    with pytest.raises(RuleViolation) as err:
-        apply_cop_move(s, [(2, 2), (1, 1)])
+    g = grid(3, 3)
+    s = make_state(g, [(2, 2), (0, 0)], (1, 2))
+    with pytest.raises(RuleViolation, match=r"cop 1 cannot step \(0, 0\) -> \(1, 1\)") as err:
+        apply_cop_move(s, ix(g, (2, 2), (1, 1)))
     assert err.value.cop_index == 1
 
 
 def test_cop_move_off_the_graph_rejected():
-    s = make_state(grid(3, 3), [(2, 2), (0, 0)], (1, 1))
-    for bad in [(3, 2), (2, -1), (2, 2, 0), (2,)]:
-        with pytest.raises(InvalidVertexError):
-            apply_cop_move(s, [bad, (0, 0)])
+    g = grid(3, 3)
+    s = make_state(g, [(2, 2), (0, 0)], (1, 1))
+    # indices out of range, then answers that are no list of ints: a
+    # coordinate tuple, a bool, a float equal to a vertex index
+    for bad in [9, -1, 10**20, (2, 2), True, 8.0]:
+        with pytest.raises(InvalidVertexError, match="is not a vertex of grid:3x3"):
+            apply_cop_move(s, [bad, 0])
+    for bad in [None, 8, "08", {8: 0}]:
+        with pytest.raises(InvalidVertexError, match="not a list of vertices"):
+            apply_cop_move(s, bad)
 
 
 def test_cop_move_long_step_rejected_with_index():
-    s = make_state(grid(5, 5), [(0, 0), (4, 4), (2, 2)], (0, 4))
+    g = grid(5, 5)
+    s = make_state(g, [(0, 0), (4, 4), (2, 2)], (0, 4))
     with pytest.raises(RuleViolation) as err:
-        apply_cop_move(s, [(0, 0), (4, 4), (4, 2)])
+        apply_cop_move(s, ix(g, (0, 0), (4, 4), (4, 2)))
     assert err.value.cop_index == 2
 
 
 @pytest.mark.parametrize("g, legal", [(torus(4, 5), True), (grid(4, 5), False)])
 def test_cop_wrap_step_legal_only_on_a_cycle(g, legal):
     s = make_state(g, [(0, 2), (1, 4)], (2, 2))
-    dests = [(3, 2), (1, 0)]  # each cop crosses the seam of its own axis
+    dests = ix(g, (3, 2), (1, 0))  # each cop crosses the seam of its own axis
     if legal:
-        assert apply_cop_move(s, dests).cops == tuple(dests)
+        assert apply_cop_move(s, dests).cops == dests
     else:
         with pytest.raises(RuleViolation) as err:
             apply_cop_move(s, dests)
@@ -216,32 +285,33 @@ def test_cop_wrap_step_legal_only_on_a_cycle(g, legal):
 
 
 def test_cop_move_wrong_arity_rejected():
-    s = make_state(grid(3, 3), [(0, 0)], (2, 2))
+    g = grid(3, 3)
+    s = make_state(g, [(0, 0)], (2, 2))
     with pytest.raises(RuleViolation):
-        apply_cop_move(s, [(0, 1), (1, 0)])
+        apply_cop_move(s, ix(g, (0, 1), (1, 0)))
 
 
 def _explicit_cop_move_error(g, cops, dests):
     """(type, cop_index, message) of the error a joint move raises, from
-    explicit adjacency: first any destination that is not a list or tuple
-    of Python ints (bools and floats are not), then the first cop that
-    moves off the graph or to a non-neighbor, an off-graph vertex as
-    InvalidVertexError; None for a legal move."""
-    if not all(type(d) in (list, tuple) and all(type(c) is int for c in d) for d in dests):
-        return InvalidVertexError, None, f"not a list of int coordinate tuples: {dests!r}"
+    explicit adjacency over coordinates: first, when some destination is
+    not a Python int (bools and floats are not), the first destination that
+    is no vertex index; then the first cop that moves off the graph or to a
+    non-neighbor, an off-graph index as InvalidVertexError; None for a
+    legal move."""
+    n = g.vertex_count
+    if not all(type(d) is int for d in dests):
+        bad = next(d for d in dests if type(d) is not int or not 0 <= d < n)
+        return InvalidVertexError, None, f"{bad!r} is not a vertex of {format_graph(g)}"
     dims = oracles.dims_of(g)
-    for i, (src, dst) in enumerate(zip(cops, map(tuple, dests))):
+    for i, (src, dst) in enumerate(zip(cops, dests)):
         if dst == src:
             continue
-        if len(dst) != len(dims) or not all(0 <= c < n for c, (n, _) in zip(dst, dims)):
+        if not 0 <= dst < n:
             return InvalidVertexError, None, f"{dst!r} is not a vertex of {format_graph(g)}"
-        if not oracles.adjacent(src, dst, dims):
-            return RuleViolation, i, f"cop {i} cannot step {src} -> {dst}"
+        a, b = g.vertex_at(src), g.vertex_at(dst)
+        if not oracles.adjacent(a, b, dims):
+            return RuleViolation, i, f"cop {i} cannot step {a} -> {b}"
     return None
-
-
-def _with_coordinate(src, a, value):
-    return src[:a] + (value,) + src[a + 1:]
 
 
 @settings(max_examples=400, deadline=None)
@@ -252,36 +322,28 @@ def test_cop_move_errors_match_explicit_adjacency(g, data):
     dims = oracles.dims_of(g)
     adj = oracles.explicit_adjacency(dims)
     verts = oracles.all_vertices(dims)
-    # short configurations take the full check, long ones the check of the
-    # entries that are not the state's own tuples
-    k = data.draw(st.one_of(st.integers(1, 4), st.integers(_SHARE_MIN_COPS, _SHARE_MIN_COPS + 4)))
+    n = g.vertex_count
+    # short and long configurations
+    k = data.draw(st.one_of(st.integers(1, 4), st.integers(16, 20)))
     cops = data.draw(st.lists(st.sampled_from(verts), min_size=k, max_size=k))
     state = make_state(g, cops, data.draw(st.sampled_from(verts)))
-    wider = st.tuples(*(st.integers(-1, n) for n, _ in dims))
-    wrong_length = st.lists(st.integers(-1, 7), max_size=g.ndim + 2).filter(
-        lambda c: len(c) != g.ndim).map(tuple)
 
     def other(src):
-        # an equal tuple that is another object, an equal list, an equal
-        # float or bool coordinate, or a tuple that may not be a vertex
-        bits = [a for a, c in enumerate(src) if c in (0, 1)]
+        # any int near the index range, an equal float or bool, the
+        # vertex's coordinate tuple, or an equal int in a list
         return st.one_of(
-            st.just(tuple(list(src))),
-            st.just(list(src)),
-            st.integers(0, len(src) - 1).map(lambda a: _with_coordinate(src, a, float(src[a]))),
-            st.sampled_from(bits).map(lambda a: _with_coordinate(src, a, bool(src[a])))
-            if bits else st.just(list(src)),
-            wider, wrong_length)
+            st.integers(-2, n + 2), st.just(float(src)), st.just(bool(src)),
+            st.just(g.vertex_at(src)), st.just([src]))
 
-    # the state's own tuple, a neighbor, or at a few drawn cops anything else
+    # the state's own index, a neighbor, or at a few drawn cops anything else
     odd = data.draw(st.sets(st.integers(0, k - 1), max_size=3))
-    dests = [data.draw(other(src) if i in odd
-                       else st.one_of(st.just(src), st.sampled_from(sorted(adj[src]))))
+    dests = [data.draw(other(src) if i in odd else st.one_of(
+                 st.just(src), st.sampled_from(sorted(adj[g.vertex_at(src)])).map(g.index)))
              for i, src in enumerate(state.cops)]
     expected = _explicit_cop_move_error(g, state.cops, dests)
     if expected is None:
-        assert apply_cop_move(state, dests).cops == tuple(map(tuple, dests))
-        assert {type(c) for c in apply_cop_move(state, dests).cops} == {tuple}
+        assert apply_cop_move(state, dests).cops == tuple(dests)
+        assert apply_cop_move(state, tuple(dests)).cops == tuple(dests)
     else:
         with pytest.raises((InvalidVertexError, RuleViolation)) as err:
             apply_cop_move(state, dests)
@@ -293,27 +355,87 @@ def test_robber_move_blocked_by_wall():
     g = grid(5, 5)
     cops = [(2, y) for y in range(5)]
     s = make_state(g, cops, (0, 0), Phase.ROBBER_TURN)
-    with pytest.raises(RuleViolation):
-        apply_robber_move(s, (4, 4))
+    with pytest.raises(RuleViolation, match=r"no cop-free path from \(0, 0\) to \(4, 4\)"):
+        apply_robber_move(s, g.index((4, 4)))
 
 
 def test_robber_stay_is_legal():
     s = make_state(grid(3, 3), [], (0, 0), Phase.ROBBER_TURN)
-    s2 = apply_robber_move(s, (0, 0))
+    s2 = apply_robber_move(s, 0)
     assert s2.phase is Phase.COP_TURN
     assert s2.round == 2
 
 
 def test_robber_move_around_center():
-    s = make_state(grid(3, 3), [(1, 1)], (0, 0), Phase.ROBBER_TURN)
-    s2 = apply_robber_move(s, (2, 2))
-    assert s2.robber == (2, 2)
+    g = grid(3, 3)
+    s = make_state(g, [(1, 1)], (0, 0), Phase.ROBBER_TURN)
+    s2 = apply_robber_move(s, g.index((2, 2)))
+    assert s2.robber == g.index((2, 2))
 
 
 def test_robber_cannot_land_on_cop():
-    s = make_state(grid(3, 3), [(0, 1)], (0, 0), Phase.ROBBER_TURN)
-    with pytest.raises(RuleViolation):
-        apply_robber_move(s, (0, 1))
+    g = grid(3, 3)
+    s = make_state(g, [(0, 1)], (0, 0), Phase.ROBBER_TURN)
+    with pytest.raises(RuleViolation, match=r"robber destination \(0, 1\) is cop-occupied"):
+        apply_robber_move(s, g.index((0, 1)))
+
+
+def test_answers_that_are_no_vertex_index_are_refused():
+    # a coordinate tuple, as strategies answered before positions became
+    # vertex indices, is no vertex: no second path accepts it
+    g = grid(3, 3)
+    s = make_state(g, [(1, 1)], (0, 0), Phase.ROBBER_TURN)
+    for bad in [(2, 2), [8], 8.0, True, None, 9, -1]:
+        with pytest.raises(InvalidVertexError, match="is not a vertex of grid:3x3"):
+            apply_robber_move(s, bad)
+    with pytest.raises(InvalidVertexError, match="is not a vertex of grid:3x3"):
+        place_cops(initial_state(g), [(0, 0)])
+    placed = place_cops(initial_state(g), [4])
+    with pytest.raises(InvalidVertexError, match="is not a vertex of grid:3x3"):
+        place_robber(placed, (0, 0))
+
+
+class _CoordinateCops(CopStrategy):
+    """Cops that answer coordinate tuples, valid vertices of the graph."""
+
+    name = "coordinate-cops"
+
+    def place(self, graph, k):
+        return [(0, 0)] * k
+
+    def move(self, state):
+        return [(0, 1)] * len(state.cops)
+
+
+class _CoordinateRobber(RobberStrategy):
+    """A robber that places on an index, then answers a coordinate tuple."""
+
+    name = "coordinate-robber"
+
+    def place(self, graph, cops):
+        return graph.vertex_count - 1
+
+    def move(self, state):
+        return state.graph.vertex_at(state.robber)
+
+
+@pytest.mark.parametrize("cops, robber, k, side, phase", [
+    (_CoordinateCops, "stationary", 1, "cops", "cop-placement"),
+    ("row-sweep", _CoordinateRobber, 4, "robber", "robber-turn"),
+])
+def test_a_strategy_answering_coordinates_ends_in_a_fault(cops, robber, k, side, phase):
+    from gridpursuit.cops import make_cop_strategy
+    from gridpursuit.robbers import make_robber_strategy
+
+    cops = cops() if isinstance(cops, type) else make_cop_strategy(cops)
+    robber = robber() if isinstance(robber, type) else make_robber_strategy(robber)
+    trace = run_match(grid(4, 4), cops, robber, k, max_rounds=5)
+    assert (trace.outcome, trace.fault_side) == ("fault", side)
+    fault = trace.events[-1]
+    assert fault["phase"] == phase
+    assert fault["annotations"]["error"].endswith("is not a vertex of grid:4x4")
+    assert trace_to_jsonl(trace_from_jsonl(trace_to_jsonl(trace))) == trace_to_jsonl(trace)
+    replay_trace(trace_from_jsonl(trace_to_jsonl(trace)))
 
 
 class _Pacer(RobberStrategy):
@@ -323,12 +445,13 @@ class _Pacer(RobberStrategy):
     name = "pacer"
 
     def place(self, graph, cops):
-        return min(v for v in graph.vertices() if v not in cops)
+        return min(v for v in range(graph.vertex_count) if v not in cops)
 
     def move(self, state):
-        x, *rest = state.robber
-        ahead = ((x + 1) % state.graph.lengths[0], *rest)
-        free = state.graph.neighbors(state.robber) - set(state.cops)
+        g = state.graph
+        x, *rest = g.vertex_at(state.robber)
+        ahead = g.index(((x + 1) % g.lengths[0], *rest))
+        free = set(g.closed_neighbors(state.robber)) - {state.robber} - set(state.cops)
         return ahead if ahead in free else min(free, default=state.robber)
 
 
@@ -347,7 +470,8 @@ def test_a_step_to_a_neighbour_is_checked_without_a_flood(monkeypatch):
     trace = trace_from_jsonl(trace_to_jsonl(run_match(g, RandomCops(), _Pacer(), 2, max_rounds=30)))
     steps = [(a["robber"], b["robber"]) for a, b in zip(trace.events, trace.events[1:])
              if b["phase"] == "robber-turn" and a["robber"] != b["robber"]]
-    assert len(steps) > 5 and all(g.adjacent(a, b) for a, b in steps)
+    assert len(steps) > 5 and all(g.is_edge(a, b) for a, b in steps)
+    steps = [coords(g, step) for step in steps]
     assert any(abs(a[0] - b[0]) == 5 or abs(a[1] - b[1]) == 5 for a, b in steps)  # across the seam
     monkeypatch.setattr(BitLattice, "component", counted)
     replay_trace(trace)
@@ -356,30 +480,32 @@ def test_a_step_to_a_neighbour_is_checked_without_a_flood(monkeypatch):
     # a step onto a cop, also a neighbour across a seam, and a longer step
     # across a cop wall are still refused; only the longer step floods
     wall = tuple((2, y) for y in range(5))
-    s = make_state(grid(5, 5), wall, (1, 2), Phase.ROBBER_TURN)
-    assert apply_robber_move(s, (1, 3)).robber == (1, 3)
+    g = grid(5, 5)
+    s = make_state(g, wall, (1, 2), Phase.ROBBER_TURN)
+    assert apply_robber_move(s, g.index((1, 3))).robber == g.index((1, 3))
     with pytest.raises(RuleViolation, match="cop-occupied"):
-        apply_robber_move(s, (2, 2))
+        apply_robber_move(s, g.index((2, 2)))
     assert floods == []
     with pytest.raises(RuleViolation, match="no cop-free path"):
-        apply_robber_move(s, (3, 2))
+        apply_robber_move(s, g.index((3, 2)))
     assert len(floods) == 1
-    s = make_state(torus(5, 5), ((4, 0),), (0, 0), Phase.ROBBER_TURN)
-    assert apply_robber_move(s, (0, 4)).robber == (0, 4)
+    g = torus(5, 5)
+    s = make_state(g, ((4, 0),), (0, 0), Phase.ROBBER_TURN)
+    assert apply_robber_move(s, g.index((0, 4))).robber == g.index((0, 4))
     with pytest.raises(RuleViolation, match="cop-occupied"):
-        apply_robber_move(s, (4, 0))
+        apply_robber_move(s, g.index((4, 0)))
     assert len(floods) == 1
 
 
 def test_round_increments_on_robber_turn_only():
     g = grid(2, 2)
     s = initial_state(g)
-    s = place_cops(s, [(0, 0)])
-    s = place_robber(s, (1, 1))
+    s = place_cops(s, ix(g, (0, 0)))
+    s = place_robber(s, g.index((1, 1)))
     assert s.round == 1
-    s = apply_cop_move(s, [(0, 1)])
+    s = apply_cop_move(s, ix(g, (0, 1)))
     assert s.round == 1
-    s = apply_robber_move(s, (1, 0))
+    s = apply_robber_move(s, g.index((1, 0)))
     assert s.round == 2
 
 
@@ -442,15 +568,32 @@ def test_trace_jsonl_roundtrip():
     replay_trace(parsed)
 
 
+def _as_written(g, record):
+    """record with its positions as trace_to_jsonl writes them: each vertex
+    index as its coordinate list, any other value as it is."""
+    def point(v):
+        return list(g.vertex_at(v)) if type(v) is int and 0 <= v < g.vertex_count else v
+
+    if type(record) is not dict:
+        return record
+    record = dict(record)
+    if type(record.get("cops")) in (list, tuple):
+        record["cops"] = [point(v) for v in record["cops"]]
+    if "robber" in record:
+        record["robber"] = point(record["robber"])
+    return record
+
+
 def _dumps_lines(trace):
+    g = parse_graph(trace.header["graph"])
     return [json.dumps(record, sort_keys=True, separators=(",", ":"))
-            for record in (trace.header, *trace.events)]
+            for record in (trace.header, *(_as_written(g, ev) for ev in trace.events))]
 
 
 def _configs_trace(configs):
     """A hand-built trace: a cop turn and a robber turn for each
     configuration, the robber turn sharing the cop turn's object."""
-    events = [{"round": r, "phase": phase, "cops": cops, "robber": (0, 0),
+    events = [{"round": r, "phase": phase, "cops": cops, "robber": 0,
                "event": None, "annotations": {}}
               for r, cops in enumerate(configs, 1) for phase in ("cop-turn", "robber-turn")]
     return MatchTrace({"graph": "grid:99x99", "k": len(configs[0]), "max_rounds": 9,
@@ -468,7 +611,7 @@ def test_trace_lines_are_json_dumps_of_each_record():
 
         def place(self, graph, k):
             self.last_annotations = {'a "key"': "naïve \\ ☃"}
-            return [(0, 0), (3, 3)]
+            return ix(graph, (0, 0), (3, 3))
 
         def move(self, state):
             raise StrategyFault('cop "0" can\'t move — ünïcode ✓')
@@ -487,18 +630,13 @@ def test_trace_lines_are_json_dumps_of_each_record():
         # events hold positions as GameState does, recorded and parsed alike
         assert parsed.events == trace.events
         for ev in parsed.events + trace.events:
-            assert type(ev["cops"]) is tuple and {type(c) for c in ev["cops"]} <= {tuple}
-            assert ev["robber"] is None or type(ev["robber"]) is tuple
+            assert type(ev["cops"]) is tuple and {type(c) for c in ev["cops"]} <= {int}
+            assert ev["robber"] is None or type(ev["robber"]) is int
         for events in (trace.events, parsed.events):
             # a robber's event repeats the cops of the event before it
             shared = [b["cops"] is a["cops"] for a, b in zip(events, events[1:])
                       if b["phase"].startswith("robber")]
             assert shared and all(shared)
-        if trace is blockade:
-            # its cops texts take the coordinate memo: equal coordinates of
-            # the parsed trace share one tuple
-            coords = [c for ev in parsed.events for c in ev["cops"]]
-            assert len({id(c) for c in coords}) == len(set(coords)) < len(coords)
         assert trace_to_jsonl(parsed) == text
         assert trace_to_jsonl(parsed).splitlines() == _dumps_lines(parsed)
 
@@ -512,11 +650,10 @@ def test_trace_lines_are_json_dumps_of_each_record():
     events[5]["round"] = 1.5
     assert trace_to_jsonl(blockade).splitlines() == _dumps_lines(blockade)
 
-    # long configurations that keep most entries of the one before (the
-    # same objects at the same index), where a kept or a new entry is not
-    # an int tuple
-    k = _SHARE_MIN_COPS + 4
-    base = tuple((i, 2 * i) for i in range(k))
+    # configurations with an entry that is no vertex index of grid:99x99
+    # (a bool, a float, an int out of range, a coordinate tuple, a list)
+    # are written as they are, next to configurations of vertex indices
+    base = tuple(range(0, 40, 2))
 
     def changed(cops, **at):
         cops = list(cops)
@@ -524,69 +661,64 @@ def test_trace_lines_are_json_dumps_of_each_record():
             cops[int(i[1:])] = value
         return tuple(cops)
 
-    shared_list = [5, 6]
-    first = changed(base, i3=(True, 0), i4=((1, 2), (3, 4)))  # not canonical, then reused
     odd = [
-        changed(base, i2=[4, 4]),  # a shared position turns into a list
-        changed(base, i2=(True, 4)),  # a bool
-        changed(base, i2=(4.0, 4)),  # a float
-        changed(base, i2=((4, 4), (5, 5))),  # a nested tuple
-        changed(base, i2=(4, 4, 4), i5=()),
-        tuple(list(base)),  # every entry kept
-        base + ((9, 9),),  # one entry longer
-        base[:-1],
-        (),
-        changed(base, i0=shared_list),
-        changed(base, i0=shared_list, i1=(1, 1)),  # a kept list
-        changed(base, **{f"i{i}": (i, i) for i in range(k // 2)}),  # half kept
-        changed(base, **{f"i{i}": (i, i) for i in range(k // 2 + 1)}),  # less than half
-        list(base),
-        [(0, 0)] + list(base[1:]),
+        changed(base, i2=True), changed(base, i2=4.0), changed(base, i2=-1),
+        changed(base, i2=99 * 99), changed(base, i2=10**30), changed(base, i2=(4, 4)),
+        changed(base, i2=[4, 4], i5=()), base + (99 * 99 - 1,), base[:-1], (), list(base),
+        [0] + list(base[1:]),
     ]
-    configs = [first, changed(first, i0=(7, 7), i9=(8, 8)), changed(base, i0=(7, 7))]
+    configs = [base]
     for cops in odd:
-        configs += [base, cops, changed(cops, i1=(9, 9)) if len(cops) > 1 else cops]
-    configs += [base[:1], base[:1]]
+        configs += [cops, changed(cops, i1=9) if len(cops) > 1 else cops, base]
     trace = _configs_trace(configs)
     assert trace_to_jsonl(trace).splitlines() == _dumps_lines(trace)
 
 
-def test_trace_writer_encodes_only_the_changed_coordinates(monkeypatch):
-    import gridpursuit.engine as engine
+def test_the_codec_table_holds_each_vertex_met_once(monkeypatch):
+    # the writer and the parser share one table per graph, filled with the
+    # vertices they meet and with nothing sized by the vertex count; a
+    # vertex's text is one string, held by both directions
     from gridpursuit.cops import make_cop_strategy
+    from gridpursuit.engine import _Codec
+    from gridpursuit.grid import GraphSpec
     from gridpursuit.robbers import make_robber_strategy
 
-    trace = run_match(parse_graph("grid:5x5x5"), make_cop_strategy("blockade-3d"),
-                      make_robber_strategy("max-component"), 22)
-    assert len(trace.events[0]["cops"]) >= _SHARE_MIN_COPS
+    g = parse_graph("grid:9x9x9")
+    trace = run_match(g, make_cop_strategy("blockade-3d"), make_robber_strategy("max-component"),
+                      66)
+    cops = {c for ev in trace.events for c in ev["cops"]}
+    robbers = {ev["robber"] for ev in trace.events} - {None}
+    robber_lines = sum(ev["robber"] is not None for ev in trace.events)
+    decoded, admitted = [], []
+    vertex_at, admit = GraphSpec.vertex_at, _Codec._admit
+    monkeypatch.setattr(GraphSpec, "vertex_at", lambda self, i: decoded.append(i) or vertex_at(self, i))
+    monkeypatch.setattr(_Codec, "_admit", lambda self, text: admitted.append(text) or admit(self, text))
+
+    _codec.cache_clear()
     text = trace_to_jsonl(trace)
-    seen = []
-    encode = engine._encode
+    codec = _codec(g)
+    assert set(codec.text) == cops and len(codec.index) == len(cops) < g.vertex_count
+    # each cop vertex is decoded once; the robber's coordinates once a line
+    assert sorted(decoded) == sorted([*cops, *(ev["robber"] for ev in trace.events
+                                                if ev["robber"] is not None)])
+    decoded.clear()
+    assert trace_to_jsonl(trace) == text and len(decoded) == robber_lines
+    assert {id(t) for t in codec.index} == {id(t) for t in codec.text.values()}
+    assert all(codec.index[t] == v for v, t in codec.text.items())
 
-    def counting(value):
-        if type(value) in (list, tuple):
-            seen.append(value)
-        return encode(value)
+    # the parse finds every cop text in the table, and admits the robber's
+    # other vertices once each
+    decoded.clear()
+    parsed = trace_from_jsonl(text)
+    assert parsed.events == trace.events and decoded == []
+    assert sorted(admitted) == sorted(",".join(map(str, vertex_at(g, v))) for v in robbers - cops)
+    assert set(codec.text) == cops | robbers
 
-    monkeypatch.setattr(engine, "_encode", counting)
-    assert trace_to_jsonl(trace) == text
-    # each new configuration is encoded whole, or, when it keeps at least
-    # half of the one before by identity, as the list of its other entries
-    configs = [trace.events[0]["cops"]]
-    for ev in trace.events[1:]:
-        if ev["cops"] is not configs[-1]:
-            configs.append(ev["cops"])
-    expected = [configs[0]]
-    for last, cops in zip(configs, configs[1:]):
-        fresh = [c for c, was in zip(cops, last) if c is not was]
-        if 2 * len(fresh) > len(cops):
-            expected.append(cops)
-        elif fresh:
-            expected.append(fresh)
-    assert seen == expected
-    assert all(a is b for got, want in zip(seen, expected) for a, b in zip(got, want))
-    encoded = sum(map(len, seen))
-    assert encoded < sum(map(len, configs)) / 4
+    # a fresh table is filled by the parse alone, with what it reads
+    _codec.cache_clear()
+    admitted.clear()
+    assert trace_from_jsonl(text).events == trace.events
+    assert len(admitted) == len(cops | robbers) and set(_codec(g).text) == cops | robbers
 
 
 def test_shared_cops_lines_keep_their_checks():
@@ -639,9 +771,7 @@ def test_robber_always_inside_reachable_during_play():
     g = grid(4, 4)
     for ev in trace.events:
         if ev["phase"] == "cop-turn" and ev["event"] is None:
-            robber = tuple(ev["robber"])
-            cops = [tuple(c) for c in ev["cops"]]
-            assert robber in reachable_set(g, cops, robber)
+            assert ev["robber"] in reachable_set(g, ev["cops"], ev["robber"])
 
 
 def test_strategy_fault_is_reported_not_raised():
@@ -652,10 +782,10 @@ def test_strategy_fault_is_reported_not_raised():
         name = "cheater"
 
         def place(self, graph, k):
-            return [(0, 0)] * k
+            return [0] * k
 
         def move(self, state):
-            return [(2, 2)]  # teleport
+            return [8]  # a teleport to (2, 2)
 
     trace = run_match(grid(3, 3), Cheater(), StationaryRobber(), 1, max_rounds=5)
     assert trace.outcome == "fault"
@@ -670,14 +800,14 @@ def test_robber_fault_on_unreachable_or_garbage_move():
         name = "teleporter"
 
         def place(self, graph, cops):
-            return (0, 0)
+            return 0
 
         def move(self, state):
-            return (4, 4)  # across the wall on row 2: unreachable
+            return 24  # (4, 4), across the wall on row 2: unreachable
 
     class WallCops(GreedyCops):
         def place(self, graph, k):
-            return [(x, 2) for x in range(5)]
+            return [graph.index((x, 2)) for x in range(5)]
 
         def move(self, state):
             return list(state.cops)
@@ -689,31 +819,41 @@ def test_robber_fault_on_unreachable_or_garbage_move():
         name = "garbage"
 
         def place(self, graph, cops):
-            return (0, 0)
+            return 0
 
         def move(self, state):
-            return (9, 9, 9)
+            return 999
 
     trace = run_match(grid(5, 5), WallCops(), Garbage(), 5, max_rounds=5)
     assert trace.outcome == "fault" and trace.fault_side == "robber"
 
 
-@pytest.mark.parametrize("bad", [("a", 1), (2.0, 2), (True, 1), (4.0, 4), 5, None])
+@pytest.mark.parametrize("bad", [("a", 1), (2.0, 2), (True, 1), (4.0, 4), "5", None])
 @pytest.mark.parametrize("turn", ["place", "move"])
 def test_non_int_coordinates_are_recorded_faults(bad, turn):
-    # not a TypeError traceback (a str coordinate, or an answer that is no
-    # vertex at all) and not a trace that trace_from_jsonl rejects (a float
-    # or bool coordinate, also on a cop that "stays" at (4.0, 4) on (4, 4))
+    # a coordinate tuple (also of a str, float or bool coordinate), a str
+    # or None where a vertex index belongs: not a TypeError traceback and
+    # not a trace that trace_from_jsonl rejects
+    _answers_are_recorded_faults([bad] if type(bad) is tuple else bad, bad, turn)
+
+
+@pytest.mark.parametrize("bad", [24.0, True, 2.0, [24], 2**70])
+@pytest.mark.parametrize("turn", ["place", "move"])
+def test_non_int_vertices_are_recorded_faults(bad, turn):
+    # a float or a bool, also on a cop that "stays" at 24.0 on 24, an index
+    # in a list, or an int out of range
+    _answers_are_recorded_faults([bad], bad, turn)
+
+
+def _answers_are_recorded_faults(cop_answer, bad, turn):
     from gridpursuit.engine import CopStrategy, RobberStrategy
     from gridpursuit.robbers import StationaryRobber
-
-    cop_answer = [bad] if type(bad) is tuple else bad
 
     class Typo(RobberStrategy):
         name = "typo"
 
         def place(self, graph, cops):
-            return bad if turn == "place" else (0, 0)
+            return bad if turn == "place" else 0
 
         def move(self, state):
             return bad
@@ -722,7 +862,7 @@ def test_non_int_coordinates_are_recorded_faults(bad, turn):
         name = "typo-cops"
 
         def place(self, graph, k):
-            return cop_answer if turn == "place" else [(4, 4)]
+            return cop_answer if turn == "place" else [24]
 
         def move(self, state):
             return cop_answer
@@ -731,7 +871,7 @@ def test_non_int_coordinates_are_recorded_faults(bad, turn):
         name = "stay"
 
         def place(self, graph, k):
-            return [(4, 4)]
+            return [24]
 
         def move(self, state):
             return state.cops
@@ -798,11 +938,98 @@ def test_trace_is_pinned(text, cop, robber, k, seed, max_rounds, sha256):
     replay_trace(trace_from_jsonl(text_out))
 
 
+class _TwoStepCop(CopStrategy):
+    """A cop walking along the first axis of grid:5x5 from (0, 0), which
+    answers a two-step move in round 3."""
+
+    name = "two-step"
+
+    def place(self, graph, k):
+        return [0]
+
+    def move(self, state):
+        r = state.round
+        return [5 * r] if r < 3 else [5 * (r + 1)]  # (r, 0), then (4, 0) from (2, 0)
+
+
+class _OntoCopRobber(RobberStrategy):
+    """A robber placed on (4, 4) of grid:5x5, which answers cop 0's vertex
+    in round 2."""
+
+    name = "onto-cop"
+
+    def place(self, graph, cops):
+        return 24
+
+    def move(self, state):
+        return state.robber if state.round < 2 else state.cops[0]
+
+
+class _BehindWallRobber(RobberStrategy):
+    """A robber placed on (0, 4) of grid:5x5, which answers (0, 0), behind
+    the row sweep's wall."""
+
+    name = "behind-wall"
+
+    def place(self, graph, cops):
+        return 4
+
+    def move(self, state):
+        return 0
+
+
+# SHA-256 of fault traces on grid:5x5, recorded when strategies answered
+# coordinate tuples: the fault messages name vertices by their coordinates,
+# "cop 0 cannot step (2, 0) -> (4, 0)", "robber destination (2, 0) is
+# cop-occupied" and "no cop-free path from (0, 4) to (0, 0)".
+PINNED_FAULT_TRACES = [
+    (_TwoStepCop, "stationary", 1, "cops",
+     "952fe2eb3014dff0a2305c8bcacb79d915357a448fda589ec9c1bf56012632f4"),
+    ("greedy", _OntoCopRobber, 1, "robber",
+     "1d031224ddbfe50061c2bc3603adc180b9cd8c9d240a5e2e7b186a3283542355"),
+    ("row-sweep", _BehindWallRobber, 5, "robber",
+     "bae3dc9d34755ce6c5193f6d3b660a5ca601dfa9e459a328fa45c7a89f31f622"),
+]
+
+
+@pytest.mark.parametrize("cop, robber, k, side, sha256", PINNED_FAULT_TRACES)
+def test_fault_trace_is_pinned(cop, robber, k, side, sha256):
+    from gridpursuit.cops import make_cop_strategy
+    from gridpursuit.robbers import make_robber_strategy
+
+    cop = cop() if isinstance(cop, type) else make_cop_strategy(cop)
+    robber = robber() if isinstance(robber, type) else make_robber_strategy(robber)
+    trace = run_match(grid(5, 5), cop, robber, k, max_rounds=10)
+    assert (trace.outcome, trace.fault_side) == ("fault", side)
+    text_out = trace_to_jsonl(trace)
+    assert hashlib.sha256(text_out.encode()).hexdigest() == sha256
+    replay_trace(trace_from_jsonl(text_out))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["product:4w,3,2", "product:3,1,5w", "torus:4x3", "torus:3x3x3",
+                        "cube:5", "grid:6x5", "grid:3x2x4"]),
+       st.sampled_from(["random", "greedy"]), st.sampled_from(["random", "max-component"]),
+       st.integers(1, 4), st.integers(0, 10**6))
+def test_traces_round_trip_through_the_index_codec(text, cop, robber, k, seed):
+    from gridpursuit.cops import make_cop_strategy
+    from gridpursuit.robbers import make_robber_strategy
+
+    trace = run_match(parse_graph(text), make_cop_strategy(cop), make_robber_strategy(robber),
+                      k, max_rounds=12, seed=seed)
+    written = trace_to_jsonl(trace)
+    parsed = trace_from_jsonl(written)
+    assert trace_to_jsonl(parsed) == written
+    assert [(ev["cops"], ev["robber"]) for ev in parsed.events] == \
+        [(ev["cops"], ev["robber"]) for ev in trace.events]
+    assert written.splitlines() == _dumps_lines(trace)
+
+
 # -- rendering -----------------------------------------------------------------
 
 
 def test_render_single_cell():
-    s = GameState(grid(1, 1), ((0, 0),), None, Phase.ROBBER_PLACEMENT)
+    s = GameState(grid(1, 1), (0,), None, Phase.ROBBER_PLACEMENT)
     assert render_ascii(s) == "C"
 
 
@@ -812,8 +1039,14 @@ def test_render_two_by_two():
 
 
 def test_render_colocation_is_x():
-    s = GameState(grid(3, 3), ((1, 1),), (1, 1), Phase.OVER, 1, "cops")
+    s = GameState(grid(3, 3), (4,), 4, Phase.OVER, 1, "cops")
     assert render_ascii(s).splitlines()[1][1] == "X"
+
+
+def test_render_lists_coordinates_past_three_dimensions():
+    g = cube(4)
+    s = make_state(g, [(0, 1, 0, 1)], (0, 0, 0, 0))
+    assert render_ascii(s) == "cop 0: (0, 1, 0, 1)\nrobber: (0, 0, 0, 0)"
 
 
 def test_render_3d_plane_blocks():
@@ -879,29 +1112,36 @@ def test_replay_rejects_a_false_no_free_vertex_capture():
 ])
 def test_replay_compares_the_positions_the_acting_side_did_not_supply(phase, field):
     trace = _greedy_trace()
+    g = grid(4, 4)
     ev = next(ev for ev in trace.events if ev["phase"] == phase and ev["event"] is None)
     first, *rest = ev["cops"] if field == "cops" else (ev["robber"],)
-    moved = ((first[0] + 1) % 4, first[1])
+    x, y = g.vertex_at(first)
+    moved = g.index(((x + 1) % 4, y))
     ev[field] = (moved, *rest) if field == "cops" else moved
     with pytest.raises(ReplayError, match=f"replay diverged at round {ev['round']} \\({phase}\\)"):
         replay_trace(trace)
 
 
 def test_replay_maps_engine_errors_to_replay_errors():
-    # (event, field, value): a position off the graph, then positions that
-    # equal the recorded ones but hold a bool, float or str coordinate (the
-    # events are cop placement, robber placement, cop turn, robber turn)
-    for index, field, value in [
-        (0, "cops", [[0, 9], [0, 0]]),
-        (0, "cops", [[0, False], [2, 0]]),
-        (1, "robber", [True, 2]),
-        (2, "cops", [[1.0, 0], [1, 0]]),
-        (2, "cops", [["a", 0], [1, 0]]),
-        (3, "robber", [0.0, 2]),
-        (3, "robber", ["a", 2]),
+    # (event, field, value from the recorded one): a position off the graph,
+    # then positions that equal the recorded ones but are a bool, a float, a
+    # str or the coordinate tuple (the events are cop placement, robber
+    # placement, cop turn, robber turn)
+    g = grid(4, 4)
+    for index, field, edit in [
+        (0, "cops", lambda cops: [16, *cops[1:]]),
+        (0, "cops", lambda cops: [bool(cops[0]) if cops[0] < 2 else float(cops[0]), *cops[1:]]),
+        (1, "robber", float),
+        (1, "robber", g.vertex_at),
+        (2, "cops", lambda cops: [float(cops[0]), *cops[1:]]),
+        (2, "cops", lambda cops: [str(cops[0]), *cops[1:]]),
+        (2, "cops", lambda cops: [g.vertex_at(cops[0]), *cops[1:]]),
+        (3, "robber", float),
+        (3, "robber", str),
+        (3, "robber", lambda robber: [robber]),
     ]:
         trace = _greedy_trace()
-        trace.events[index][field] = value
+        trace.events[index][field] = edit(trace.events[index][field])
         with pytest.raises(ReplayError, match="illegal action"):
             replay_trace(trace)
 
@@ -936,7 +1176,17 @@ def _parsed_or_error_line(parse, text):
 
 
 def _from_jsonl(text):
+    """trace_from_jsonl's header and events, with positions as coordinate
+    tuples as the line-by-line parser gives them."""
     trace = trace_from_jsonl(text)
+    g = parse_graph(trace.header["graph"])
+
+    def point(v):
+        return g.vertex_at(v) if type(v) is int else v
+
+    for ev in trace.events:
+        ev["cops"] = tuple(map(point, ev["cops"]))
+        ev["robber"] = point(ev["robber"])
     return trace.header, trace.events
 
 
@@ -953,7 +1203,7 @@ def test_trace_from_jsonl_matches_a_line_by_line_parser():
         name = "stuck"
 
         def place(self, graph, k):
-            return [(0, 0), (3, 3)]
+            return ix(graph, (0, 0), (3, 3))
 
         def move(self, state):
             raise StrategyFault("no move")
@@ -1011,19 +1261,19 @@ def test_trace_from_jsonl_matches_a_line_by_line_parser():
             texts.append("\n".join([header, *lines[:at], edit, *lines[at + 1:]]))
 
     # hand-edited coordinates at a cop turn whose configuration is new but
-    # whose coordinates all appeared before, so that its cops text takes
-    # the coordinate memo, and at the robber turn after it
+    # whose coordinates all appeared before, so that its cops text maps
+    # through the codec table text by text, and at the robber turn after it
     seen = set()
     for i, record in enumerate(records):
         if (record["phase"] == "cop-turn" and record["cops"] != records[i - 1]["cops"]
                 and seen.issuperset(map(tuple, record["cops"]))):
             break
         seen.update(map(tuple, record["cops"]))
-    assert len(_compact(record["cops"])) > _MEMO_MIN_CHARS
-    memo, last = {}, None
+    codec, last = _codec(parse_graph("grid:5x5x5")), None
     for ln in lines[:i]:
-        last = _load_written(ln, last, memo)[1]
-    assert type(_load_written(lines[i], last, memo)[0]["cops"]) is tuple
+        last = _load_written(ln, last, codec)[1]
+    cops = _load_written(lines[i], last, codec)[0]["cops"]
+    assert type(cops) is tuple and {type(c) for c in cops} == {int}
     coords = [_compact(c) for c in record["cops"]]
     j = len(coords) // 2
     a, b, c = record["cops"][j]
@@ -1051,7 +1301,7 @@ def test_trace_from_jsonl_matches_a_line_by_line_parser():
         want = _parsed_or_error_line(oracles.parse_trace, text)
         assert _parsed_or_error_line(_from_jsonl, text) == want
     # every event line trace_to_jsonl writes is decoded in parts
-    assert all(_load_written(ln, None, {}) for ln in lines)
+    assert all(_load_written(ln, None, codec) for ln in lines)
 
 
 def test_run_match_caps_the_vertex_count_before_building_a_lattice():
@@ -1081,7 +1331,7 @@ class _RecordingCops(CopStrategy):
 
     def place(self, graph, k):
         self.calls.append("place")
-        return [graph.vertex_at(0)] * k
+        return [0] * k
 
 
 def test_run_match_and_replay_cap_the_cop_count_before_anything_is_built():

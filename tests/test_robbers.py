@@ -41,6 +41,11 @@ from oracles import (
 )
 
 
+def ix(g, *vertices):
+    """The vertex indices of coordinate tuples, as a tuple."""
+    return tuple(map(g.index, vertices))
+
+
 def robber_turn_state(g, cops, robber, round_no=1):
     return GameState(g, tuple(cops), robber, Phase.ROBBER_TURN, round_no)
 
@@ -53,7 +58,7 @@ def test_grid2d_stacked_corner_cops_send_robber_to_far_sector():
     evader = Grid2DEvader(allow_excess_cops=True)
     evader.reset(g, None)
     cops = ((0, 0), (0, 0), (0, 0))
-    v = evader.place(g, cops)
+    v = g.vertex_at(evader.place(g, ix(g, *cops)))
     assert v[0] >= 3 and v[1] >= 3, v  # bottom-right sector
     assert all(g.distance(v, c) > 1 for c in cops)
     assert evader.last_annotations["sector"] == "bottom-right"
@@ -64,7 +69,7 @@ def test_grid2d_rigid_pattern_picks_empty_boundary_row():
     evader = Grid2DEvader()
     evader.reset(g, None)
     cops = ((3, 0), (0, 2), (2, 4))  # one cop per line, boundary pairs shared
-    v = evader.place(g, cops)
+    v = g.vertex_at(evader.place(g, ix(g, *cops)))
     assert v[1] == 1  # the empty one of the two top rows
     assert 1 <= v[0] <= 3  # never in a boundary column
     assert all(g.distance(v, c) > 1 for c in cops)
@@ -76,7 +81,7 @@ def test_grid2d_budget_enforced():
     evader = Grid2DEvader()
     evader.reset(g, None)
     with pytest.raises(ConfigurationError):
-        evader.place(g, tuple((x, 0) for x in range(5)))
+        evader.place(g, ix(g, *((x, 0) for x in range(5))))
 
 
 def test_grid2d_no_adjacent_cop_over_random_play():
@@ -115,11 +120,11 @@ def test_torus_band_arithmetic_and_zero_cop_choice():
     evader = TorusEvader()
     evader.reset(g, None)
     v = evader.place(g, ())
-    assert g.contains(v)
+    assert type(v) is int and 0 <= v < g.vertex_count
     assert evader.last_annotations["band_height"] == 3  # 18 = 6 bands of 3
     # second nearly-empty row of the first band, second column of the
     # first empty triple
-    assert v == (1, 1)
+    assert g.vertex_at(v) == (1, 1)
 
 
 def test_torus_evader_requires_large_board():
@@ -133,7 +138,7 @@ def test_torus_evader_budget():
     evader = TorusEvader()
     evader.reset(g, None)
     with pytest.raises(ConfigurationError):
-        evader.place(g, tuple((x, 0) for x in range(12)))
+        evader.place(g, ix(g, *((x, 0) for x in range(12))))
 
 
 def test_torus_evader_survives_random_with_checks():
@@ -154,7 +159,7 @@ def test_grid3d_zero_cops_walks_fixed_orientation_chain():
     evader = Grid3DEvader()
     evader.reset(g, None)
     v = evader.place(g, ())
-    assert v == (6, 7, 7)
+    assert g.vertex_at(v) == (6, 7, 7)
     notes = evader.last_annotations
     assert notes["half"] == "top"
     assert notes["quadrant"] == "top-front"
@@ -189,22 +194,24 @@ def test_grid3d_rejects_wrong_board():
 
 def test_potential_single_cop_values():
     g = cube(4)
-    assert potential(g, [(1, 1, 0, 0)], (0, 0, 0, 0)) == Fraction(1, 4)
-    assert potential(g, [(0, 0, 0, 0)], (0, 0, 0, 0)) == 1
-    assert potential(g, [(1, 0, 0, 0)], (0, 0, 0, 0)) == 1  # adjacent cop
+    origin = g.index((0, 0, 0, 0))
+    assert potential(g, ix(g, (1, 1, 0, 0)), origin) == Fraction(1, 4)
+    assert potential(g, ix(g, (0, 0, 0, 0)), origin) == 1
+    assert potential(g, ix(g, (1, 0, 0, 0)), origin) == 1  # adjacent cop
+    assert potential(g, ix(g, (1, 1, 0, 0)), g.index((0, 0, 0, 1))) == Fraction(1, 6)
 
 
 def test_potential_rejects_non_hypercube():
     with pytest.raises(ConfigurationError):
-        potential(grid(3, 3), [(0, 0)], (1, 1))
+        potential(grid(3, 3), [0], 4)
 
 
 def test_potential_aggregate_matches_counting_identity():
     from gridpursuit.counts import aggregate_potential
 
     g = cube(3)
-    cop = [(0, 1, 0)]
-    total = sum(potential(g, cop, v) for v in g.vertices())
+    cop = ix(g, (0, 1, 0))
+    total = sum(potential(g, cop, v) for v in range(g.vertex_count))
     assert total == aggregate_potential(3) == Fraction(16, 3)
 
 
@@ -218,7 +225,7 @@ def test_potential_evader_zero_cops_stays_put():
     evader = PotentialEvader()
     evader.reset(g, None)
     v = evader.place(g, ())
-    assert v == (0, 0, 0, 0, 0)  # zero potential everywhere: lexicographic tie
+    assert v == 0  # zero potential everywhere: lexicographic tie, (0, 0, 0, 0, 0)
     state = robber_turn_state(g, (), v)
     assert evader.move(state) == v
 
@@ -227,7 +234,7 @@ def test_potential_evader_annotates_exact_phi():
     g = cube(4)
     evader = PotentialEvader(allow_excess_cops=True)
     evader.reset(g, None)
-    cops = ((1, 1, 1, 1),)
+    cops = ix(g, (1, 1, 1, 1))
     v = evader.place(g, cops)
     phi = Fraction(evader.last_annotations["phi"])
     assert phi == potential(g, cops, v)
@@ -236,15 +243,16 @@ def test_potential_evader_annotates_exact_phi():
 
 def _random_cops(g, k, seed):
     rng = random.Random(seed)
-    return [g.vertex_at(rng.randrange(g.vertex_count)) for _ in range(k)]
+    return [rng.randrange(g.vertex_count) for _ in range(k)]
 
 
 # (n, cops): random configurations for n = 1..12, stacked and zero cops, k far
-# above the budget (0 cops on cube:8), and the bench's cube:14 size
+# above the budget (0 cops on cube:8, the vertex (0, ..., 0)), and the
+# bench's cube:14 size
 POTENTIAL_CASES = [(n, _random_cops(cube(n), n, n)) for n in range(1, 13)] + [
-    (6, [(0, 1, 1, 0, 1, 0)] * 5 + [(1, 1, 1, 1, 1, 1)] * 3),
+    (6, [*ix(cube(6), (0, 1, 1, 0, 1, 0))] * 5 + [*ix(cube(6), (1, 1, 1, 1, 1, 1))] * 3),
     (5, []),
-    (8, _random_cops(cube(8), 300, 8) + [(0,) * 8] * 100),
+    (8, _random_cops(cube(8), 300, 8) + [0] * 100),
     (14, _random_cops(cube(14), 54, 14)),
 ]
 
@@ -256,10 +264,10 @@ def test_potential_scores_match_the_fraction_reference(n, cops):
     evader = PotentialEvader(allow_excess_cops=True)
     evader.reset(g, None)
     scores = evader._scores(g, cops).tolist()
-    every = list(g.vertices())
+    every = list(range(g.vertex_count))
     # the reference costs about 0.7 ms a vertex at n = 14: sample there
     checked = every if n <= 12 else random.Random(n).sample(every, 2048)
-    assert [scores[g.index(v)] for v in checked] == [
+    assert [scores[v] for v in checked] == [
         evader._lcm * potential(g, cops, v) for v in checked
     ]
     v = evader.place(g, cops)
@@ -274,7 +282,7 @@ def test_potential_scores_refuse_cop_counts_past_exact_arithmetic():
     k = ((1 << 44) - 1) // evader._lcm + 1
     assert k == 1_586_975
     with pytest.raises(ConfigurationError, match="exact scoring"):
-        evader._scores(g, [(0,) * 20] * k)
+        evader._scores(g, [0] * k)
 
 
 def test_potential_evader_survives_greedy_small_cube():
@@ -407,7 +415,7 @@ def test_proof_evader_place_branch(text, evader_cls, cops, target, annotations):
     evader = evader_cls(allow_excess_cops=True)
     evader.check_invariants = True
     evader.reset(g, None)
-    assert evader.place(g, cops) == target
+    assert g.vertex_at(evader.place(g, ix(g, *cops))) == target
     assert evader.last_annotations == annotations
     assert evader.violations == []
 
@@ -417,8 +425,8 @@ def _after_cops_answer(evader, g, cops):
     evader.check_invariants = True
     evader.reset(g, None)
     v = evader.place(g, ())
-    evader.move(robber_turn_state(g, cops, v))
-    return v
+    evader.move(robber_turn_state(g, ix(g, *cops), v))
+    return g.vertex_at(v)
 
 
 def test_grid2d_post_move_check_flags_no_free_row():
@@ -489,7 +497,7 @@ def test_2d_selection_matches_the_per_vertex_reference():
         evader.reset(g, None)
         cops = _random_cops(rng, n)
         occ, near = cop_board(dims, cops)
-        board = evader._board(cops)
+        board = evader._board(ix(g, *cops))
 
         target, annotations = evader.select(board)
         reference = grid2d_select(occ, near) if safe_max == 0 else torus_select(occ)
@@ -555,21 +563,22 @@ def test_lifted_evader_stays_inside_subgraph_and_survives():
     assert lift.violations == []
     for ev in trace.events:
         if ev["robber"] is not None:
-            assert inner.contains(tuple(ev["robber"]))
+            assert inner.contains(outer.vertex_at(ev["robber"]))
 
 
 # -- heuristics and registry -------------------------------------------------------
 
 
 def test_stationary_places_first_free_vertex():
-    v = StationaryRobber().place(grid(3, 3), ((0, 0), (0, 1)))
-    assert v == (0, 2)
+    g = grid(3, 3)
+    v = StationaryRobber().place(g, ix(g, (0, 0), (0, 1)))
+    assert g.vertex_at(v) == (0, 2)
 
 
 def test_random_robber_with_no_free_vertex_faults():
     g = grid(1, 2)
     with pytest.raises(StrategyFault, match="no free vertex") as fault:
-        RandomRobber().place(g, ((0, 1), (0, 0)))
+        RandomRobber().place(g, ix(g, (0, 1), (0, 0)))
     assert fault.value.side == "robber"
     # a retraction onto a 1x2 grid maps two cops onto both of its vertices
     g = grid(4, 4)
@@ -588,10 +597,10 @@ def test_random_robber_reproducible():
 def test_max_component_placement_prefers_big_side():
     g = grid(3, 3)
     cops = ((1, 0), (1, 1), (1, 2))  # full wall: components of size 3 and 3
-    v = MaxComponentRobber().place(g, cops)
+    v = g.vertex_at(MaxComponentRobber().place(g, ix(g, *cops)))
     assert v[0] in (0, 2)
     cops = ((1, 0), (1, 1), (2, 1))  # corner pocket (2 cells) vs the rest
-    v = MaxComponentRobber().place(g, cops)
+    v = g.vertex_at(MaxComponentRobber().place(g, ix(g, *cops)))
     assert v not in {(2, 0)} and g.contains(v)
 
 
@@ -610,7 +619,8 @@ def test_max_component_choose_matches_a_bfs_oracle(g):
         far = max(dist[v] for v in candidates)
         best = [v for v in verts if v in candidates and dist[v] == far]
         ties += len(best) > 1
-        assert MaxComponentRobber.choose(g, cops, mask) == best[0], (cops, candidates)
+        assert MaxComponentRobber.choose(g, ix(g, *cops), mask) == g.index(best[0]), \
+            (cops, candidates)
 
     for _ in range(60):
         # stacked cops, no cops, and candidates that hold a cop all occur
@@ -640,7 +650,7 @@ def test_max_component_choose_matches_a_bfs_oracle(g):
         check(cops, union)
     assert ties
     assert largest or not walled
-    assert MaxComponentRobber.choose(g, [verts[0]], 0) is None
+    assert MaxComponentRobber.choose(g, [0], 0) is None
 
 
 def test_registry_builds_all_names():
