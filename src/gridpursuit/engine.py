@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
@@ -100,7 +101,7 @@ def _check_vertex(g: GraphSpec, v):
         raise InvalidVertexError(f"{v!r} is not a vertex of {format_graph(g)}")
 
 
-_INT, _SEQ = {int}, {list, tuple}
+_INT, _STR, _SEQ = {int}, {str}, {list, tuple}
 
 
 def _vertices(g: GraphSpec, answer) -> tuple:
@@ -434,6 +435,13 @@ _TERMINAL = ("capture", "timeout", "fault")
 # json.dumps(obj, sort_keys=True, separators=(",", ":")), without building
 # an encoder per call
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# _encode of the "event" and "phase" values met most, None and strings
+_memo = lru_cache(maxsize=64)(_encode)
+
+
+def _text(value) -> str:
+    """_encode(value), from _memo for None and strings."""
+    return _memo(value) if value is None or type(value) is str else _encode(value)
 
 
 class _Codec:
@@ -454,6 +462,12 @@ class _Codec:
     def _add(self, text: str, v: int):
         self.index[text] = v
         self.text[v] = text
+
+    def _text_of(self, v: int) -> str:
+        """The text of vertex index v (in range), added on first use."""
+        if v not in self.text:
+            self._add(",".join(map(str, self.graph.vertex_at(v))), v)
+        return self.text[v]
 
     def _admit(self, text: str) -> bool:
         """Whether text is the canonical text of a vertex, which is then
@@ -477,13 +491,16 @@ class _Codec:
             try:
                 return "[[" + "],[".join(map(self.text.__getitem__, cops)) + "]]" if cops else "[]"
             except KeyError:
-                g = self.graph
-                if 0 <= min(cops) and max(cops) < g.vertex_count:
-                    for v in set(cops):
-                        if v not in self.text:
-                            self._add(",".join(map(str, g.vertex_at(v))), v)
-                    return self.cops_json(cops)
+                if 0 <= min(cops) and max(cops) < self.graph.vertex_count:
+                    return "[[" + "],[".join(map(self._text_of, cops)) + "]]"
         return _encode(_points(self.graph, cops))
+
+    def point_json(self, v) -> str:
+        """The JSON text of a robber position: its vertex's text in
+        brackets, or _encode's text of a value that is no vertex index."""
+        if type(v) is int and 0 <= v < self.graph.vertex_count:
+            return "[" + self._text_of(v) + "]"
+        return _encode(v)
 
     def cops_of(self, text: str):
         """The vertex indices of a "cops" text as a tuple, or None unless
@@ -501,11 +518,15 @@ class _Codec:
                 return tuple(map(self.index.__getitem__, pieces))
         return None
 
+    def index_of(self, text: str):
+        """The vertex index of a canonical coordinate text, or None."""
+        return self.index[text] if text in self.index or self._admit(text) else None
+
     def vertex(self, coords):
         """The vertex index of a list of ints, or the ints as a tuple when
         they are no vertex of the graph."""
-        text = ",".join(map(str, coords))
-        return self.index[text] if text in self.index or self._admit(text) else tuple(coords)
+        v = self.index_of(",".join(map(str, coords)))
+        return tuple(coords) if v is None else v
 
 
 # the codec table of each graph, made on first use
@@ -518,10 +539,14 @@ def trace_to_jsonl(trace: MatchTrace) -> str:
     Each line is json.dumps(record, sort_keys=True, separators=(",", ":"))
     of the record with its positions as coordinate lists (graph.vertex_at
     of each index; a value that is no vertex index is written as it is).
-    An event with exactly the six fields _event writes is assembled from
-    its encoded parts: its "cops" text joins the texts the graph's codec
-    table keeps per vertex, and "cops" shared with the event before (the
-    same object) is joined once for both.  The header's graph must parse.
+    An event with exactly the six fields _event writes is assembled field
+    by field: its "cops" text joins the texts the graph's codec table keeps
+    per vertex, and "cops" shared with the event before (the same object)
+    is joined once for both; its robber is its vertex's text in brackets;
+    empty annotations are "{}", an int round is str(round), and "event"
+    and "phase" come from a memo of their texts.  A field of any other
+    type is written by the JSON encoder alone.  The header's graph must
+    parse.
     """
     if not trace.events:
         raise ValueError("trace has no recorded events (record_events=False?)")
@@ -538,10 +563,13 @@ def trace_to_jsonl(trace: MatchTrace) -> str:
             continue
         if ev["cops"] is not cops:
             cops, cops_json = ev["cops"], codec.cops_json(ev["cops"])
-        # sorted keys: annotations, cops, then the rest in one object
-        rest = _encode({"event": ev["event"], "phase": ev["phase"],
-                        "robber": _point(g, ev["robber"]), "round": ev["round"]})
-        lines.append(f'{{"annotations":{_encode(ev["annotations"])},"cops":{cops_json},{rest[1:]}')
+        notes, round_no = ev["annotations"], ev["round"]
+        notes = "{}" if type(notes) is dict and not notes else _encode(notes)
+        round_no = str(round_no) if type(round_no) is int else _encode(round_no)
+        # the six fields in sorted key order, as _encode writes them
+        lines.append(f'{{"annotations":{notes},"cops":{cops_json},"event":{_text(ev["event"])},'
+                     f'"phase":{_text(ev["phase"])},"robber":{codec.point_json(ev["robber"])},'
+                     f'"round":{round_no}}}')
     return "\n".join(lines) + "\n"
 
 
@@ -551,9 +579,8 @@ def _is_point(value) -> bool:
 
 
 def _check_event(ev, line_no):
-    """Raise TraceFormatError unless ev has the fields and types _event
-    writes.  Positions held as a tuple of indices were checked and
-    converted when the line was decoded in parts."""
+    """Raise TraceFormatError unless ev, as json.loads decodes a line, has
+    the fields and types _event writes."""
     if type(ev) is not dict:
         raise TraceFormatError(f"trace line {line_no}: event is not a JSON object")
     if not ev.keys() >= _EVENT_FIELDS:
@@ -563,10 +590,10 @@ def _check_event(ev, line_no):
         type(ev["round"]) is int
         and type(ev["phase"]) is str
         and (ev["event"] is None or type(ev["event"]) is str)
-        and (type(ev["cops"]) is tuple or (type(ev["cops"]) is list and all(map(_is_point, ev["cops"]))
-                                            and (ev["robber"] is None or _is_point(ev["robber"]))))
+        and type(ev["cops"]) is list and all(map(_is_point, ev["cops"]))
+        and (ev["robber"] is None or _is_point(ev["robber"]))
         and type(ev["annotations"]) is dict
-        and all(type(note) is str for note in ev["annotations"].values())
+        and _STR.issuperset(map(type, ev["annotations"].values()))
     ):
         raise TraceFormatError(f"trace line {line_no}: event field of the wrong type")
 
@@ -586,26 +613,36 @@ def _load(ln, line_no):
 # the scanner json.loads runs (the C one where built): scan(text, at) gives
 # the JSON value that starts at text[at] and the index after it
 _scan = json.JSONDecoder().scan_once
-_TAIL_FIELDS = _EVENT_FIELDS - {"annotations", "cops"}
+# the fields after "cops" in a form whose groups give what json.loads
+# decodes: "event" null or a string, "phase" a string, each with no escape
+# or control character; "robber" null or a list of digits and commas (the
+# codec table decides whether it is canonical); "round" an int with fewer
+# digits than any int-string limit
+_TAIL = re.compile(r',"event":(?:null|"([^"\\\x00-\x1f]*)"),"phase":"([^"\\\x00-\x1f]*)",'
+                   r'"robber":(?:null|\[([0-9,]*)\]),"round":(-?(?:0|[1-9][0-9]{0,99}))\}')
 
 
 def _load_written(ln, last, codec):
     """An event line laid out as trace_to_jsonl writes it, decoded in parts
     with its positions as vertex indices: (event, (its "cops" text, the
-    tuple it maps to)), or None for a line of any other layout or whose
-    positions are not canonical coordinate lists.
+    tuple it maps to)), or None for a line of any other layout, whose
+    positions are not canonical coordinate lists, or with a field of
+    another type or form.
 
-    A "cops" text equal to the one in last is not decoded again: the event
-    holds last's tuple.  A new text ends at the first ',"event":' after it
-    (canonical text holds no quote) and maps coordinate by coordinate
-    through codec.  The parts give json.loads(ln): the line must be
-    "annotations", then "cops", then an object of exactly the other four
-    fields, and a JSON value ends where its text does.
+    Annotations "{}" are read as they are; others are scanned, and must be
+    an object of strings.  A "cops" text equal to the one in last is not
+    decoded again: the event holds last's tuple.  A new text ends at the
+    first ',"event":' after it (canonical text holds no quote) and maps
+    coordinate by coordinate through codec.  The rest of the line must
+    match _TAIL whole, and the robber's text map through codec.  An event
+    decoded in parts equals json.loads(ln), with the types _check_event
+    asks for.
     """
     if not ln.startswith('{"annotations":'):
         return None
-    notes, at = _scan(ln, 15)
-    if not ln.startswith(',"cops":', at):
+    notes, at = ({}, 17) if ln.startswith("{}", 15) else _scan(ln, 15)
+    if not (ln.startswith(',"cops":', at) and type(notes) is dict
+            and _STR.issuperset(map(type, notes.values()))):
         return None
     at += 8
     if last and ln.startswith(last[0], at) and ln.startswith(',"event":', at + len(last[0])):
@@ -616,13 +653,14 @@ def _load_written(ln, last, codec):
         if cops is None:
             return None
         last = ln[at:end], cops
-    tail, stop = _scan("{" + ln[end + 1:], 0)
-    robber = tail.get("robber")
-    if stop != len(ln) - end or tail.keys() != _TAIL_FIELDS or not (
-            robber is None or _is_point(robber)):
+    tail = _TAIL.fullmatch(ln, end)
+    if tail is None:
         return None
-    tail["robber"] = robber if robber is None else codec.vertex(robber)
-    return {"annotations": notes, "cops": cops, **tail}, last
+    tag, phase, robber, round_no = tail.groups()
+    if robber is not None and (robber := codec.index_of(robber)) is None:
+        return None
+    return {"annotations": notes, "cops": cops, "event": tag, "phase": phase, "robber": robber,
+            "round": int(round_no)}, last
 
 
 def trace_from_jsonl(text: str) -> MatchTrace:
@@ -638,17 +676,19 @@ def trace_from_jsonl(text: str) -> MatchTrace:
     of range, or of another arity) stays a tuple of ints, which replay
     rejects.  Legality is replay_trace's job.
 
-    An event line in trace_to_jsonl's layout is decoded in parts: each
-    canonical coordinate text maps to its index through the graph's codec
-    table, and a "cops" text that repeats the line before (a robber turn
-    repeats the cop turn's) is mapped once.  Any other line, and one whose
-    positions are not all canonical text, goes through json.loads whole
+    An event line in trace_to_jsonl's layout is decoded in parts
+    (_load_written): each canonical coordinate text maps to its index
+    through the graph's codec table, a "cops" text that repeats the line
+    before (a robber turn repeats the cop turn's) is mapped once, and the
+    other fields are read by one regular expression that admits only the
+    types _check_event asks for.  Any other line, and one whose fields are
+    not all in that form, goes through json.loads whole and _check_event,
     with the same result.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ReplayError("empty trace")
-    records = [header := _load(lines[0], 1)]
+    records, whole = [header := _load(lines[0], 1)], []
     try:
         codec = _codec(parse_graph(header["graph"]))
     except (TypeError, KeyError, ValueError):  # GraphFormatError is a ValueError
@@ -660,6 +700,8 @@ def trace_from_jsonl(text: str) -> MatchTrace:
         except (StopIteration, ValueError, RecursionError):
             parsed = None  # json.loads raises the error, or decodes the line
         ev, last = parsed or (_load(ln, line_no), None)
+        if not parsed:
+            whole.append((line_no, ev))
         records.append(ev)
     if type(header) is not dict or any(
         type(header.get(key)) is not kind for key, kind in _HEADER_FIELDS.items()
@@ -667,7 +709,7 @@ def trace_from_jsonl(text: str) -> MatchTrace:
         raise TraceFormatError(
             f"trace header needs {', '.join(_HEADER_FIELDS)} (string graph, integer rest)"
         )
-    for line_no, ev in enumerate(records[1:], 2):
+    for line_no, ev in whole:
         _check_event(ev, line_no)
     codec = codec or _codec(parse_graph(header["graph"]))
     trace = MatchTrace(header=header)

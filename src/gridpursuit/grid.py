@@ -236,9 +236,12 @@ def parse_graph(text: str) -> GraphSpec:
 
 def _parse_int(part: str, whole: str) -> int:
     part = part.strip()
-    if not part.isdigit():
-        raise GraphFormatError(f"bad dimension {part!r} in graph spec {whole!r}")
-    return int(part)
+    # ASCII digits only: str.isdigit also takes "²" (which int() rejects)
+    # and "٣" (which int() reads as 3); 640 digits is the lowest int-string
+    # limit Python allows, past which int() raises
+    if part.isascii() and part.isdigit() and len(part) <= 640:
+        return int(part)
+    raise GraphFormatError(f"bad dimension {part!r} in graph spec {whole!r}")
 
 
 def format_graph(g: GraphSpec) -> str:

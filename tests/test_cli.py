@@ -415,6 +415,21 @@ def test_match_with_a_huge_cop_count_is_a_resource_error(capsys):
     assert err.startswith("error: 1000000000000 cops") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("graph", ["grid:\u00b2x2", "grid:\u0663x3", "torus:3x\uff13",
+                                   "grid:" + "1" * 5000 + "x2"],
+                         ids=["superscript", "arabic-indic", "fullwidth", "past-int-limit"])
+def test_bad_graph_dimension_digits_are_a_usage_error(tmp_path, capsys, graph):
+    # only ASCII digits are dimensions: int() rejects "\u00b2" and reads
+    # "\u0663" (Arabic-Indic three) as 3, and no dimension has 5000 digits
+    code, out, err = run_cli(capsys, "solve", "--graph", graph, "--k", "1")
+    assert code == 3 and out == ""
+    assert err.startswith("error: bad dimension") and "Traceback" not in err
+    lines = _recorded_trace(tmp_path, capsys)
+    code, out, err = _replay_lines(tmp_path, capsys, [_edit(lines[0], graph=graph)] + lines[1:])
+    assert code == 3 and out == ""
+    assert err.startswith("error: bad dimension") and "Traceback" not in err
+
+
 def test_replay_of_a_huge_header_k_is_a_resource_error(tmp_path, capsys):
     lines = _recorded_trace(tmp_path, capsys)
     code, out, err = _replay_lines(tmp_path, capsys, [_edit(lines[0], k=10**12)] + lines[1:])

@@ -648,6 +648,17 @@ def test_trace_lines_are_json_dumps_of_each_record():
     events[3]["robber"] = {"b": [1, 'a"b'], "a": None}
     events[4]["annotations"] = {"z": 1, "a": [2.5, True]}
     events[5]["round"] = 1.5
+    # six-field events whose fields need the encoder: strings that need
+    # escaping, an int and a bool tag, rounds that are no int (a bool, a
+    # float, an int past 64 bits), robbers that are no vertex index of
+    # grid:5x5x5 (and vertex 0), and empty annotations that are no dict
+    fields = [("event", 'say "a"'), ("phase", "back\\slash"), ("event", "naïve ☃"),
+              ("phase", "bell\x07\n"), ("phase", 1), ("phase", True), ("event", 1), ("event", True),
+              ("round", True), ("round", 2.0), ("round", 2**70),
+              ("robber", -1), ("robber", 125), ("robber", True), ("robber", 0),
+              ("annotations", None), ("annotations", []), ("annotations", "")]
+    for ev, (key, value) in zip(events[6:], fields):
+        ev[key] = value
     assert trace_to_jsonl(blockade).splitlines() == _dumps_lines(blockade)
 
     # configurations with an entry that is no vertex index of grid:99x99
@@ -686,9 +697,8 @@ def test_the_codec_table_holds_each_vertex_met_once(monkeypatch):
     g = parse_graph("grid:9x9x9")
     trace = run_match(g, make_cop_strategy("blockade-3d"), make_robber_strategy("max-component"),
                       66)
-    cops = {c for ev in trace.events for c in ev["cops"]}
-    robbers = {ev["robber"] for ev in trace.events} - {None}
-    robber_lines = sum(ev["robber"] is not None for ev in trace.events)
+    met = {c for ev in trace.events for c in ev["cops"]} | {ev["robber"] for ev in trace.events}
+    met.discard(None)
     decoded, admitted = [], []
     vertex_at, admit = GraphSpec.vertex_at, _Codec._admit
     monkeypatch.setattr(GraphSpec, "vertex_at", lambda self, i: decoded.append(i) or vertex_at(self, i))
@@ -697,28 +707,25 @@ def test_the_codec_table_holds_each_vertex_met_once(monkeypatch):
     _codec.cache_clear()
     text = trace_to_jsonl(trace)
     codec = _codec(g)
-    assert set(codec.text) == cops and len(codec.index) == len(cops) < g.vertex_count
-    # each cop vertex is decoded once; the robber's coordinates once a line
-    assert sorted(decoded) == sorted([*cops, *(ev["robber"] for ev in trace.events
-                                                if ev["robber"] is not None)])
+    assert set(codec.text) == met and len(codec.index) == len(met) < g.vertex_count
+    # each vertex, a cop's or the robber's, is decoded once, and a second
+    # write decodes none
+    assert sorted(decoded) == sorted(met)
     decoded.clear()
-    assert trace_to_jsonl(trace) == text and len(decoded) == robber_lines
+    assert trace_to_jsonl(trace) == text and decoded == []
     assert {id(t) for t in codec.index} == {id(t) for t in codec.text.values()}
     assert all(codec.index[t] == v for v, t in codec.text.items())
 
-    # the parse finds every cop text in the table, and admits the robber's
-    # other vertices once each
-    decoded.clear()
+    # the parse finds every text in the table
     parsed = trace_from_jsonl(text)
-    assert parsed.events == trace.events and decoded == []
-    assert sorted(admitted) == sorted(",".join(map(str, vertex_at(g, v))) for v in robbers - cops)
-    assert set(codec.text) == cops | robbers
+    assert parsed.events == trace.events and decoded == [] and admitted == []
+    assert set(codec.text) == met
 
     # a fresh table is filled by the parse alone, with what it reads
     _codec.cache_clear()
     admitted.clear()
     assert trace_from_jsonl(text).events == trace.events
-    assert len(admitted) == len(cops | robbers) and set(_codec(g).text) == cops | robbers
+    assert len(admitted) == len(met) and set(_codec(g).text) == met
 
 
 def test_shared_cops_lines_keep_their_checks():
@@ -1256,6 +1263,27 @@ def test_trace_from_jsonl_matches_a_line_by_line_parser():
         lines[i].replace(',"event":', ';"event":', 1),
         lines[i].replace('"cops":[', '"cops":[' + "[" * 10**5 + "]" * 10**5 + ",", 1),
     ]
+    # the fields after "cops", each as a JSON text: strings with escapes,
+    # raw non-ASCII and raw control characters; a phase that is no string;
+    # rounds that are no int, or no JSON, or too long for int(); robbers
+    # that are no canonical coordinate list, or no vertex of grid:5x5x5
+    texts_of = {key: _compact(record[key]) for key in ("event", "phase", "robber", "round")}
+    for key, value in [
+        ("event", r'"say \"a\""'), ("event", r'"back\\slash"'), ("event", r'"\u00e9"'),
+        ("event", '"é ☃"'), ("event", '"tab\there"'), ("event", '""'), ("event", "1"),
+        ("phase", r'"robber\u002dturn"'), ("phase", '"robber-turné"'), ("phase", '"a\x00"'),
+        ("phase", "null"), ("phase", "1"), ("phase", '["robber-turn"]'),
+        ("round", "1.0"), ("round", "true"), ("round", "-0"), ("round", "01"), ("round", "-1"),
+        ("round", "1" * 100), ("round", "1" * 5000), ("round", '"1"'),
+        ("robber", "[]"), ("robber", "[01,2]"), ("robber", "[1, 2]"), ("robber", "[1,2]"),
+        ("robber", "[01,2,3]"), ("robber", "[5,0,0]"), ("robber", "[1,,2]"), ("robber", "[0,0,0,]"),
+        ("robber", "[[0,0,0]]"), ("robber", "0"),
+    ]:
+        rest = ",".join(f'"{name}":{text}' for name, text in {**texts_of, key: value}.items())
+        edits.append(f'{head},"cops":{cops},{rest}}}')
+    # annotations of another type, or with a value that is no string
+    for notes in ['{"a":1}', '{"a":null}', '{"a":"x","b":["y"]}', "[]", '"x"', "null"]:
+        edits.append(f'{{"annotations":{notes},"cops":{cops},{tail}')
     for edit in edits:
         for at in (i - 1, i, i + 1):
             texts.append("\n".join([header, *lines[:at], edit, *lines[at + 1:]]))
