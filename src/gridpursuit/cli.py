@@ -10,13 +10,15 @@ trace, or a solver's witness, that does not replay through the match loop
 with the events, an event past the header's max_rounds, a fault whose side
 is not the one acting in its phase, or no final capture/timeout/fault
 event); 2 strategy fault, including a strategy answer that is not a
-vertex index (or a list of them); 3 configuration/usage error, including a
-negative --k or --cops and a malformed trace (a line that is not JSON, is
-nested past the recursion limit or holds an integer past the int-string
-digit limit, or a record missing a field); 4 resource cap exceeded (the
-solver's state cap, a match or replay graph above the engine's vertex cap
-or a cop count above its cop cap, or a count or bound box past the
-level-count step cap).
+vertex index (or a list of them); 3 configuration/usage error, including
+an error in the command line itself (an unknown subcommand, a missing
+argument, an integer argument that is not ASCII digits after an optional
+'-'), a negative --k or --cops and a malformed trace (a line that is not
+JSON, is nested past the recursion limit or holds an integer past the
+int-string digit limit, or a record missing a field); 4 resource cap
+exceeded (the solver's state cap, a graph above grid.MAX_MATCH_VERTICES,
+a match or replay cop count above the engine's cop cap, or a count or
+bound box past the level-count step cap).
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from .engine import (
     trace_to_jsonl,
 )
 from .errors import ConfigurationError, GridPursuitError, ReplayError, ResourceLimitError
-from .grid import format_graph, parse_graph
+from .grid import _is_digits, format_graph, parse_graph
 from .robbers import make_robber_strategy
 from .solver import DEFAULT_STATE_CAP, cop_number, solve_game
 
@@ -59,10 +61,19 @@ def _witness(res):
     return None if res.witness_placement is None else _coords(res.graph, res.witness_placement)
 
 
+def _int(text):
+    """An int argument: ASCII digits after an optional '-', by the rule
+    graph specs use (int() also takes "٣", "1_0" and other forms)."""
+    text = text.strip()
+    if _is_digits(text.removeprefix("-")):
+        return int(text)
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _parse_dims(text):
     try:
-        dims = tuple(int(p) for p in text.split(","))
-    except ValueError:
+        dims = tuple(_int(p) for p in text.split(","))
+    except argparse.ArgumentTypeError:
         raise ConfigurationError(f"bad dims {text!r}; expected e.g. 5,5,5") from None
     if not dims or any(d < 1 for d in dims):
         raise ConfigurationError(f"dims must be positive integers, got {text!r}")
@@ -243,8 +254,17 @@ def cmd_replay(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors reported under exit code 3, not 2 (which
+    means a strategy fault here); --help still exits 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gridpursuit",
         description="Pursuit games against an infinitely fast evader on grid-like graphs.",
     )
@@ -254,39 +274,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="e.g. grid:9x9, torus:18x18, cube:10")
     p.add_argument("--cop", required=True, help="cop strategy name")
     p.add_argument("--robber", required=True, help="robber strategy name")
-    p.add_argument("--k", type=int, required=True, help="number of cops")
-    p.add_argument("--max-rounds", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--k", type=_int, required=True, help="number of cops")
+    p.add_argument("--max-rounds", type=_int, default=None)
+    p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--check-invariants", action="store_true")
     p.add_argument("--trace", help="write the JSON-lines trace here")
     p.set_defaults(fn=cmd_match)
 
     p = sub.add_parser("solve", help="decide whether k cops win")
     p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP)
+    p.add_argument("--k", type=_int, required=True)
+    p.add_argument("--cap", type=_int, default=DEFAULT_STATE_CAP)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("copnum", help="exact cop number by ascending search")
     p.add_argument("--graph", required=True)
-    p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP)
+    p.add_argument("--k-max", type=_int, default=None)
+    p.add_argument("--cap", type=_int, default=DEFAULT_STATE_CAP)
     p.set_defaults(fn=cmd_copnum)
 
     p = sub.add_parser("count", help="level-set counts on a box")
     p.add_argument("--dims", required=True, help="comma-separated side lengths")
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_int, required=True)
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("bound", help="largest-component lower bound against cops")
     p.add_argument("--dims", required=True)
-    p.add_argument("--cops", type=int, required=True)
+    p.add_argument("--cops", type=_int, required=True)
     p.set_defaults(fn=cmd_bound)
 
     p = sub.add_parser("table", help="reproduction table of solved cop numbers")
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.add_argument("--out", help="also write the JSON table to this path")
-    p.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP)
+    p.add_argument("--cap", type=_int, default=DEFAULT_STATE_CAP)
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("render", help="draw a recorded trace")

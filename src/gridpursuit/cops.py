@@ -17,7 +17,7 @@ from operator import ne
 from .counts import level_closed_form
 from .engine import CopStrategy, GameState
 from .errors import ConfigurationError, require
-from .grid import CoordMap, GraphSpec
+from .grid import GraphSpec
 
 __all__ = [
     "RowSweepCops",
@@ -121,7 +121,6 @@ class DiagonalPairsCops(CopStrategy):
     def reset(self, graph, k, rng):
         super().reset(graph, k, rng)
         self._mode = "await"
-        self._map = None
 
     def place(self, graph, k):
         _require_grid_2d(graph)
@@ -140,19 +139,13 @@ class DiagonalPairsCops(CopStrategy):
         strategists = n - 1  # cops beyond these are stacked extras
         if self._mode == "await":
             x, y = g.vertex_at(state.robber)
-            if x == y:
-                self._mode = "surround"
-                self._map = CoordMap(g)
-            else:
-                # work in coordinates where the robber is on the low-x side
-                self._map = CoordMap(g, perm=(0, 1) if x < y else (1, 0))
-                self._mode = "split"
-            # the canonical frame's unit steps as index offsets: across
-            # (+1 in canonical x) and down (+1 in canonical y)
-            cm = self._map
-            self._across, self._down = (g.index(cm.invert(v)) for v in ((1, 0), (0, 1)))
+            self._mode = "surround" if x == y else "split"
+            # work in a frame where the robber is on the low-x side, the
+            # board transposed when x > y; its unit steps as index offsets
+            # (index x * n + y): across (+1 in frame x) and down (+1 in frame y)
+            self._across, self._down = (1, n) if x > y else (n, 1)
 
-        cm, across, down = self._map, self._across, self._down
+        across, down = self._across, self._down
         dests = list(state.cops)
 
         if self._mode == "split":
@@ -179,7 +172,7 @@ class DiagonalPairsCops(CopStrategy):
                     (d + 1, d + 1): [(d + 1, d), (d, d + 1)],
                 }
             for src, outs in targets.items():
-                src, outs = g.index(cm.invert(src)), [g.index(cm.invert(v)) for v in outs]
+                src, outs = g.index(src), [g.index(v) for v in outs]
                 moved = 0
                 for i in range(strategists):
                     if state.cops[i] == src and moved < len(outs):
@@ -270,8 +263,8 @@ class _LevelBlockadeCops(CopStrategy):
         n = self._validate(graph, k)
         d = graph.ndim
         m = d * (n - 1) // 2
-        wall = [i for i, v in enumerate(graph.vertices()) if sum(v) == m]
-        positions = wall[:k]
+        # the wall in index order, enumerated as _slice_targets does
+        positions = [graph.index(v) for v in _compositions(m, d, n - 1)][:k]
         self._blocking = list(range(len(positions)))
         self._reserve = list(range(len(positions), k))
         positions += [graph.vertex_count - 1] * (k - len(positions))  # the corner (n-1, ..., n-1)

@@ -36,17 +36,10 @@ from .errors import (
     StrategyFault,
     TraceFormatError,
 )
-from .grid import GraphSpec, format_graph, lattice, parse_graph
+from .grid import MAX_MATCH_VERTICES, GraphSpec, format_graph, lattice, parse_graph
 
 TRACE_VERSION = 1
 
-# Largest graph run_match accepts.  Every turn floods bitboards of one bit
-# per vertex, and the lattice behind them holds a mask of that size per
-# dimension, so cost grows with the vertex count: at the cap (grid:1024x1024
-# or cube:20) one round takes about 1-3 s and a random robber's move decode
-# about 400 MiB, and cube:30 would need 8 GiB before the first move.  The
-# largest graph the tests, demos and benchmark play is cube:14 (16384).
-MAX_MATCH_VERTICES = 1 << 20
 # Largest cop count run_match and replay_trace accept.  Placement lists
 # every cop and every turn checks each cop's move, so cost grows with k: at
 # the cap one round on grid:3x3 takes about 1-2 s and 300 MiB.  The largest

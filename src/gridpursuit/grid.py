@@ -26,7 +26,7 @@ from itertools import product as _iproduct
 
 import numpy as np
 
-from .errors import GraphFormatError, InvalidVertexError
+from .errors import GraphFormatError, InvalidVertexError, ResourceLimitError
 
 Vertex = tuple  # coordinate tuple, one non-negative int per dimension; its index is GraphSpec.index
 
@@ -215,31 +215,34 @@ def parse_graph(text: str) -> GraphSpec:
     if ":" not in text:
         raise GraphFormatError(f"missing ':' in graph spec {text!r}")
     family, _, rest = text.partition(":")
-    try:
-        if family == "grid":
-            return grid(*(_parse_int(p, text) for p in rest.split("x")))
-        if family == "torus":
-            return torus(*(_parse_int(p, text) for p in rest.split("x")))
-        if family == "cube":
-            return cube(_parse_int(rest, text))
-        if family == "product":
-            dims = []
-            for part in rest.split(","):
-                part = part.strip()
-                wrap = part.endswith("w")
-                dims.append((_parse_int(part[:-1] if wrap else part, text), wrap))
-            return product(dims)
-    except GraphFormatError:
-        raise
+    if family == "grid":
+        return grid(*(_parse_int(p, text) for p in rest.split("x")))
+    if family == "torus":
+        return torus(*(_parse_int(p, text) for p in rest.split("x")))
+    if family == "cube":
+        return cube(_parse_int(rest, text))
+    if family == "product":
+        dims = []
+        for part in rest.split(","):
+            part = part.strip()
+            wrap = part.endswith("w")
+            dims.append((_parse_int(part[:-1] if wrap else part, text), wrap))
+        return product(dims)
     raise GraphFormatError(f"unknown graph family {family!r} in {text!r}")
+
+
+def _is_digits(text: str) -> bool:
+    """Whether text is an unsigned decimal int in ASCII digits.
+
+    str.isdigit also takes "²" (which int() rejects) and "٣" (which int()
+    reads as 3), and int() takes "1_0"; 640 digits is the lowest int-string
+    limit Python allows, past which int() raises."""
+    return text.isascii() and text.isdigit() and len(text) <= 640
 
 
 def _parse_int(part: str, whole: str) -> int:
     part = part.strip()
-    # ASCII digits only: str.isdigit also takes "²" (which int() rejects)
-    # and "٣" (which int() reads as 3); 640 digits is the lowest int-string
-    # limit Python allows, past which int() raises
-    if part.isascii() and part.isdigit() and len(part) <= 640:
+    if _is_digits(part):
         return int(part)
     raise GraphFormatError(f"bad dimension {part!r} in graph spec {whole!r}")
 
@@ -261,6 +264,15 @@ def format_graph(g: GraphSpec) -> str:
 # Bitboard vertex sets
 # --------------------------------------------------------------------------
 
+
+# Largest graph a lattice is built for, so the largest graph run_match
+# accepts.  Every turn floods bitboards of one bit per vertex, and the
+# lattice holds a mask of that size per dimension, so cost grows with the
+# vertex count: at the cap (grid:1024x1024 or cube:20) one round takes about
+# 1-3 s and a random robber's move decode about 400 MiB, and cube:30 would
+# need 8 GiB before the first move.  The largest graph the tests, demos and
+# benchmark play is cube:14 (16384).
+MAX_MATCH_VERTICES = 1 << 20
 
 # Below this many vertices mask_of sets bits one at a time: numpy's fixed
 # cost of about 7 us per call loses to a Python loop there.
@@ -437,19 +449,28 @@ class BitLattice:
 
 @lru_cache(maxsize=256)
 def lattice(g: GraphSpec) -> BitLattice:
+    """The graph's lattice, made once per graph; ResourceLimitError, before
+    any allocation, above MAX_MATCH_VERTICES vertices."""
+    if g.vertex_count > MAX_MATCH_VERTICES:
+        raise ResourceLimitError(
+            f"{format_graph(g)} has {g.vertex_count} vertices; vertex sets are "
+            f"capped at {MAX_MATCH_VERTICES}",
+            estimate=g.vertex_count,
+            cap=MAX_MATCH_VERTICES,
+        )
     return BitLattice(g)
 
 
 # --------------------------------------------------------------------------
-# Coordinate transforms (reflections / axis swaps used by strategies)
+# Coordinate transforms (reflections / axis swaps)
 # --------------------------------------------------------------------------
 
 
 class CoordMap:
     """An automorphism of a product graph: permute axes, then reflect some.
 
-    Strategies use these to reduce mirrored cases (bottom sector, robber on
-    the high side of a blockade, ...) to one canonical orientation.
+    It maps coordinate tuples; no library code uses it (the strategies
+    reduce mirrored cases to one orientation by index arithmetic).
     """
 
     def __init__(self, g: GraphSpec, perm=None, reflect=None):

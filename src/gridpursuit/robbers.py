@@ -7,12 +7,13 @@ to .violations (the move emitted stays legal either way).
 
 The grid, torus and 3D evaders share one turn loop, which builds one board
 of the cops per turn (see _ProofEvader): select(board) reads the proof's
-window counts off it, and board.near_cop tests a target for an adjacent
-cop.  The grid and torus board holds per-line cop counts and the set of cop
-vertices, built in one pass over the cops (_LineBoard); the 3D board is two
-numpy arrays shaped like the graph (_Board).  A row guarantee applies the
-evader's _safe_rows rule to per-row counts.  They share one contract for
-turns outside their guarantee:
+window counts off it, and board.near, the bitboard of the cops' closed
+neighbourhoods, tests a target for an adjacent cop in one bit.  The grid
+and torus board holds per-line cop counts, built in one pass over the cops
+(_LineBoard); the 3D board holds the cop counts as a numpy array shaped
+like the graph (_Board).  A row guarantee applies the evader's _safe_rows
+rule to per-row counts.  They share one contract for turns outside their
+guarantee:
 
 * more cops than the proof's budget raise ConfigurationError, unless the
   evader is built with allow_excess_cops; a 2D board with n <= 3 has no
@@ -73,17 +74,24 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 
+def _free_mask(graph, cops):
+    """Bitboard of the cop-free vertices; a robber placed with none faults."""
+    lat = lattice(graph)
+    free = lat.full & ~lat.mask_of(cops)
+    if not free:
+        raise StrategyFault("no free vertex", side="robber")
+    return free
+
+
 class StationaryRobber(RobberStrategy):
-    """Places on the first cop-free vertex in index order and never moves."""
+    """Places on the first cop-free vertex in index order (the lowest free
+    bit) and never moves."""
 
     name = "stationary"
 
     def place(self, graph, cops):
-        occupied = set(cops)
-        for v in range(graph.vertex_count):
-            if v not in occupied:
-                return v
-        raise StrategyFault("no free vertex", side="robber")
+        free = _free_mask(graph, cops)
+        return (free & -free).bit_length() - 1
 
     def move(self, state):
         return state.robber
@@ -96,11 +104,7 @@ class RandomRobber(RobberStrategy):
     name = "random"
 
     def place(self, graph, cops):
-        lat = lattice(graph)
-        free = lat.full & ~lat.mask_of(cops)
-        if not free:
-            raise StrategyFault("no free vertex", side="robber")
-        return self._draw(graph, free)
+        return self._draw(graph, _free_mask(graph, cops))
 
     def move(self, state):
         return self._draw(state.graph, reachable_mask(state.graph, state.cops, state.robber))
@@ -196,18 +200,14 @@ def _cop_counts(graph, cops):
 
 
 class _Board(NamedTuple):
-    """The 3D evader's board: one turn's cops as two arrays of shape
-    graph.lengths, indexed by vertex.  occ counts the cops on each vertex
-    (window counts are its slice sums), near marks the cops' closed
-    neighbourhoods.  With hundreds of cops on thousands of vertices, the
-    arrays cost less than per-line counts built cop by cop."""
+    """The 3D evader's board: occ counts one turn's cops on each vertex, an
+    array of shape graph.lengths (window counts are its slice sums), and
+    near is the bitboard of the cops' closed neighbourhoods.  With hundreds
+    of cops on thousands of vertices, the array costs less than per-line
+    counts built cop by cop."""
 
     occ: np.ndarray
-    near: np.ndarray
-
-    def near_cop(self, v):
-        """Whether a cop stands on v or next to it."""
-        return bool(self.near[v])
+    near: int
 
 
 class _LineBoard(NamedTuple):
@@ -216,17 +216,17 @@ class _LineBoard(NamedTuple):
 
     rows[y] counts the cops on row y (the vertices (x, y)) and cols[x]
     those on column x; rows_high and cols_high count only the cops whose
-    other coordinate is on the high half, at least (n + 1) // 2.  cops is
-    the set of cop coordinates; on a torus (wrap) neighbours wrap mod n on
-    both axes.
+    other coordinate is on the high half, at least (n + 1) // 2.  cops
+    lists the cop coordinates, and near is the bitboard of the cops' closed
+    neighbourhoods, in which vertex (x, y) is bit x * n + y.
     """
 
     rows: list
     cols: list
     rows_high: list
     cols_high: list
-    cops: frozenset
-    wrap: bool
+    cops: list
+    near: int
 
     def lines(self, transposed):
         """(per-line totals, high-half counts) of the rows, or of the
@@ -234,16 +234,9 @@ class _LineBoard(NamedTuple):
         return (self.cols, self.cols_high) if transposed else (self.rows, self.rows_high)
 
     def near_cop(self, v):
-        """Whether a cop stands on v or next to it."""
+        """Whether a cop stands on v = (x, y) or next to it (1 or 0)."""
         x, y = v
-        cops = self.cops
-        if self.wrap:
-            n = len(self.rows)
-            steps = (((x + 1) % n, y), ((x - 1) % n, y), (x, (y + 1) % n), (x, (y - 1) % n))
-        else:
-            # a step off the grid is no vertex, so no cop stands there
-            steps = ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
-        return v in cops or not cops.isdisjoint(steps)
+        return self.near >> x * len(self.rows) + y & 1
 
 
 class _ProofEvader(RobberStrategy):
@@ -253,10 +246,12 @@ class _ProofEvader(RobberStrategy):
     selection rule (select(board) -> (target or None, annotations)) and the
     guarantee it checks after the cops answer a proof move
     (post_move_check(state, board, reach)).  Every turn builds one board of
-    the cops and tests the target with board.near_cop.  The board kind is
+    the cops and tests the target's bit in board.near.  The board kind is
     fixed per class: by default a _LineBoard of per-line counts, built in
     one pass over the cops, which the grid and torus evaders read; the 3D
-    evader builds the numpy _Board instead.
+    evader builds the numpy _Board instead.  Either board's near is the
+    lattice's expand of the cops' mask, which mask_of keeps for the turn's
+    reachable_mask call on the same cops.
 
     The default post-move check is the row guarantee of the 2D and torus
     evaders: some row y (the vertices (x, y)) that `_safe_rows` admits,
@@ -277,7 +272,7 @@ class _ProofEvader(RobberStrategy):
     def reset(self, graph, rng):
         super().reset(graph, rng)
         n = self._n = graph.dims[0].length
-        self._wrap = graph.dims[0].wrap
+        self._lat = lattice(graph)
         if self._safe_rows is not None:
             row0 = sum(1 << x * n for x in range(n))
             self._row_bits = [row0 << y for y in range(n)]
@@ -288,10 +283,17 @@ class _ProofEvader(RobberStrategy):
     def _in_budget(self, cops):
         return _within_budget(cops, self.budget(self._n), self.allow_excess_cops)
 
+    def _near(self, cops):
+        """Bitboard of the cops' closed neighbourhoods."""
+        lat = self._lat
+        mask = lat.mask_of(cops)
+        return mask | lat.expand(mask)
+
     def _board(self, cops):
         n = self._n
         half = (n + 1) // 2
         rows, cols, rows_high, cols_high = [0] * n, [0] * n, [0] * n, [0] * n
+        near = self._near(cops)
         cops = [divmod(c, n) for c in cops]  # (x, y): index x * n + y
         for x, y in cops:
             rows[y] += 1
@@ -300,7 +302,7 @@ class _ProofEvader(RobberStrategy):
                 rows_high[y] += 1
             if y >= half:
                 cols_high[x] += 1
-        return _LineBoard(rows, cols, rows_high, cols_high, frozenset(cops), self._wrap)
+        return _LineBoard(rows, cols, rows_high, cols_high, cops, near)
 
     def _give_up(self, in_budget, why):
         """A turn without a usable target: a fault within the budget, where
@@ -317,11 +319,12 @@ class _ProofEvader(RobberStrategy):
         if v is None:
             self._give_up(in_budget, f"{self.name} found no admissible target")
             return self._fallback.place(graph, cops)
-        if self.check_invariants and board.near_cop(v):
+        target = graph.index(v)
+        if self.check_invariants and board.near >> target & 1:
             self.violations.append(f"placement {v} adjacent to a cop")
         self.last_annotations = cert
         self._pending = True
-        return graph.index(v)
+        return target
 
     def move(self, state):
         g, cops = state.graph, state.cops
@@ -339,7 +342,7 @@ class _ProofEvader(RobberStrategy):
         target = g.index(v)
         reached = reach >> target & 1
         if self.check_invariants:
-            if board.near_cop(v):
+            if board.near >> target & 1:
                 self.violations.append(f"round {state.round}: target {v} adjacent to a cop")
             if not reached and self._row_reachable(board, reach):
                 self.violations.append(
@@ -577,8 +580,9 @@ class TorusEvader(_ProofEvader):
         # blocks three of the n column triples (which wrap around)
         nearly = [y for y in range(start, start + h) if rows[y] <= 1]
         held = {x for x, y in board.cops if start <= y < start + h}
-        s = next(s for s in range(n) if held.isdisjoint((s, (s + 1) % n, (s + 2) % n)))
-        v = ((s + 1) % n, nearly[1])
+        ring = [*range(n), 0, 1]  # a column triple from s is ring[s:s + 3]
+        s = next(s for s in range(n) if held.isdisjoint(ring[s : s + 3]))
+        v = (ring[s + 1], nearly[1])
         return v, {"case": "band", "band_start": start, "band_height": h}
 
 
@@ -633,15 +637,11 @@ class Grid3DEvader(_ProofEvader):
             f"3d evader needs a cubic grid, got {format_graph(graph)}",
         )
         require(self._n % 10 == 0, f"3d evader needs n divisible by 10, got {self._n}")
-        self._lat = lattice(graph)
         self.component_failures = 0
 
     def _board(self, cops):
-        lat = self._lat
-        shape = lat.graph.lengths
-        mask = lat.mask_of(cops)
-        occ = _cop_counts(lat.graph, cops).reshape(shape)
-        return _Board(occ, lat.bits_of(mask | lat.expand(mask)).reshape(shape))
+        g = self._lat.graph
+        return _Board(_cop_counts(g, cops).reshape(g.lengths), self._near(cops))
 
     def _give_up(self, in_budget, why):
         # the guarantee is asymptotic: within the budget too, a board can
@@ -649,7 +649,7 @@ class Grid3DEvader(_ProofEvader):
         super()._give_up(False, why)
 
     def post_move_check(self, state, board, reach):
-        lat = lattice(state.graph)
+        lat = self._lat
         components = lat.components(lat.mask_of(state.cops))
         if reach.bit_count() < max(c.bit_count() for c in components):
             self.component_failures += 1
@@ -921,13 +921,15 @@ class RetractLift(RobberStrategy):
         self._inner_seen = 0
 
     def _images(self, cops):
-        images = tuple(self.phi(self.outer.vertex_at(c)) for c in cops)
+        inner = self.inner
+        images = tuple(inner.index(self.phi(self.outer.vertex_at(c))) for c in cops)
         if self.check_invariants and self._prev_images is not None:
             for i, (a, b) in enumerate(zip(self._prev_images, images)):
-                if a != b and self.inner.distance(a, b) != 1:
+                if a != b and not inner.is_edge(a, b):
+                    a, b = inner.vertex_at(a), inner.vertex_at(b)
                     self.violations.append(f"cop {i} image jumped {a} -> {b}")
         self._prev_images = images
-        return tuple(map(self.inner.index, images))
+        return images
 
     def _lift(self, v):
         """The inner strategy's answer as an outer vertex index, or as it is

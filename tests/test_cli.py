@@ -2,11 +2,21 @@ import json
 
 import pytest
 
-from gridpursuit.cli import main
+from gridpursuit.cli import TABLE_ROWS, main
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def run_cli_exit(capsys, *argv):
+    """run_cli, with argparse's SystemExit taken as the exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exit_:
+        code = exit_.code
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -186,6 +196,15 @@ def test_table_includes_resolved_4x4(capsys):
     assert rows["grid:4x4"]["replay_verified"] is True
     assert rows["torus:3x3"]["cop_number"] == 3
     assert rows["cube:3"]["cop_number"] == 2
+
+
+def test_table_json_out_writes_the_rows_it_prints(tmp_path, capsys):
+    path = tmp_path / "table.json"
+    code, out, _ = run_cli(capsys, "table", "--json", "--out", str(path))
+    assert code == 0
+    written = json.loads(path.read_text(encoding="utf-8"))
+    assert written == json.loads(out)
+    assert [r["graph"] for r in written["rows"]] == [spec for spec, _ in TABLE_ROWS]
 
 
 def test_solve_exits_1_when_the_witness_replay_fails(capsys, monkeypatch):
@@ -448,3 +467,57 @@ def test_count_and_bound_on_an_oversized_box_are_resource_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 4 and out == ""
     assert err.startswith("error: level counts of") and "capped at 10000000" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--graph", "grid:3x3", "--k", "abc"),
+    ("solve", "--graph", "grid:3x3"),
+    ("bogus",),
+    (),
+    ("match", "--graph", "grid:3x3", "--cop", "random", "--robber", "random", "--k", "1",
+     "--no-such-flag"),
+], ids=["bad-int", "missing-k", "unknown-subcommand", "no-subcommand", "unknown-flag"])
+def test_command_line_errors_exit_3(capsys, argv):
+    # exit 2 is a strategy fault, the code argparse itself uses for these
+    code, out, err = run_cli_exit(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("usage: gridpursuit") and "error:" in err
+
+
+@pytest.mark.parametrize("argv", [(), ("solve",)], ids=["top", "solve"])
+def test_help_exits_0(capsys, argv):
+    code, out, _ = run_cli_exit(capsys, *argv, "--help")
+    assert code == 0 and out.startswith("usage: gridpursuit")
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--dims", "\u0663,\u0663", "--level", "1"),
+    ("count", "--dims", "1_0,3", "--level", "1"),
+    ("count", "--dims", "3,3", "--level", "\u0661"),
+    ("bound", "--dims", "4,4", "--cops", "\u0662"),
+    ("bound", "--dims", "\uff14,4", "--cops", "1"),
+    ("solve", "--graph", "grid:3x3", "--k", "\uff12"),
+    ("solve", "--graph", "grid:3x3", "--k", "1_0"),
+    ("solve", "--graph", "grid:3x3", "--k", "\u00b2"),
+    ("solve", "--graph", "grid:3x3", "--k", "-\u0661"),
+    ("copnum", "--graph", "grid:3x3", "--k-max", "+2"),
+    ("match", "--graph", "grid:3x3", "--cop", "random", "--robber", "random", "--k", "1",
+     "--seed", "\u0661"),
+    ("solve", "--graph", "grid:3x3", "--k", "1" * 700),
+], ids=["dims-arabic-indic", "dims-underscore", "level", "cops", "dims-fullwidth", "k-fullwidth",
+        "k-underscore", "k-superscript", "negative-arabic-indic", "plus-sign", "seed",
+        "past-int-limit"])
+def test_integer_arguments_take_ascii_digits_only(capsys, argv):
+    # int() reads "\u0663" (Arabic-Indic three) as 3 and "1_0" as 10; the
+    # command line takes integers by the rule graph specs use
+    code, out, err = run_cli_exit(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "Traceback" not in err
+
+
+def test_integer_arguments_keep_a_leading_minus_and_blanks(capsys):
+    # a negative count reaches the library, which refuses it
+    code, out, err = run_cli(capsys, "solve", "--graph", "grid:3x3", "--k=-1")
+    assert code == 3 and out == "" and "cop count must be >= 0" in err
+    code, out, _ = run_cli(capsys, "count", "--dims", " 3, 3", "--level", " 02 ")
+    assert code == 0 and json.loads(out)["dims"] == [3, 3] and json.loads(out)["level"] == 2

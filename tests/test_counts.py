@@ -258,6 +258,14 @@ def test_exact_cap():
         min_large_component_exact(8, (4, 4, 4), cap=1000)
 
 
+@pytest.mark.parametrize("dims", [(1025, 1024), (10**5, 10**5)], ids=["just-over", "10^10"])
+def test_exact_on_a_box_over_the_vertex_cap_is_a_resource_error(dims):
+    # no removal leaves one subset to try, but the lattice is refused
+    with pytest.raises(ResourceLimitError) as err:
+        min_large_component_exact(0, dims)
+    assert err.value.cap == 2**20
+
+
 def test_exact_against_independent_flood():
     # re-derive the c=2 answer on a 2x3 box with the oracle machinery
     dims = [(2, False), (3, False)]

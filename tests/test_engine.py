@@ -1345,6 +1345,13 @@ def test_run_match_caps_the_vertex_count_before_building_a_lattice():
     assert lattice.cache_info().misses == misses
 
 
+def test_reachable_set_on_a_graph_over_the_vertex_cap_is_a_resource_error():
+    # the engine's cap is the lattice's: a flood there would build one
+    with pytest.raises(ResourceLimitError) as err:
+        reachable_set(grid(1025, 1024), (), 0)
+    assert err.value.cap == MAX_MATCH_VERTICES == 2**20
+
+
 class _RecordingCops(CopStrategy):
     """Cops that only log the calls the engine makes on them."""
 

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridpursuit.errors import GraphFormatError, InvalidVertexError
+from gridpursuit.errors import GraphFormatError, InvalidVertexError, ResourceLimitError
 from gridpursuit.grid import (
+    MAX_MATCH_VERTICES,
     BitLattice,
     CoordMap,
     cube,
@@ -369,6 +370,16 @@ def test_bitboard_components_partition():
     blocked = lat.mask_of(ix(g, [(1, 0), (1, 1), (1, 2)]))
     comps = lat.components(blocked)
     assert sorted(c.bit_count() for c in comps) == [3, 3]
+
+
+@pytest.mark.parametrize("g", [grid(1025, 1024), grid(10**5, 10**5)], ids=["just-over", "10^10"])
+def test_lattice_refuses_a_graph_over_the_vertex_cap(g):
+    # the check comes before any allocation: a lattice of 10^10 vertices
+    # would need more memory than a full mask of 1.25 GB
+    with pytest.raises(ResourceLimitError) as err:
+        lattice(g)
+    assert err.value.estimate == g.vertex_count > MAX_MATCH_VERTICES == err.value.cap == 2**20
+    assert f"{g.vertex_count} vertices" in str(err.value)
 
 
 # -- coordinate transforms ----------------------------------------------------
