@@ -16,7 +16,8 @@ argument, an integer argument that is not ASCII digits after an optional
 '-'), a negative --k or --cops and a malformed trace (a line that is not
 JSON, is nested past the recursion limit or holds an integer past the
 int-string digit limit, or a record missing a field); 4 resource cap
-exceeded (the solver's state cap, a graph above grid.MAX_MATCH_VERTICES,
+exceeded (the solver's state cap or its joint-move cap
+solver.JOINT_MOVE_CAP, a graph above grid.MAX_MATCH_VERTICES,
 a match or replay cop count above the engine's cop cap, or a count or
 bound box past the level-count step cap).
 """
@@ -29,6 +30,8 @@ import sys
 from .cops import make_cop_strategy
 from .counts import best_level_bound, level_counts, min_large_component_bound
 from .engine import (
+    GameState,
+    Phase,
     render_ascii,
     replay_trace,
     run_match,
@@ -56,9 +59,23 @@ def _coords(graph, vertices):
     return [list(graph.vertex_at(v)) for v in vertices]
 
 
-def _witness(res):
-    """A solver result's witness placement as coordinate lists, or None."""
-    return None if res.witness_placement is None else _coords(res.graph, res.witness_placement)
+def _solved(res):
+    """The fields a solver result reports: its witness placement as
+    coordinate lists (or None), its state and transition counts, and its
+    wall time in milliseconds."""
+    return {
+        "witness": None if res.witness_placement is None else _coords(res.graph, res.witness_placement),
+        "states": res.states_explored,
+        "transitions": res.transitions,
+        "millis": round(res.elapsed * 1000, 3),
+    }
+
+
+def _replayed(path):
+    """The trace in a file, and the final state its replay reaches."""
+    with open(path, encoding="utf-8") as fh:
+        trace = trace_from_jsonl(fh.read())
+    return trace, replay_trace(trace)
 
 
 def _int(text):
@@ -117,34 +134,15 @@ def cmd_match(args) -> int:
 def cmd_solve(args) -> int:
     graph = parse_graph(args.graph)
     res = solve_game(graph, args.k, cap=args.cap)
-    _emit(
-        {
-            "graph": format_graph(graph),
-            "k": args.k,
-            "cops_win": res.cops_win,
-            "witness": _witness(res),
-            "states": res.states_explored,
-            "transitions": res.transitions,
-            "millis": round(res.elapsed * 1000, 3),
-        }
-    )
+    _emit({"graph": format_graph(graph), "k": args.k, "cops_win": res.cops_win, **_solved(res)})
     return EXIT_OK
 
 
 def cmd_copnum(args) -> int:
     graph = parse_graph(args.graph)
     res = cop_number(graph, k_max=args.k_max, cap=args.cap)
-    _emit(
-        {
-            "graph": format_graph(graph),
-            "k_range": [1, res.k_max],
-            "cop_number": res.cop_number,
-            "witness": _witness(res),
-            "states": res.states_explored,
-            "transitions": res.transitions,
-            "millis": round(res.elapsed * 1000, 3),
-        }
-    )
+    _emit({"graph": format_graph(graph), "k_range": [1, res.k_max], "cop_number": res.cop_number,
+           **_solved(res)})
     return EXIT_OK
 
 
@@ -188,14 +186,15 @@ def cmd_table(args) -> int:
     for spec, predicted in TABLE_ROWS:
         graph = parse_graph(spec)
         res = cop_number(graph, cap=args.cap)
+        solved = _solved(res)
         rows.append(
             {
                 "graph": spec,
                 "predicted": predicted,
                 "cop_number": res.cop_number,
-                "witness": _witness(res),
+                "witness": solved["witness"],
                 "replay_verified": bool(res.per_k) and res.per_k[-1].witness_verified,
-                "millis": round(res.elapsed * 1000, 3),
+                "millis": solved["millis"],
             }
         )
     if args.json:
@@ -218,15 +217,10 @@ def cmd_table(args) -> int:
 
 
 def cmd_render(args) -> int:
-    with open(args.trace, encoding="utf-8") as fh:
-        trace = trace_from_jsonl(fh.read())
-    final = replay_trace(trace)
+    trace, final = _replayed(args.trace)
     if args.all:
-        from .engine import GameState, Phase
-
-        graph = parse_graph(trace.header["graph"])
         for ev in trace.events:
-            snapshot = GameState(graph, ev["cops"], ev["robber"], Phase.COP_TURN, ev["round"])
+            snapshot = GameState(final.graph, ev["cops"], ev["robber"], Phase.COP_TURN, ev["round"])
             print(f"-- round {ev['round']} {ev['phase']}" + (f" [{ev['event']}]" if ev["event"] else ""))
             print(render_ascii(snapshot))
             print()
@@ -236,10 +230,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    with open(args.trace, encoding="utf-8") as fh:
-        text = fh.read()
-    trace = trace_from_jsonl(text)
-    final = replay_trace(trace)
+    trace, final = _replayed(args.trace)
     _emit(
         {
             "trace": args.trace,

@@ -222,10 +222,15 @@ class _LevelBlockadeCops(CopStrategy):
     when the level reaches the corner.
 
     shift_axis selects which coordinate the wall decreases (and therefore
-    which slice the reserves must cover at coordinate n-1).
+    which slice the reserves must cover at coordinate n-1).  ndim is the
+    dimension count the blockade is built for, or None when it plays on
+    any.  required_cops(graph) is the cop count its proof needs on graph.
+    Placement checks the dimension count in one place (_validate), and the
+    cop count too unless allow_understaffed.
     """
 
     shift_axis = 0
+    ndim = None
 
     def __init__(self, allow_understaffed=False):
         super().__init__()
@@ -242,10 +247,14 @@ class _LevelBlockadeCops(CopStrategy):
         self._reserve = []
         self._targets = {}
 
-    def required_cops(self, n):
+    def required_cops(self, graph):
         raise NotImplementedError
 
     def _validate(self, graph, k):
+        require(
+            self.ndim is None or graph.ndim == self.ndim,
+            f"{self.name} needs {self.ndim} dimensions, got {graph.ndim}",
+        )
         require(
             len({d.length for d in graph.dims}) == 1 and not any(d.wrap for d in graph.dims),
             f"blockade needs an equal-sided grid, got {graph.dims}",
@@ -253,10 +262,8 @@ class _LevelBlockadeCops(CopStrategy):
         n = graph.dims[0].length
         if not self.allow_understaffed:
             require(n % 2 == 1, f"blockade is only guaranteed for odd side lengths, got {n}")
-            require(
-                k >= self.required_cops(n),
-                f"blockade needs k >= {self.required_cops(n)}, got {k}",
-            )
+            need = self.required_cops(graph)
+            require(k >= need, f"blockade needs k >= {need}, got {k}")
         return n
 
     def place(self, graph, k):
@@ -369,13 +376,10 @@ class Blockade3DCops(_LevelBlockadeCops):
 
     name = "blockade-3d"
     shift_axis = 2
+    ndim = 3
 
-    def required_cops(self, n):
-        return blockade_3d_cop_count(n)
-
-    def _validate(self, graph, k):
-        require(graph.ndim == 3, f"blockade-3d needs three dimensions, got {graph.ndim}")
-        return super()._validate(graph, k)
+    def required_cops(self, graph):
+        return blockade_3d_cop_count(graph.dims[0].length)
 
 
 class BlockadeNDCops(_LevelBlockadeCops):
@@ -385,12 +389,8 @@ class BlockadeNDCops(_LevelBlockadeCops):
     name = "blockade-ddim"
     shift_axis = 0
 
-    def required_cops(self, n):
-        return blockade_nd_cop_count(self._ndim, n)
-
-    def _validate(self, graph, k):
-        self._ndim = graph.ndim
-        return super()._validate(graph, k)
+    def required_cops(self, graph):
+        return blockade_nd_cop_count(graph.ndim, graph.dims[0].length)
 
 
 # --------------------------------------------------------------------------

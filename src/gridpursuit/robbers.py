@@ -21,15 +21,17 @@ guarantee:
 * outside the budget, a turn whose selection finds no target, or a target
   the robber cannot reach, is played by the max-component heuristic with a
   `fallback` annotation and counted in fallback_moves;
-* within the budget such a turn is a StrategyFault for the grid and torus
-  evaders; the 3D guarantee is asymptotic, so the 3D evader falls back;
+* within the budget such a turn is a StrategyFault for an evader whose
+  class sets `guaranteed` (the grid and torus evaders); the 3D guarantee
+  is asymptotic, so Grid3DEvader.guaranteed is False and it falls back;
 * after the cops answer one of the proof's moves, the grid evader checks
   that a cop-free row is reachable, the torus evader a nearly empty row,
   and the 3D evader that the robber is in a largest cop-free component
   (its misses also count in component_failures).
 
 The hypercube potential evader refuses excess cops the same way but has no
-fallback: it always plays its minimizer.
+fallback: it always plays its minimizer.  Like every robber here, it
+faults when it is placed on a board with no cop-free vertex.
 
 Like the engine, strategies see and answer positions as vertex indices;
 the evaders select in coordinates where their proofs do, and violations
@@ -253,6 +255,10 @@ class _ProofEvader(RobberStrategy):
     lattice's expand of the cops' mask, which mask_of keeps for the turn's
     reachable_mask call on the same cops.
 
+    guaranteed says whether the proof holds at every board size within the
+    budget: then a turn there without a usable target is a fault, and
+    otherwise it falls back like a turn over the budget.
+
     The default post-move check is the row guarantee of the 2D and torus
     evaders: some row y (the vertices (x, y)) that `_safe_rows` admits,
     given its cop count, is reachable, and while one is, the target is
@@ -260,6 +266,7 @@ class _ProofEvader(RobberStrategy):
     bits x * n + y, built at reset.
     """
 
+    guaranteed = True
     _row = None
     _safe_rows = None
 
@@ -305,9 +312,10 @@ class _ProofEvader(RobberStrategy):
         return _LineBoard(rows, cols, rows_high, cols_high, cops, near)
 
     def _give_up(self, in_budget, why):
-        """A turn without a usable target: a fault within the budget, where
-        the proof rules it out; otherwise a fallback move follows."""
-        if in_budget:
+        """A turn without a usable target: a fault within the budget of a
+        guaranteed proof, which rules it out; otherwise a fallback move
+        follows."""
+        if in_budget and self.guaranteed:
             raise StrategyFault(why, side="robber")
         self.fallback_moves += 1
         self.last_annotations = {"fallback": 1}
@@ -626,6 +634,7 @@ class Grid3DEvader(_ProofEvader):
 
     name = "grid3d-evader"
     budget = staticmethod(grid3d_cop_budget)
+    guaranteed = False
     component_failures = 0
 
     def reset(self, graph, rng):
@@ -642,11 +651,6 @@ class Grid3DEvader(_ProofEvader):
     def _board(self, cops):
         g = self._lat.graph
         return _Board(_cop_counts(g, cops).reshape(g.lengths), self._near(cops))
-
-    def _give_up(self, in_budget, why):
-        # the guarantee is asymptotic: within the budget too, a board can
-        # run out of cop-free blocks, so the turn falls back
-        super()._give_up(False, why)
 
     def post_move_check(self, state, board, reach):
         lat = self._lat
@@ -832,8 +836,7 @@ class PotentialEvader(RobberStrategy):
 
     def place(self, graph, cops):
         _within_budget(cops, self._budget, self.allow_excess_cops)
-        lat = lattice(graph)
-        return self._minimizer(graph, cops, lat.full & ~lat.mask_of(cops))
+        return self._minimizer(graph, cops, _free_mask(graph, cops))
 
     def move(self, state):
         _within_budget(state.cops, self._budget, self.allow_excess_cops)
@@ -917,8 +920,9 @@ class RetractLift(RobberStrategy):
         require(graph == self.outer, "retract lift bound to a different graph")
         self.inner_strategy.reset(self.inner, rng)
         self.inner_strategy.check_invariants = self.check_invariants
+        # the inner strategy's violations, and the lift's own, in one list
+        self.violations = self.inner_strategy.violations
         self._prev_images = None
-        self._inner_seen = 0
 
     def _images(self, cops):
         inner = self.inner
@@ -941,15 +945,9 @@ class RetractLift(RobberStrategy):
             self.violations.append(f"lifted robber left the subgraph: {v!r}")
         return v
 
-    def _pull_inner_violations(self):
-        new = self.inner_strategy.violations[self._inner_seen :]
-        self.violations.extend(new)
-        self._inner_seen = len(self.inner_strategy.violations)
-
     def place(self, graph, cops):
         self.inner_strategy.check_invariants = self.check_invariants
         v = self.inner_strategy.place(self.inner, self._images(cops))
-        self._pull_inner_violations()
         self.last_annotations = dict(self.inner_strategy.last_annotations)
         return self._lift(v)
 
@@ -962,7 +960,6 @@ class RetractLift(RobberStrategy):
             state.round,
         )
         v = self.inner_strategy.move(shadow)
-        self._pull_inner_violations()
         self.last_annotations = dict(self.inner_strategy.last_annotations)
         return self._lift(v)
 

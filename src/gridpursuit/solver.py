@@ -56,6 +56,12 @@ INDEX_STATE_LIMIT = 2 * (2**31 - 1)
 # joint moves (or configuration-vertex cells) handled per chunk of the
 # table build: bounds its temporaries to a few MiB whatever V and k are
 CHUNK_MOVES = 1 << 16
+# joint moves per configuration, |N|max^k for the widest closed
+# neighbourhood |N|max: the table build ranks them all for every
+# configuration, so an instance with more is refused before any
+# configuration array is built (grid:3x3 with k=9 would rank 5^9 per
+# configuration over 437,580 states)
+JOINT_MOVE_CAP = 1 << 16
 # comp_key of a component with an unsettled member
 _UNSETTLED = np.int64(np.iinfo(np.int64).max)
 
@@ -257,6 +263,9 @@ def solve_game(g: GraphSpec, k: int, cap: int = DEFAULT_STATE_CAP, verify_witnes
     When the cops win, witness_placement is the first (lexicographic)
     winning initial configuration, checked by replaying the table-optimal
     cop policy against the table-optimal robber from that placement.
+    Raises ResourceLimitError, before any table is built, when the state
+    estimate passes cap or a configuration has more than JOINT_MOVE_CAP
+    joint moves.
     """
     if k < 0:
         raise ConfigurationError(f"cop count must be >= 0, got {k}")
@@ -272,6 +281,12 @@ def solve_game(g: GraphSpec, k: int, cap: int = DEFAULT_STATE_CAP, verify_witnes
         )
 
     nbhd, padded = _closed_neighborhoods(g)
+    moves = padded.shape[1] ** k
+    if moves > JOINT_MOVE_CAP:
+        raise ResourceLimitError(
+            f"{moves} joint moves per configuration exceed cap {JOINT_MOVE_CAP} for k={k}",
+            estimate=moves, cap=JOINT_MOVE_CAP,
+        )
     n_cfg = comb(n_vertices + k - 1, k)
     cells = combinations_with_replacement(range(n_vertices), k)
     configs = np.fromiter(chain.from_iterable(cells), dtype=np.int32, count=n_cfg * k)

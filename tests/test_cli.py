@@ -173,6 +173,14 @@ def test_solver_cap_is_resource_error(capsys):
     assert code == 4
 
 
+def test_solver_joint_move_cap_is_resource_error(capsys):
+    # within the state cap, but 5^9 joint moves per configuration
+    code, out, err = run_cli(capsys, "solve", "--graph", "grid:3x3", "--k", "9")
+    assert code == 4
+    assert out == ""
+    assert "joint moves" in err
+
+
 def test_render_trace(tmp_path, capsys):
     trace_path = tmp_path / "t.jsonl"
     run_cli(
@@ -183,6 +191,28 @@ def test_render_trace(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "render", "--trace", str(trace_path))
     assert code == 0
     assert "X" in out  # capture squares render as X
+
+
+def test_render_all_draws_every_event(tmp_path, capsys):
+    trace_path = tmp_path / "t.jsonl"
+    run_cli(
+        capsys,
+        "match", "--graph", "grid:3x3", "--cop", "greedy", "--robber", "stationary",
+        "--k", "1", "--trace", str(trace_path),
+    )
+    events = [json.loads(line) for line in trace_path.read_text(encoding="utf-8").splitlines()[1:]]
+    code, out, _ = run_cli(capsys, "render", "--all", "--trace", str(trace_path))
+    assert code == 0
+    # a header line and a 3-line board per event, each followed by a blank line
+    blocks = out.split("\n\n")
+    assert blocks.pop() == ""
+    assert len(blocks) == len(events) == 3
+    for block, ev in zip(blocks, events):
+        title, *board = block.split("\n")
+        assert title.startswith(f"-- round {ev['round']} {ev['phase']}")
+        assert title.endswith(" [capture]") == (ev is events[-1])
+        assert len(board) == 3 and all(len(row) == 3 for row in board)
+    assert "X" in blocks[-1] and "X" not in "".join(blocks[:-1])
 
 
 def test_table_includes_resolved_4x4(capsys):
@@ -196,6 +226,21 @@ def test_table_includes_resolved_4x4(capsys):
     assert rows["grid:4x4"]["replay_verified"] is True
     assert rows["torus:3x3"]["cop_number"] == 3
     assert rows["cube:3"]["cop_number"] == 2
+
+
+def test_table_text_has_a_line_per_row(capsys):
+    code, out, _ = run_cli(capsys, "table")
+    assert code == 0
+    header, rule, *lines = out.splitlines()
+    assert header.split() == ["graph", "predicted", "solved", "verified", "witness"]
+    assert rule == "-" * len(header)
+    # fixed-width columns: graph, predicted, solved, verified, then the witness
+    cells = [(line[:10], line[11:21], line[22:29], line[30:39], line[40:]) for line in lines]
+    assert [c[0].rstrip() for c in cells] == [spec for spec, _ in TABLE_ROWS]
+    assert [c[1].rstrip() for c in cells] == [predicted for _, predicted in TABLE_ROWS]
+    _, _, solved, verified, witness = cells[[spec for spec, _ in TABLE_ROWS].index("grid:4x4")]
+    assert (solved.rstrip(), verified.rstrip()) == ("4", "yes")
+    assert witness.count("(") == 4
 
 
 def test_table_json_out_writes_the_rows_it_prints(tmp_path, capsys):

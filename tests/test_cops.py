@@ -192,6 +192,24 @@ def test_blockade_3d_rejects_even_or_short():
         Blockade3DCops().place(grid(3, 3, 3), 8)
 
 
+def test_blockade_3d_rejects_other_dimension_counts():
+    for g in (grid(5, 5), grid(3, 3, 3, 3)):
+        with pytest.raises(ConfigurationError, match="blockade-3d needs 3 dimensions"):
+            Blockade3DCops().place(g, 1000)
+        with pytest.raises(ConfigurationError, match="needs 3 dimensions"):
+            Blockade3DCops(allow_understaffed=True).place(g, 1000)
+
+
+def test_blockade_required_cops_follow_the_graph():
+    assert Blockade3DCops().required_cops(grid(5, 5, 5)) == blockade_3d_cop_count(5)
+    for dims in ((5, 5), (3, 3, 3), (3, 3, 3, 3)):
+        needed = blockade_nd_cop_count(len(dims), dims[0])
+        assert BlockadeNDCops().required_cops(grid(*dims)) == needed
+        assert len(BlockadeNDCops().place(grid(*dims), needed)) == needed
+        with pytest.raises(ConfigurationError, match=f"k >= {needed}"):
+            BlockadeNDCops().place(grid(*dims), needed - 1)
+
+
 def test_blockade_nd_counts_match_level_sets():
     # d=2: one full anti-diagonal, no reserves needed
     assert blockade_nd_cop_count(2, 5) == 5

@@ -566,6 +566,22 @@ def test_lifted_evader_stays_inside_subgraph_and_survives():
             assert inner.contains(outer.vertex_at(ev["robber"]))
 
 
+def test_lift_reports_the_inner_strategy_violations_per_match():
+    class Complaining(StationaryRobber):
+        def move(self, state):
+            self.violations.append(f"round {state.round}")
+            return super().move(state)
+
+    outer, inner = grid(5, 5), grid(3, 3)
+    lift = RetractLift(Complaining(), outer, inner)
+    for max_rounds in (6, 3):
+        trace = run_match(outer, RandomCops(), lift, 1, max_rounds=max_rounds, seed=2,
+                          check_invariants=True)
+        assert trace.outcome == "timeout"
+        assert lift.violations == [f"round {r}" for r in range(1, max_rounds + 1)]
+        assert trace.robber_violations == max_rounds
+
+
 # -- heuristics and registry -------------------------------------------------------
 
 
@@ -586,6 +602,16 @@ def test_random_robber_with_no_free_vertex_faults():
     trace = run_match(g, RandomCops(), lifted, 2, max_rounds=50, seed=0)
     assert (trace.outcome, trace.fault_side) == ("fault", "robber")
     assert "no free vertex" in trace.events[-1]["annotations"]["error"]
+
+
+def test_potential_evader_with_no_free_vertex_faults():
+    # two cops on both vertices of cube:1, past the budget but allowed
+    g = cube(1)
+    evader = PotentialEvader(allow_excess_cops=True)
+    evader.reset(g, None)
+    with pytest.raises(StrategyFault, match="no free vertex") as fault:
+        evader.place(g, (0, 1))
+    assert fault.value.side == "robber"
 
 
 def test_random_robber_reproducible():

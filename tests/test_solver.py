@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -74,6 +75,31 @@ def test_win_is_monotone_in_k():
 def test_resource_cap_raises():
     with pytest.raises(ResourceLimitError):
         solve_game(grid(10, 10), 6, cap=10_000)
+
+
+def test_joint_move_cap_refuses_before_the_table_build():
+    # 437,580 states pass the state cap, but every configuration has 5^9
+    # joint moves to rank: refused at once, not after minutes of ranking
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError) as err:
+        solve_game(grid(3, 3), 9)
+    assert time.perf_counter() - start < 1
+    assert (err.value.estimate, err.value.cap) == (5**9, solver.JOINT_MOVE_CAP)
+
+
+@pytest.mark.parametrize("text", ["grid:5x5", "grid:3x3x3"])
+def test_joint_move_cap_admits_five_cops_on_small_boxes(monkeypatch, text):
+    # 5^5 and 7^5 joint moves per configuration are within the cap: the
+    # solve goes on to label components, where this test stops it
+    class Admitted(Exception):
+        pass
+
+    def stop(*args):
+        raise Admitted
+
+    monkeypatch.setattr(solver, "_components", stop)
+    with pytest.raises(Admitted):
+        solve_game(parse_graph(text), 5)
 
 
 def test_optimal_policies_capture_on_solved_win():
