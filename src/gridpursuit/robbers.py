@@ -8,7 +8,9 @@ to .violations (the move emitted stays legal either way).
 The grid, torus and 3D evaders share one turn loop, which builds one board
 of the cops per turn (see _ProofEvader): select(board) reads the proof's
 window counts off it, and board.near, the bitboard of the cops' closed
-neighbourhoods, tests a target for an adjacent cop in one bit.  The grid
+neighbourhoods, tests a target for an adjacent cop in one bit.  A turn
+floods the robber's component only when a check needs it: a cop-free
+target one step from the robber is reached without one.  The grid
 and torus board holds per-line cop counts, built in one pass over the cops
 (_LineBoard); the 3D board holds the cop counts as a numpy array shaped
 like the graph (_Board).  A row guarantee applies the evader's _safe_rows
@@ -195,6 +197,12 @@ def _within_budget(cops, budget, allow_excess_cops):
     return False
 
 
+def _within_a_step(g, robber, v):
+    """Whether v is the robber's vertex or a neighbour of it: such a v, when
+    cop-free, is reachable without a flood."""
+    return v == robber or g.is_edge(robber, v)
+
+
 def _cop_counts(graph, cops):
     """The number of cops on each vertex, in vertex index order."""
     return np.bincount(np.fromiter(cops, dtype=np.intp, count=len(cops)),
@@ -253,7 +261,13 @@ class _ProofEvader(RobberStrategy):
     one pass over the cops, which the grid and torus evaders read; the 3D
     evader builds the numpy _Board instead.  Either board's near is the
     lattice's expand of the cops' mask, which mask_of keeps for the turn's
-    reachable_mask call on the same cops.
+    other uses of the same cops.
+
+    The reachable set is flooded only when a check needs it: reach() builds
+    it on its first call and returns it after.  A target on the robber's
+    vertex or on a cop-free neighbour counts as reached without it, and
+    the row guarantee holds at once when the robber's own row is safe; the
+    3D evader's component check always floods.
 
     guaranteed says whether the proof holds at every board size within the
     budget: then a turn there without a usable target is a fault, and
@@ -335,10 +349,16 @@ class _ProofEvader(RobberStrategy):
         return target
 
     def move(self, state):
-        g, cops = state.graph, state.cops
+        g, cops, robber = state.graph, state.cops, state.robber
         in_budget = self._in_budget(cops)
         board = self._board(cops)
-        reach = reachable_mask(g, cops, state.robber)
+        kept = []
+
+        def reach():
+            if not kept:
+                kept.append(reachable_mask(g, cops, robber))
+            return kept[0]
+
         if self.check_invariants and self._pending:
             self.post_move_check(state, board, reach)
         self._pending = False
@@ -348,11 +368,14 @@ class _ProofEvader(RobberStrategy):
             self._give_up(in_budget, f"{self.name} found no admissible target")
             return self._fallback.move(state)
         target = g.index(v)
-        reached = reach >> target & 1
+        reached = (
+            _within_a_step(g, robber, target) and not self._lat.mask_of(cops) >> target & 1
+            or reach() >> target & 1
+        )
         if self.check_invariants:
             if board.near >> target & 1:
                 self.violations.append(f"round {state.round}: target {v} adjacent to a cop")
-            if not reached and self._row_reachable(board, reach):
+            if not reached and self._row_reachable(board, reach()):
                 self.violations.append(
                     f"round {state.round}: {self._row} reachable but target {v} is not"
                 )
@@ -364,7 +387,9 @@ class _ProofEvader(RobberStrategy):
         return target
 
     def post_move_check(self, state, board, reach):
-        if not self._row_reachable(board, reach):
+        # the robber's own row, state.robber % n, always meets reach
+        safe_here = self._safe_rows(board.rows[state.robber % self._n])
+        if not safe_here and not self._row_reachable(board, reach()):
             self.violations.append(
                 f"round {state.round}: no {self._row} reachable from "
                 f"{state.graph.vertex_at(state.robber)}"
@@ -655,7 +680,7 @@ class Grid3DEvader(_ProofEvader):
     def post_move_check(self, state, board, reach):
         lat = self._lat
         components = lat.components(lat.mask_of(state.cops))
-        if reach.bit_count() < max(c.bit_count() for c in components):
+        if reach().bit_count() < max(c.bit_count() for c in components):
             self.component_failures += 1
             self.violations.append(
                 f"round {state.round}: {state.graph.vertex_at(state.robber)} not in a largest component"
@@ -765,6 +790,14 @@ class PotentialEvader(RobberStrategy):
     result 2^n * score is below 2^64 whenever k * lcm < 2^(64-n), so the
     shift by n recovers every score exactly.  Each call checks that
     condition and raises ConfigurationError when it fails.
+
+    A move floods the robber's component only when a check needs it: the
+    cops' vertices get a score above every other, and the least free
+    vertex is played at once when it is the robber's vertex or a
+    neighbour of it.  Such a vertex is reachable, and a reachable least
+    free vertex is also the least reachable one, ties to the lowest index
+    included.  Otherwise the minimum is taken again over the flooded
+    reachable set.
     """
 
     name = "cube-potential"
@@ -788,43 +821,57 @@ class PotentialEvader(RobberStrategy):
         half = len(a) >> 1
         self._stages = ((a[:half], a[half:], b[0::2], b[1::2]),
                         (b[:half], b[half:], a[0::2], a[1::2]))
-        self._kernel = self._wht(np.array(weights, dtype=np.uint64)[pop]).copy()
+        a[:] = np.array(weights, dtype=np.uint64)[pop]
+        self._kernel = self._bufs[self._wht(0)].copy()
         self._budget = max(potential_cop_budget(n), 0)
 
-    def _wht(self, x):
-        """Unnormalized Walsh-Hadamard transform of x modulo 2^64; the
-        result is one of the two buffers, overwritten by the next call.
+    def _wht(self, src):
+        """Unnormalized Walsh-Hadamard transform, modulo 2^64, of buffer
+        src (0 or 1); returns the buffer that holds the result, which the
+        next call overwrites.
 
-        Constant-geometry order: every stage combines the two halves and
-        interleaves the sums and differences, which transforms the top bit
-        and rotates the index bits by one, so n stages transform every bit
-        and leave the order as it was; all reads are contiguous.
+        Constant-geometry order: every stage combines the two halves of one
+        buffer and interleaves the sums and differences into the other,
+        which transforms the top bit and rotates the index bits by one, so
+        n stages transform every bit and leave the order as it was; all
+        reads are contiguous.
         """
-        self._bufs[0] = x
-        for stage in range(self._n):
+        for stage in range(src, src + self._n):
             lo, hi, even, odd = self._stages[stage & 1]
             np.add(lo, hi, even)
             np.subtract(lo, hi, odd)
-        return self._bufs[self._n & 1]
+        return (src + self._n) & 1
 
     def _scores(self, graph, cops):
         """Each vertex's potential times lcm, as an int64 array in vertex
-        index order."""
+        index order; it is a transform buffer, overwritten by the next
+        call."""
         n = self._n
         if len(cops) * self._lcm >= 1 << (64 - n):
             raise ConfigurationError(
                 f"{len(cops)} cops on cube:{n} exceed exact scoring (k * lcm < 2^{64 - n})"
             )
-        spectrum = self._wht(_cop_counts(graph, cops))
-        spectrum *= self._kernel
-        return (self._wht(spectrum) >> n).view(np.int64)
+        counts = self._bufs[0]
+        counts.fill(0)
+        np.add.at(counts, np.fromiter(cops, dtype=np.intp, count=len(cops)), 1)
+        spectrum = self._wht(0)
+        self._bufs[spectrum] *= self._kernel
+        scores = self._bufs[self._wht(spectrum)]
+        scores >>= n
+        return scores.view(np.int64)
 
-    def _minimizer(self, graph, cops, allowed_mask):
+    def _minimizer(self, graph, cops, robber=None):
+        """The least-potential cop-free vertex, ties to the lowest index;
+        for a move (robber given), the least one the robber can reach."""
         scores = self._scores(graph, cops)
-        allowed = lattice(graph).bits_of(allowed_mask)
         blocked_score = self._lcm * (len(cops) + 1) + 1
-        scores = np.where(allowed, scores, blocked_score)
+        scores[list(cops)] = blocked_score
         i = int(np.argmin(scores))
+        if robber is not None and not _within_a_step(graph, robber, i):
+            reach = reachable_mask(graph, cops, robber)
+            if not reach >> i & 1:
+                scores[~lattice(graph).bits_of(reach)] = blocked_score
+                i = int(np.argmin(scores))
         score = int(scores[i])
         phi = Fraction(score, self._lcm)
         self.last_annotations = {"phi": str(phi)}
@@ -836,12 +883,12 @@ class PotentialEvader(RobberStrategy):
 
     def place(self, graph, cops):
         _within_budget(cops, self._budget, self.allow_excess_cops)
-        return self._minimizer(graph, cops, _free_mask(graph, cops))
+        _free_mask(graph, cops)  # faults when every vertex holds a cop
+        return self._minimizer(graph, cops)
 
     def move(self, state):
         _within_budget(state.cops, self._budget, self.allow_excess_cops)
-        reach = reachable_mask(state.graph, state.cops, state.robber)
-        return self._minimizer(state.graph, state.cops, reach)
+        return self._minimizer(state.graph, state.cops, state.robber)
 
 
 # --------------------------------------------------------------------------

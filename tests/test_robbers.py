@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from gridpursuit.cops import Blockade3DCops, GreedyCops, RandomCops
-from gridpursuit.engine import GameState, Phase, run_match, trace_to_jsonl
+from gridpursuit.engine import GameState, Phase, reachable_set, run_match, trace_to_jsonl
 from gridpursuit.errors import ConfigurationError, StrategyFault
-from gridpursuit.grid import cube, format_graph, grid, parse_graph, product, torus
+from gridpursuit.grid import BitLattice, cube, format_graph, grid, parse_graph, product, torus
 from gridpursuit.robbers import (
     Grid2DEvader,
     Grid3DEvader,
@@ -296,6 +296,114 @@ def test_potential_evader_survives_greedy_small_cube():
     assert evader.violations == []
 
 
+# -- floods made only when a check needs them ---------------------------------------
+
+
+def _count_floods(monkeypatch, strategy):
+    """A list that gets one (floods, step) pair per later strategy.move
+    call: the BitLattice.component calls the move made, and whether its
+    answer was the robber's vertex or a neighbour of it."""
+    record, inside = [], []
+    component = BitLattice.component
+
+    def counted(self, *args):
+        if inside:
+            inside[-1] += 1
+        return component(self, *args)
+
+    def move(state, move=strategy.move):
+        inside.append(0)
+        try:
+            v = move(state)
+        finally:
+            floods = inside.pop()
+        record.append((floods, v == state.robber or state.graph.is_edge(state.robber, v)))
+        return v
+
+    monkeypatch.setattr(BitLattice, "component", counted)
+    monkeypatch.setattr(strategy, "move", move)
+    return record
+
+
+def _walled_in(n, rng):
+    """(cops, robber) on cube:n: cops on every outside neighbour of a
+    random subcube of dimension 0, 1 or 2 that holds the robber, plus a
+    few random cops; the robber's component is that subcube."""
+    size = 1 << n
+    dims = rng.sample(range(n), rng.randint(0, 2))
+    base = rng.randrange(size)
+    for d in dims:
+        base &= ~(1 << d)
+    inside = {base}
+    for d in dims:
+        inside |= {v | 1 << d for v in inside}
+    cops = {v ^ 1 << d for v in inside for d in range(n)} - inside
+    cops |= {rng.randrange(size) for _ in range(rng.randint(0, 3))} - inside
+    return tuple(sorted(cops)), rng.choice(sorted(inside))
+
+
+def test_potential_move_matches_the_brute_force_reference(monkeypatch):
+    """On cube:3..6, with random cops and with the robber walled into a
+    small subcube, a move is the least potential() over reachable_set,
+    ties to the lowest index; the least free vertex is played without a
+    flood when it is a step away, and the cut-off boards need the flood."""
+    rng = random.Random(25)
+    branches = Counter()
+    for n in range(3, 7):
+        g = cube(n)
+        evader = PotentialEvader(allow_excess_cops=True)
+        evader.reset(g, None)
+        record = _count_floods(monkeypatch, evader)
+        for i in range(60):
+            if i % 3:
+                cops = tuple(rng.randrange(g.vertex_count) for _ in range(rng.randrange(2 * n)))
+                robber = rng.choice([v for v in range(g.vertex_count) if v not in cops])
+            else:
+                cops, robber = _walled_in(n, rng)
+            phi = {v: potential(g, cops, v) for v in range(g.vertex_count)}
+            reach = reachable_set(g, cops, robber)
+            expected = min(reach, key=lambda v: (phi[v], v))
+            least_free = min(set(range(g.vertex_count)) - set(cops), key=lambda v: (phi[v], v))
+
+            assert evader.move(robber_turn_state(g, cops, robber)) == expected, (n, cops, robber)
+            assert Fraction(evader.last_annotations["phi"]) == phi[expected]
+            floods, _ = record[-1]
+            one_step = least_free == robber or g.is_edge(robber, least_free)
+            assert floods == (not one_step), (n, cops, robber)
+            branches["step" if one_step else
+                     "flood" if least_free in reach else "cut off"] += 1
+    assert min(branches[key] for key in ("step", "flood", "cut off")) >= 10, branches
+
+
+def test_potential_evader_floods_only_off_a_step(monkeypatch):
+    g = cube(10)
+    evader = PotentialEvader()
+    record = _count_floods(monkeypatch, evader)
+    run_match(g, GreedyCops(), evader, potential_cop_budget(10), max_rounds=200, seed=3)
+    far = sum(not step for _, step in record)
+    assert 0 < far < len(record) == 200
+    assert all(floods <= 1 for floods, _ in record)
+    assert sum(floods for floods, _ in record) <= far
+
+
+def test_grid_evader_floods_on_fewer_turns_than_it_moves(monkeypatch):
+    g = grid(8, 8)
+    evader = Grid2DEvader()
+    record = _count_floods(monkeypatch, evader)
+    run_match(g, RandomCops(), evader, 6, max_rounds=60, seed=1, check_invariants=True)
+    assert evader.violations == [] and len(record) == 60
+    assert sum(floods for floods, _ in record) < len(record)
+
+
+def test_proof_evader_target_on_a_neighbouring_cop_is_unreachable(monkeypatch):
+    g = grid(6, 6)
+    evader = Grid2DEvader()
+    evader.reset(g, None)
+    monkeypatch.setattr(evader, "select", lambda board: ((2, 3), {}))
+    with pytest.raises(StrategyFault, match=r"selected target \(2, 3\) unreachable"):
+        evader.move(robber_turn_state(g, ix(g, (2, 3)), g.index((2, 2))))
+
+
 # -- proof-evader pins -------------------------------------------------------------
 
 # (graph, cops, robber, k, seed, max_rounds, trace SHA-256, fallback_moves,
@@ -433,6 +541,14 @@ def test_grid2d_post_move_check_flags_no_free_row():
     g = grid(6, 6)
     evader = Grid2DEvader(allow_excess_cops=True)
     _after_cops_answer(evader, g, tuple((0, y) for y in range(6)))
+    assert evader.violations[0] == "round 1: no free row reachable from (4, 0)"
+
+
+def test_grid2d_post_move_check_floods_when_the_robbers_row_holds_a_cop():
+    g = grid(6, 6)
+    evader = Grid2DEvader(allow_excess_cops=True)
+    # cops wall the robber in on row 0; rows 2 to 4 are free but out of reach
+    _after_cops_answer(evader, g, ((3, 0), (5, 0), (4, 1), (0, 5), (1, 5)))
     assert evader.violations[0] == "round 1: no free row reachable from (4, 0)"
 
 
