@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
 from itertools import compress, count
-from operator import ne
+from operator import is_not
 
 from .errors import (
     ConfigurationError,
@@ -154,26 +154,39 @@ def apply_cop_move(state: GameState, dests) -> GameState:
     neighborhood of cop i.
 
     dests must be a list or tuple of Python ints as long as state.cops.
-    Only the cops whose entry differs from the state's are checked, each
-    by index arithmetic (GraphSpec.is_edge): an entry equal to the state's
-    is a vertex already.  Errors come in this order: a value that is no
-    list of ints (InvalidVertexError), the number of entries, then the
-    first cop in order whose step fails, as InvalidVertexError when its
-    destination is off the graph and otherwise as RuleViolation with that
-    cop's cop_index.
+    Every GameState the engine builds holds checked ints (place_cops and
+    this function store only answers that pass these checks), so an entry
+    that is the state's own int object is a cop that stays and needs no
+    check.  One C-level pass (is_not) yields the other entries; only those
+    are type-checked, and each is stepped by the index arithmetic of
+    GraphSpec.moves, inline (an equal int that is another object stays
+    too).  Errors come in this order: a value that is no list of ints
+    (InvalidVertexError, at the first entry that is no vertex index), the
+    number of entries, then the first cop in order whose step fails, as
+    InvalidVertexError when its destination is off the graph and otherwise
+    as RuleViolation with that cop's cop_index.
     """
     if state.phase is not Phase.COP_TURN:
         raise RuleViolation(f"not a cop turn: {state.phase.value}")
     g, cops = state.graph, state.cops
-    if type(dests) not in _SEQ or not _INT.issuperset(map(type, dests)):
+    if type(dests) not in _SEQ:
         _vertices(g, dests)  # raises the type error
     if len(dests) != len(cops):
+        if not _INT.issuperset(map(type, dests)):
+            _vertices(g, dests)
         raise RuleViolation(f"expected {len(cops)} destinations, got {len(dests)}")
-    for i in compress(count(), map(ne, cops, dests)):
-        if not g.is_edge(cops[i], dests[i]):
-            _check_vertex(g, dests[i])
-            raise RuleViolation(f"cop {i} cannot step {g.vertex_at(cops[i])} -> "
-                                f"{g.vertex_at(dests[i])}", cop_index=i)
+    step = g.moves.get
+    for i in compress(count(), map(is_not, cops, dests)):
+        a, b = cops[i], dests[i]
+        if type(b) is not int:
+            _vertices(g, dests)  # raises the type error
+        move = step(b - a)
+        if (move is None or not move[2] <= a // move[0] % move[1] <= move[3]) and b != a:
+            if not _INT.issuperset(map(type, dests)):
+                _vertices(g, dests)  # a type error comes before any step's
+            _check_vertex(g, b)
+            raise RuleViolation(f"cop {i} cannot step {g.vertex_at(a)} -> {g.vertex_at(b)}",
+                                cop_index=i)
     dests = tuple(dests)
     # direct construction: dataclasses.replace costs twice as much per turn
     if state.robber in dests:
@@ -563,7 +576,8 @@ def trace_to_jsonl(trace: MatchTrace) -> str:
         lines.append(f'{{"annotations":{notes},"cops":{cops_json},"event":{_text(ev["event"])},'
                      f'"phase":{_text(ev["phase"])},"robber":{codec.point_json(ev["robber"])},'
                      f'"round":{round_no}}}')
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a copy of the whole text
+    return "\n".join(lines)
 
 
 def _is_point(value) -> bool:

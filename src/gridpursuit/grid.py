@@ -9,7 +9,8 @@ mixed-radix index order).  A flood fill
 fills whole free runs along one axis at a time by prefix doubling, so a
 pass over an axis of length L costs about 2 log2(L) big-integer shifts,
 whatever the component's radius.  Bitboards convert to and from vertex
-lists in one numpy pass over their bytes, never one bit at a time.
+lists in one numpy pass over their bytes; only mask_of of a few vertices
+sets their bits one at a time.
 
 All operations here are pure functions of immutable values and safe for
 concurrent use.  A lattice keeps two caches, mask_of's last answer and
@@ -274,9 +275,13 @@ def format_graph(g: GraphSpec) -> str:
 # benchmark play is cube:14 (16384).
 MAX_MATCH_VERTICES = 1 << 20
 
-# Below this many vertices mask_of sets bits one at a time: numpy's fixed
-# cost of about 7 us per call loses to a Python loop there.
-_NUMPY_MIN_VERTICES = 8
+# Below this many vertices mask_of sets bits one at a time.  A bit costs
+# the loop one OR as wide as its index, numpy a fixed 4-10 us per call plus
+# a pass over the lattice; on a 2-core Xeon VM (best of 30) the loop takes
+# 1.9 us against numpy's 4.7 for 18 cops on grid:20x20, 5.3 against 6.2
+# for 48 on 1,600 vertices, ties with it at 54 on cube:14 and takes 103 us
+# against 15 for 342 on 21^3.
+_NUMPY_MIN_VERTICES = 48
 
 
 class BitLattice:
@@ -284,7 +289,8 @@ class BitLattice:
 
     Bit i corresponds to the vertex with mixed-radix index i.  expand, one
     breadth-first layer, is a constant number of shift/mask operations per
-    dimension.  component fills whole free runs along one axis per pass by
+    dimension, and farthest runs a whole breadth-first search confined to
+    a region.  component fills whole free runs along one axis per pass by
     Kogge-Stone doubling, O(log L) operations for an axis of length L, and
     repeats passes until every axis is closed; the fill masks depend only
     on the blocked set and are built once per cop configuration.
@@ -297,6 +303,10 @@ class BitLattice:
         self._last = ((), 0)  # mask_of's last (tuple of indices, mask)
         self._flood = (None, [], 0)  # component's last (blocked, fill masks, component)
         self._steps = []
+        # farthest's stride along the first axis with an edge, and for every
+        # other shift (shift, the vertices a shift up may reach, those a
+        # shift down may reach)
+        self._lead, self._folds = 0, []
         index = np.arange(self.size)
         for d, stride in zip(g.dims, g.strides):
             length = d.length
@@ -305,6 +315,12 @@ class BitLattice:
             not_hi = self._pack(index // stride % length < length - 1)
             wrap_shift = (length - 1) * stride
             hi_mask = self.full & ~not_hi if d.wrap else 0
+            if self._steps:
+                self._folds.append((stride, self.full & (not_hi << stride), not_hi))
+            else:
+                self._lead = stride
+            if d.wrap:
+                self._folds.append((wrap_shift, hi_mask, hi_mask >> wrap_shift))
             self._steps.append((stride, not_hi, d.wrap, wrap_shift, hi_mask))
 
     @staticmethod
@@ -322,6 +338,38 @@ class BitLattice:
                 out |= (mask & hi_mask) >> wrap_shift
                 out |= (mask << wrap_shift) & hi_mask
         return out
+
+    def farthest(self, sources: int, region: int, targets: int) -> int:
+        """The members of targets farthest from sources through region.
+
+        Breadth-first layers grow from sources (layer 0) through region, a
+        set that holds no source, until every member of targets in region
+        is reached; the answer is the part in targets of the last layer
+        that meets them, or 0 when none does.  A layer is the expand of
+        the one before, with the lattice's boundary masks folded into
+        region once per call: a shift by one stride keeps region's
+        vertices whose coordinate it can reach (above 0 going up, below
+        length - 1 going down), a cycle's seam those at coordinate
+        length - 1 and 0.  The first axis with an edge shifts with no
+        mask: every axis before it has length 1, so a step off its ends
+        also leaves the lattice, and the AND with region's unvisited part
+        that ends each layer drops it.
+        """
+        last, left, lead = sources & targets, region, self._lead
+        todo = targets & left
+        folded = [(shift, left & up, left & down) for shift, up, down in self._folds]
+        frontier = sources
+        while frontier and todo:
+            layer = frontier << lead | frontier >> lead
+            for shift, up, down in folded:
+                layer |= (frontier << shift) & up | (frontier >> shift) & down
+            frontier = layer & left
+            left ^= frontier
+            hit = frontier & todo
+            if hit:
+                last = hit
+                todo ^= hit
+        return last
 
     def mask_of(self, vertices) -> int:
         """Bitboard of a collection of vertex indices; repeats are allowed.

@@ -136,32 +136,26 @@ class MaxComponentRobber(RobberStrategy):
         """Candidate farthest from the nearest cop, ties to the lowest
         vertex index; a candidate on a cop is at distance 0.
 
-        A multi-source BFS from the cops, confined to the union of the
-        cop-free components that hold a free candidate, and ended once
-        every candidate has been reached.  It is exact: a shortest path
-        from a free vertex to its nearest cop runs through free vertices
-        joined to it, so inside its component, up to the cop.  The region
-        is found by component from each component's lowest free candidate;
-        for move's reachable set that is the component the lattice kept
-        from reachable_mask's flood, so no new flood is made."""
+        A multi-source BFS from the cops (BitLattice.farthest), confined
+        to the union of the cop-free components that hold a free
+        candidate, and ended once every candidate has been reached; the
+        last layer that meets the candidates holds the answer.  It is
+        exact: a shortest path from a free vertex to its nearest cop runs
+        through free vertices joined to it, so inside its component, up to
+        the cop.  The region is found by component from each component's
+        lowest free candidate; for move's reachable set that is the
+        component the lattice kept from reachable_mask's flood, so no new
+        flood is made."""
         if not candidate_mask:
             return None
         lat = lattice(graph)
-        frontier = blocked = lat.mask_of(cops)
-        last_hit = blocked & candidate_mask
-        left, rest = 0, candidate_mask & ~blocked
+        blocked = lat.mask_of(cops)
+        region, rest = 0, candidate_mask & ~blocked
         while rest:
             comp = lat.component((rest & -rest).bit_length() - 1, blocked)
-            left |= comp
+            region |= comp
             rest &= ~comp
-        while frontier and candidate_mask & left:
-            frontier = lat.expand(frontier) & left
-            left ^= frontier
-            hit = frontier & candidate_mask
-            if hit:
-                last_hit = hit
-        if not last_hit:
-            last_hit = candidate_mask
+        last_hit = lat.farthest(blocked, region, candidate_mask) or candidate_mask
         low = last_hit & -last_hit
         return low.bit_length() - 1
 

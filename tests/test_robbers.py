@@ -747,7 +747,11 @@ def test_max_component_placement_prefers_big_side():
 
 
 @pytest.mark.parametrize("g", [grid(7), grid(5, 4), torus(5, 6), grid(3, 3, 3), cube(5),
-                               product([(4, True), (1, False), (3, False)])], ids=format_graph)
+                               product([(4, True), (1, False), (3, False)]),
+                               # the first axis with an edge is not the first
+                               # axis, and a path leads a cycle
+                               grid(1, 6, 5), product([(5, False), (4, True)])],
+                         ids=format_graph)
 def test_max_component_choose_matches_a_bfs_oracle(g):
     adj = explicit_adjacency(dims_of(g))
     verts = sorted(adj)  # lexicographic order is vertex index order
