@@ -337,6 +337,41 @@ def test_random_cops_reused_on_other_graphs_plays_like_a_fresh_instance():
         assert traces[0] == traces[1], g
 
 
+ROBBERS = {"max-component": MaxComponentRobber, "random": RandomRobber,
+           "stationary": StationaryRobber}
+
+
+@pytest.mark.parametrize("name, first, second", [
+    # first match: (graph, k, robber, seed, max_rounds, its last cop phase);
+    # second match: (graph, k, robber, seed)
+    ("torus-two-rows", ("torus:7x7", 14, "max-component", 0, 1, None),
+     ("torus:5x5", 10, "max-component", 0)),
+    ("diagonal-pairs", ("grid:7x7", 6, "max-component", 0, 1, "split"),
+     ("grid:5x5", 4, "stationary", 0)),
+    # the first robber starts above the wall, so the first match is reflected
+    ("blockade-3d", ("grid:5x5x5", 22, "random", 0, 2, "transit"),
+     ("grid:7x7x7", 41, "max-component", 0)),
+    ("blockade-ddim", ("grid:3x3x3x3", 22, "max-component", 2, 1, "transit"),
+     ("grid:5x5x5", 21, "max-component", 0)),
+])
+def test_reused_pursuits_play_like_fresh_instances(name, first, second):
+    # a pursuit's per-match memory is set by place and its round-1 move, so
+    # an instance stopped mid-phase plays its next match, on another graph,
+    # byte for byte like a fresh one
+    from gridpursuit import parse_graph
+
+    reused = make_cop_strategy(name)
+    text, k, robber, seed, max_rounds, phase = first
+    trace = run_match(parse_graph(text), reused, ROBBERS[robber](), k,
+                      max_rounds=max_rounds, seed=seed)
+    assert trace.outcome == "timeout"
+    assert trace.events[-2]["annotations"].get("phase") == phase
+    text, k, robber, seed = second
+    traces = [trace_to_jsonl(run_match(parse_graph(text), cops, ROBBERS[robber](), k, seed=seed))
+              for cops in (reused, make_cop_strategy(name))]
+    assert traces[0] == traces[1]
+
+
 def test_random_cops_table_holds_one_tuple_per_vertex():
     # one entry per vertex a cop moved from, its closed neighborhood in
     # ascending index order, filled as the cops reach vertices

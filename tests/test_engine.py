@@ -932,6 +932,21 @@ PINNED_TRACES = [
      "f94d14d77944c9efa909c8f673ddb3184e8b784c158a9ae9a1124b63e6588949"),
     ("torus:6x6", "torus-two-rows", "max-component", 12, 0, None,
      "5556859de740d447edd0061a1b822ecf6ac38888d7c2a35480cd6e110edce1d7"),
+    # odd heights: the walls stop after (height - 1) // 2 advances
+    ("torus:5x5", "torus-two-rows", "max-component", 10, 0, None,
+     "16709161ee4c6773b57da73d6b8c4b5206696447c08b35b2e122af5828f7fe48"),
+    ("torus:7x7", "torus-two-rows", "max-component", 14, 0, None,
+     "e598dd6977af26c26228e683332b0b06b12bcaeffcb34b2357b573bd6daf908c"),
+    # a robber on the diagonal is surrounded: in its corner at (0, 0), and
+    # at (2, 2) for this random seed
+    ("grid:5x5", "diagonal-pairs", "stationary", 4, 0, None,
+     "12df21a1879e71735e798f1a95b1d1263884379177e60aac8272dc9a51d62b56"),
+    ("grid:7x7", "diagonal-pairs", "stationary", 6, 0, None,
+     "aca0588c465a9fe6392494d1fc1aa998a7baa6dce00999b1681b21f22b72d910"),
+    ("grid:7x7", "diagonal-pairs", "random", 6, 1, None,
+     "d5d0d0b06984b8a658dbfa923d5ab76503d27353f0afd2e1452083910fa71e2c"),
+    ("grid:5x5x5", "blockade-ddim", "max-component", 21, 0, None,
+     "b3596296c0ce34cc86bcac4711d31c48dff009bb9ab328f96f0547c457301bec"),
     # the wall sweeps row by row, so max-component searches ever smaller
     # components; captured at round 11
     ("grid:12x12", "row-sweep", "max-component", 12, 0, None,
