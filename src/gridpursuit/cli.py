@@ -16,8 +16,9 @@ argument, an integer argument that is not ASCII digits after an optional
 '-'), a negative --k or --cops and a malformed trace (a line that is not
 JSON, is nested past the recursion limit or holds an integer past the
 int-string digit limit, or a record missing a field); 4 resource cap
-exceeded (the solver's state cap or its joint-move cap
-solver.JOINT_MOVE_CAP, a graph above grid.MAX_MATCH_VERTICES,
+exceeded (the solver's state cap, its joint-move cap
+solver.JOINT_MOVE_CAP or its successor-table cap solver.SUCCESSOR_CAP, a
+graph above grid.MAX_MATCH_VERTICES,
 a match or replay cop count above the engine's cop cap, or a count or
 bound box past the level-count step cap).
 """

@@ -8,6 +8,13 @@ random play exist as adversaries for exercising the evaders.
 All tie-breaking is fixed and documented per strategy: deterministic play
 is part of the trace-replay contract.  Like the engine, strategies see and
 answer positions as vertex indices.
+
+A pursuit's per-match memory is set by place and by its round-1 move
+(state.round is 1 on the first cop turn), and every later turn reads its
+phase off the round and the position.  So the pursuits rely on the base
+class's reset alone, which sets the RNG and clears the annotations, and an
+instance plays any number of matches, on any graphs.  RandomCops is the one
+exception: its reset clears a per-match neighbourhood cache.
 """
 from __future__ import annotations
 
@@ -73,10 +80,6 @@ class TorusTwoRowsCops(CopStrategy):
 
     name = "torus-two-rows"
 
-    def reset(self, graph, k, rng):
-        super().reset(graph, k, rng)
-        self._turns = 0
-
     def place(self, graph, k):
         require(
             graph.ndim == 2 and all(d.wrap for d in graph.dims),
@@ -90,15 +93,15 @@ class TorusTwoRowsCops(CopStrategy):
 
     def move(self, state):
         width, height = state.graph.lengths
-        t = self._turns
-        advancing = 2 * t + 2 <= height - 1  # new walls must not cross
+        # the walls have advanced t times: once per earlier turn, until they
+        # would cross
+        t = min(state.round - 1, (height - 1) // 2)
         dests = list(state.cops)
-        if advancing:
+        if 2 * t + 2 <= height - 1:
             # a step along y, the last coordinate, moves the index by one
             for i in range(width):
                 dests[i] += 1
                 dests[width + i] -= 1
-            self._turns += 1
         self.last_annotations = {"top_row": min(t + 1, height - 1), "bottom_row": max(height - 2 - t, 0)}
         return dests
 
@@ -108,19 +111,16 @@ class DiagonalPairsCops(CopStrategy):
     even diagonal.
 
     After seeing the robber's side of the diagonal, the pairs split into a
-    staircase hugging that side, which is a separating set; every cop above
-    the bottom row then steps down once per turn, flattening the staircase
-    into the corner and shrinking the robber's component each round.  A
-    robber placed on the diagonal gets surrounded in place instead.  The
-    mirrored (other-side) case plays the same strategy on the transposed
+    staircase hugging that side (round 1), which is a separating set; every
+    cop above the bottom row then steps down once per turn (sweep),
+    flattening the staircase into the corner and shrinking the robber's
+    component each round.  A robber placed on the diagonal gets surrounded
+    in place instead (round 1), and an adjacent cop closes on him (close).
+    The mirrored (other-side) case plays the same strategy on the transposed
     board.  Surplus cops beyond n-1 stack on the first pair and never move.
     """
 
     name = "diagonal-pairs"
-
-    def reset(self, graph, k, rng):
-        super().reset(graph, k, rng)
-        self._mode = "await"
 
     def place(self, graph, k):
         _require_grid_2d(graph)
@@ -137,9 +137,10 @@ class DiagonalPairsCops(CopStrategy):
         g = state.graph
         n = g.dims[0].length
         strategists = n - 1  # cops beyond these are stacked extras
-        if self._mode == "await":
+        first = state.round == 1
+        if first:
             x, y = g.vertex_at(state.robber)
-            self._mode = "surround" if x == y else "split"
+            self._on_diagonal = x == y
             # work in a frame where the robber is on the low-x side, the
             # board transposed when x > y; its unit steps as index offsets
             # (index x * n + y): across (+1 in frame x) and down (+1 in frame y)
@@ -148,28 +149,29 @@ class DiagonalPairsCops(CopStrategy):
         across, down = self._across, self._down
         dests = list(state.cops)
 
-        if self._mode == "split":
+        if self._on_diagonal:
+            phase = "surround" if first else "close"
+        else:
+            phase = "split" if first else "sweep"
+        self.last_annotations = {"phase": phase}
+        if phase == "split":
             for j in range(strategists // 2):
                 a, b = 2 * j, 2 * j + 1  # the pair that started on (2j+1, 2j+1)
                 dests[a] -= across
                 dests[b] += down
-            self._mode = "sweep"
-            self.last_annotations = {"phase": "split"}
-        elif self._mode == "sweep":
+        elif phase == "sweep":
             for i in range(strategists):
                 if dests[i] // down % n < n - 1:  # canonical y above the bottom row
                     dests[i] += down
-            self.last_annotations = {"phase": "sweep"}
-        elif self._mode == "surround":
-            d = g.vertex_at(state.robber)[0]
-            if d == 0:
+        elif phase == "surround":  # the robber is on (x, x)
+            if x == 0:
                 targets = {(1, 1): [(0, 1), (1, 0)]}
-            elif d == n - 1:
+            elif x == n - 1:
                 targets = {(n - 2, n - 2): [(n - 2, n - 1), (n - 1, n - 2)]}
             else:
                 targets = {
-                    (d - 1, d - 1): [(d, d - 1), (d - 1, d)],
-                    (d + 1, d + 1): [(d + 1, d), (d, d + 1)],
+                    (x - 1, x - 1): [(x, x - 1), (x - 1, x)],
+                    (x + 1, x + 1): [(x + 1, x), (x, x + 1)],
                 }
             for src, outs in targets.items():
                 src, outs = g.index(src), [g.index(v) for v in outs]
@@ -178,16 +180,12 @@ class DiagonalPairsCops(CopStrategy):
                     if state.cops[i] == src and moved < len(outs):
                         dests[i] = outs[moved]
                         moved += 1
-            self._mode = "close"
-            self.last_annotations = {"phase": "surround"}
-        elif self._mode == "close":
+        else:
             # the robber is pinned; walk one adjacent cop onto him
             for i in range(strategists):
                 if g.is_edge(state.cops[i], state.robber):
                     dests[i] = state.robber
                     break
-            self.last_annotations = {"phase": "close"}
-
         return dests
 
 
@@ -221,6 +219,12 @@ class _LevelBlockadeCops(CopStrategy):
     stays strictly below the wall level throughout, which forces capture
     when the level reaches the corner.
 
+    The round-1 move fixes the reflection and the canonical positions and
+    coordinate sums, which each later move updates along with the wall's
+    level and the reserves' targets.  The wall and the reserve are read
+    off the sums: a shift runs only when no reserve is in transit, and then
+    the wall is exactly the set of cops on the level.
+
     shift_axis selects which coordinate the wall decreases (and therefore
     which slice the reserves must cover at coordinate n-1).  ndim is the
     dimension count the blockade is built for, or None when it plays on
@@ -235,17 +239,6 @@ class _LevelBlockadeCops(CopStrategy):
     def __init__(self, allow_understaffed=False):
         super().__init__()
         self.allow_understaffed = allow_understaffed
-
-    def reset(self, graph, k, rng):
-        super().reset(graph, k, rng)
-        self._flip = None  # whether the play is reflected, fixed at the first move
-        self._canon = None  # the cops' indices as the last move left them, canonical
-        self._sums = None  # and their canonical coordinate sums
-        self._cops = None  # and as played
-        self._level = None
-        self._blocking = []
-        self._reserve = []
-        self._targets = {}
 
     def required_cops(self, graph):
         raise NotImplementedError
@@ -272,11 +265,7 @@ class _LevelBlockadeCops(CopStrategy):
         m = d * (n - 1) // 2
         # the wall in index order, enumerated as _slice_targets does
         positions = [graph.index(v) for v in _compositions(m, d, n - 1)][:k]
-        self._blocking = list(range(len(positions)))
-        self._reserve = list(range(len(positions), k))
-        positions += [graph.vertex_count - 1] * (k - len(positions))  # the corner (n-1, ..., n-1)
-        self._level = m
-        return positions
+        return positions + [graph.vertex_count - 1] * (k - len(positions))  # the corner (n-1, ..., n-1)
 
     def _slice_targets(self, graph, level):
         """Vertices of the next level the downshift cannot reach: those with
@@ -293,21 +282,23 @@ class _LevelBlockadeCops(CopStrategy):
         stride = g.strides[self.shift_axis]
         # reflecting every coordinate maps index i to top - i
         top = g.vertex_count - 1
-        if self._flip is None:
-            self._flip = sum(g.vertex_at(state.robber)) > self._level
-            if self._flip:
-                self._level = g.ndim * (n - 1) - self._level
-            self._targets = {}
+        if state.round == 1:
+            # the play is reflected when the robber starts above the wall
+            middle = g.ndim * (n - 1) // 2
+            self._flip = sum(g.vertex_at(state.robber)) > middle
+            self._level = g.ndim * (n - 1) - middle if self._flip else middle
             self._canon = [top - c if self._flip else c for c in state.cops]
             self._sums = [sum(g.vertex_at(c)) for c in self._canon]
-            self._cops = list(state.cops)
+            self._targets = {}
 
-        canon, sums = self._canon, self._sums
+        canon, sums, level = self._canon, self._sums, self._level
         dests = list(canon)
 
         if not self._targets:
-            wanted = map(g.index, self._slice_targets(g, self._level))
-            pool = sorted(self._reserve, key=canon.__getitem__)  # index order is lexicographic
+            # the reserve: every cop off the wall's level
+            wanted = map(g.index, self._slice_targets(g, level))
+            pool = sorted(compress(count(), map(level.__ne__, sums)),
+                          key=canon.__getitem__)  # index order is lexicographic
             self._targets = dict(zip(pool, wanted))
 
         in_transit = {
@@ -317,28 +308,25 @@ class _LevelBlockadeCops(CopStrategy):
             for i, target in in_transit.items():
                 dests[i] = _lex_step(g, canon[i], target)
                 sums[i] += 1 if dests[i] > canon[i] else -1  # one coordinate, one step
-            self.last_annotations = {"phase": "transit", "level": self._level}
+            self.last_annotations = {"phase": "transit", "level": level}
         else:
-            # shift: the wall steps down along the shift axis; cops already
-            # on the axis floor hold still, arrived reserves become wall
-            for i in self._blocking:
+            # shift: with no reserve in transit the wall is every cop on the
+            # level; it steps down along the shift axis, cops already on the
+            # axis floor hold still, and arrived reserves become wall
+            for i in compress(count(), map(level.__eq__, sums)):
                 if canon[i] // stride % n:
                     dests[i] -= stride
                     sums[i] -= 1
-            self._level -= 1
-            new_wall, new_reserve = [], []
-            for i, level in enumerate(sums):
-                (new_wall if level == self._level else new_reserve).append(i)
-            self._blocking, self._reserve = new_wall, new_reserve
+            self._level = level - 1
             self._targets = {}
-            self.last_annotations = {"phase": "shift", "level": self._level, "boundary": 1}
+            self.last_annotations = {"phase": "shift", "level": level - 1, "boundary": 1}
 
         # only the cops that move need mapping back
-        cops = self._cops
+        cops = list(state.cops)
         for i in compress(count(), map(ne, canon, dests)):
             cops[i] = top - dests[i] if self._flip else dests[i]
         self._canon = dests
-        return list(cops)
+        return cops
 
 
 def _compositions(total, parts, top):

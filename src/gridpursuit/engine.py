@@ -221,9 +221,13 @@ def apply_robber_move(state: GameState, dest) -> GameState:
 class CopStrategy:
     """Base for cop sides: a placement rule plus a per-turn joint move rule.
 
-    Subclasses may keep arbitrary private memory; reset() is called once per
-    match with a seeded RNG.  last_annotations (str -> str) is merged into
-    the trace after every action.
+    reset() is called once per match with a seeded RNG; it sets the RNG and
+    clears the annotations.  A subclass's per-match memory is set by place
+    and by its round-1 move (state.round is 1 on the first cop turn), so it
+    needs no reset of its own and an instance can play match after match;
+    a cache that lives for one match (RandomCops) is the exception, cleared
+    by its own reset.  last_annotations (str -> str) is merged into the
+    trace after every action.
     """
 
     name = "cop-strategy"

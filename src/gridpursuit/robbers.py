@@ -277,11 +277,12 @@ class _ProofEvader(RobberStrategy):
     guaranteed = True
     _row = None
     _safe_rows = None
+    # the fallback keeps no per-match state, so every evader shares one
+    _fallback = MaxComponentRobber()
 
     def __init__(self, allow_excess_cops=False):
         super().__init__()
         self.allow_excess_cops = allow_excess_cops
-        self._fallback = MaxComponentRobber()
         self.fallback_moves = 0
 
     def reset(self, graph, rng):
@@ -291,7 +292,6 @@ class _ProofEvader(RobberStrategy):
         if self._safe_rows is not None:
             row0 = sum(1 << x * n for x in range(n))
             self._row_bits = [row0 << y for y in range(n)]
-        self._fallback.reset(graph, rng)
         self.fallback_moves = 0
         self._pending = False  # the last move was the proof's: check it
 

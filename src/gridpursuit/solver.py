@@ -16,7 +16,9 @@ counters, so each state is settled exactly once:
 The table is held in numpy arrays.  The successors of every configuration
 form one int32 CSR table (sorted rows, no repeats), built in one pass over
 chunks of CHUNK_MOVES joint moves: each chunk is ranked once and its rows
-are written into a buffer sized by an upper bound on the row lengths.
+are written into a buffer sized by an upper bound on the row lengths.  An
+instance whose bound passes SUCCESSOR_CAP entries is refused before the
+component pass.
 Per-state arrays use a (robber vertex, configuration) layout, so the column
 of one robber vertex over all configurations is contiguous.  A cop-free
 component of G - configs[ci] is named by the state ci * V + r0 of its
@@ -62,6 +64,10 @@ CHUNK_MOVES = 1 << 16
 # configuration array is built (grid:3x3 with k=9 would rank 5^9 per
 # configuration over 437,580 states)
 JOINT_MOVE_CAP = 1 << 16
+# int32 entries of the successor table's buffer, as _row_bound sizes it
+# (2 GiB): grid:6x6 with k=5 passes both caps above with 47,376,576 states
+# and 3,125 joint moves, yet would allocate 820,384,032 entries (3.06 GiB)
+SUCCESSOR_CAP = 1 << 29
 # comp_key of a component with an unsettled member
 _UNSETTLED = np.int64(np.iinfo(np.int64).max)
 
@@ -172,23 +178,14 @@ def _runs(starts, lengths):
     return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if len(ends) else 0)
 
 
-def _successors(configs, padded, index):
-    """CSR table of each configuration's successors: sorted, no repeats.
-
-    One pass over chunks of configurations ranks each chunk's joint moves
-    once and writes its deduplicated rows straight into one int32 buffer.
-    The buffer is sized by an upper bound on the row lengths: m cops stacked
+def _row_bound(configs, padded):
+    """An upper bound on the successor table's total size: m cops stacked
     on a vertex a reach at most C(|N[a]| + m - 1, m) sorted joint moves
     (multisets of size m from the closed neighbourhood N[a]), and stacks on
     distinct vertices move independently, so a row has at most the product
     of these over its distinct vertices.  The bound is 3-17% above the true
-    size on the benchmark's instances.  The filled prefix is returned as a
-    view: the unused tail is never written, so it never becomes resident,
-    while a copy would hold two tables at once.
-    """
+    size on the benchmark's instances."""
     n_cfg, k = configs.shape
-    width = padded.shape[1]
-    moves = width**k
     # walk the sorted columns with a running multiplicity m: the row bound
     # grows by (|N[a]| + m - 1) / m per column, and every partial product is
     # an integer.  |N[a]|: a padded row holds a once, its other neighbours,
@@ -200,8 +197,23 @@ def _successors(configs, padded, index):
         if i:
             stack = np.where(configs[:, i] == configs[:, i - 1], stack + 1, 1)
         bound = bound * (sizes[configs[:, i]] + stack - 1) // stack
+    return int(bound.sum())
+
+
+def _successors(configs, padded, index, size):
+    """CSR table of each configuration's successors: sorted, no repeats.
+
+    One pass over chunks of configurations ranks each chunk's joint moves
+    once and writes its deduplicated rows straight into one int32 buffer of
+    size entries, at least the table's size (_row_bound).  The filled
+    prefix is returned as a view: the unused tail is never written, so it
+    never becomes resident, while a copy would hold two tables at once.
+    """
+    n_cfg, k = configs.shape
+    width = padded.shape[1]
+    moves = width**k
     ptr = np.zeros(n_cfg + 1, dtype=np.int64)
-    flat = np.empty(int(bound.sum()), dtype=np.int32)
+    flat = np.empty(size, dtype=np.int32)
     for lo, hi in _chunks(n_cfg, moves):
         m = hi - lo
         columns = []
@@ -264,8 +276,8 @@ def solve_game(g: GraphSpec, k: int, cap: int = DEFAULT_STATE_CAP, verify_witnes
     winning initial configuration, checked by replaying the table-optimal
     cop policy against the table-optimal robber from that placement.
     Raises ResourceLimitError, before any table is built, when the state
-    estimate passes cap or a configuration has more than JOINT_MOVE_CAP
-    joint moves.
+    estimate passes cap, a configuration has more than JOINT_MOVE_CAP joint
+    moves, or the successor table's buffer would pass SUCCESSOR_CAP entries.
     """
     if k < 0:
         raise ConfigurationError(f"cop count must be >= 0, got {k}")
@@ -291,10 +303,16 @@ def solve_game(g: GraphSpec, k: int, cap: int = DEFAULT_STATE_CAP, verify_witnes
     cells = combinations_with_replacement(range(n_vertices), k)
     configs = np.fromiter(chain.from_iterable(cells), dtype=np.int32, count=n_cfg * k)
     configs = configs.reshape(n_cfg, k)
+    size = _row_bound(configs, padded)
+    if size > SUCCESSOR_CAP:
+        raise ResourceLimitError(
+            f"successor table of up to {size} entries exceeds cap {SUCCESSOR_CAP} for k={k}",
+            estimate=size, cap=SUCCESSOR_CAP,
+        )
     index = _config_ranker(n_vertices, k)
     comp_id = _components(configs, padded)
     taken = n_cfg * n_vertices  # the component id under a cop
-    ptr, succ = _successors(configs, padded, index)
+    ptr, succ = _successors(configs, padded, index, size)
 
     # safe destinations left per component; the sentinel never reaches zero
     safe = np.bincount(comp_id.ravel(), minlength=taken + 1).astype(np.int32)

@@ -181,6 +181,14 @@ def test_solver_joint_move_cap_is_resource_error(capsys):
     assert "joint moves" in err
 
 
+def test_solver_successor_cap_is_resource_error(capsys):
+    # within the state and joint-move caps, but a 3.06 GiB successor table
+    code, out, err = run_cli(capsys, "solve", "--graph", "grid:6x6", "--k", "5")
+    assert code == 4
+    assert out == ""
+    assert "successor table" in err
+
+
 def test_render_trace(tmp_path, capsys):
     trace_path = tmp_path / "t.jsonl"
     run_cli(

@@ -17,7 +17,7 @@ from gridpursuit.cops import (
 )
 from gridpursuit.engine import GameState, Phase, reachable_set, run_match, trace_to_jsonl
 from gridpursuit.errors import ConfigurationError
-from gridpursuit.grid import cube, grid, torus
+from gridpursuit.grid import cube, grid, parse_graph, torus
 from gridpursuit.robbers import MaxComponentRobber, RandomRobber, StationaryRobber
 
 
@@ -358,8 +358,6 @@ def test_reused_pursuits_play_like_fresh_instances(name, first, second):
     # a pursuit's per-match memory is set by place and its round-1 move, so
     # an instance stopped mid-phase plays its next match, on another graph,
     # byte for byte like a fresh one
-    from gridpursuit import parse_graph
-
     reused = make_cop_strategy(name)
     text, k, robber, seed, max_rounds, phase = first
     trace = run_match(parse_graph(text), reused, ROBBERS[robber](), k,

@@ -87,6 +87,33 @@ def test_joint_move_cap_refuses_before_the_table_build():
     assert (err.value.estimate, err.value.cap) == (5**9, solver.JOINT_MOVE_CAP)
 
 
+def test_successor_cap_refuses_before_the_component_pass(monkeypatch):
+    # 47,376,576 states and 5^5 joint moves pass the caps above, but the
+    # successor buffer's row bound is 820,384,032 entries (3.06 GiB):
+    # refused before the components are labelled, not after
+    def unreached(*args):
+        raise AssertionError("component pass reached")
+
+    monkeypatch.setattr(solver, "_components", unreached)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError) as err:
+        solve_game(grid(6, 6), 5)
+    assert time.perf_counter() - start < 10
+    assert (err.value.estimate, err.value.cap) == (820_384_032, solver.SUCCESSOR_CAP)
+
+
+@pytest.mark.parametrize("text, k, size", [
+    ("torus:5x5", 5, 275_234_400), ("grid:5x5", 5, 116_828_271), ("torus:4x4", 4, 1_837_620),
+])
+def test_row_bound_of_five_by_five_with_five_cops_stays_under_the_successor_cap(text, k, size):
+    # the bound is computed, not solved: these stay under the cap
+    g = parse_graph(text)
+    _, padded = solver._closed_neighborhoods(g)
+    configs = np.array(list(itertools.combinations_with_replacement(range(g.vertex_count), k)),
+                       dtype=np.int32)
+    assert solver._row_bound(configs, padded) == size <= solver.SUCCESSOR_CAP
+
+
 @pytest.mark.parametrize("text", ["grid:5x5", "grid:3x3x3"])
 def test_joint_move_cap_admits_five_cops_on_small_boxes(monkeypatch, text):
     # 5^5 and 7^5 joint moves per configuration are within the cap: the
@@ -220,8 +247,9 @@ def test_successor_rows_match_explicit_joint_moves(text, k):
     configs = list(itertools.combinations_with_replacement(range(n_vertices), k))
     rank = {cfg: i for i, cfg in enumerate(configs)}
     _, padded = solver._closed_neighborhoods(g)
-    ptr, succ = solver._successors(np.array(configs, dtype=np.int32), padded,
-                                   solver._config_ranker(n_vertices, k))
+    configs_array = np.array(configs, dtype=np.int32)
+    ptr, succ = solver._successors(configs_array, padded, solver._config_ranker(n_vertices, k),
+                                   solver._row_bound(configs_array, padded))
     assert len(succ) == ptr[-1]
     for ci, cfg in enumerate(configs):
         cops = [g.vertex_at(i) for i in cfg]
@@ -275,7 +303,8 @@ def test_solve_memory_stays_near_its_tables(monkeypatch):
     assert res.witness_verified and len(held) == 1
     t = res.table
     _, padded = solver._closed_neighborhoods(g)
-    ptr, succ = solver._successors(t.configs, padded, t.index)
+    ptr, succ = solver._successors(t.configs, padded, t.index,
+                                   solver._row_bound(t.configs, padded))
     tables = sum(a.nbytes for a in (t.configs, t.cop_win, t.cop_rank, t.comp_id))
     assert peak < tables + ptr.nbytes + succ.nbytes + 4 * 2**20
     assert held[0] < tables + 2**20
