@@ -410,7 +410,10 @@ class RandomCops(CopStrategy):
 
     Each match keeps a table from a vertex to its closed neighborhood, a
     tuple, filled as the cops reach vertices and made anew by reset, so an
-    instance reused on another graph never reads a stale entry.
+    instance reused on another graph never reads a stale entry.  A move
+    draws its index with the rejection loop of rng.randrange, from
+    rng.getrandbits directly: the same draws and moves, without
+    randrange's argument handling.
     """
 
     name = "random"
@@ -424,13 +427,18 @@ class RandomCops(CopStrategy):
         return [self.rng.randrange(total) for _ in range(k)]
 
     def move(self, state):
-        g, table, randrange = state.graph, self._options, self.rng.randrange
+        g, table, getrandbits = state.graph, self._options, self.rng.getrandbits
         dests = []
         for c in state.cops:
             options = table.get(c)
             if options is None:
                 options = table[c] = tuple(g.closed_neighbors(c))
-            dests.append(options[randrange(len(options))])
+            n = len(options)
+            bits = n.bit_length()
+            r = getrandbits(bits)
+            while r >= n:
+                r = getrandbits(bits)
+            dests.append(options[r])
         return dests
 
 

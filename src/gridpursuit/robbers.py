@@ -777,10 +777,16 @@ class PotentialEvader(RobberStrategy):
     scaling by lcm = lcm(C(n,0..n-1)), w[d] = lcm * (1 if d == 0 else
     1 / C(n, d-1)).  The scaled potential of every vertex at once is the
     XOR convolution score[v] = sum_c cnt[c] * w[pop(v ^ c)] of the cop
-    counts with w[pop(.)], computed with two fast Walsh-Hadamard
-    transforms, WHT(WHT(cnt) * WHT(w[pop(.)])) = 2^n * score, in O(n 2^n)
-    time whatever the cop count (Fino and Algazi, IEEE Trans. Computers
-    1976).  The arithmetic is uint64: it wraps modulo 2^64, but the true
+    counts with w[pop(.)]: WHT(WHT(cnt) * WHT(w[pop(.)])) = 2^n * score,
+    with WHT the Walsh-Hadamard transform (Fino and Algazi, IEEE Trans.
+    Computers 1976).  The kernel WHT(w[pop(.)]) is made once, at reset.
+    The spectrum WHT(cnt) of k <= 2^ceil(n/2) cops is one matrix product
+    of two Sylvester-Hadamard factors, H_hi[:, c >> lo] @ H_lo[c & (2^lo -
+    1), :] with lo = n // 2, in O(k 2^n) time; it is float64 and exact,
+    since every entry is a sum of k signs.  More cops take the fast
+    transform of the counts instead, in O(n 2^n) time whatever k.  The
+    spectrum times the kernel goes through one more fast transform.  The
+    transforms' arithmetic is uint64: it wraps modulo 2^64, but the true
     result 2^n * score is below 2^64 whenever k * lcm < 2^(64-n), so the
     shift by n recovers every score exactly.  Each call checks that
     condition and raises ConfigurationError when it fails.
@@ -817,6 +823,12 @@ class PotentialEvader(RobberStrategy):
                         (b[:half], b[half:], a[0::2], a[1::2]))
         a[:] = np.array(weights, dtype=np.uint64)[pop]
         self._kernel = self._bufs[self._wht(0)].copy()
+        # the spectrum's Sylvester-Hadamard factors, H[i, j] = (-1)^pop(i & j):
+        # H_hi of 2^(n - lo) rows, and H_lo of 2^lo rows, its top left corner
+        lo = self._lo = n // 2
+        i = np.arange(1 << (n - lo))
+        h_hi = (1.0 - 2.0 * (pop[i] & 1))[np.bitwise_and.outer(i, i)]
+        self._factors = h_hi, h_hi[:1 << lo, :1 << lo]
         self._budget = max(potential_cop_budget(n), 0)
 
     def _wht(self, src):
@@ -845,10 +857,20 @@ class PotentialEvader(RobberStrategy):
             raise ConfigurationError(
                 f"{len(cops)} cops on cube:{n} exceed exact scoring (k * lcm < 2^{64 - n})"
             )
-        counts = self._bufs[0]
-        counts.fill(0)
-        np.add.at(counts, np.fromiter(cops, dtype=np.intp, count=len(cops)), 1)
-        spectrum = self._wht(0)
+        at = np.fromiter(cops, dtype=np.intp, count=len(cops))
+        h_hi, h_lo = self._factors
+        if len(at) <= len(h_hi):
+            # H_hi[:, c >> lo] @ H_lo[c & (2^lo - 1), :]; H_hi is symmetric,
+            # so its columns at the cops are its rows.  Through the int64
+            # view a negative entry lands as its residue modulo 2^64
+            product = h_hi[at >> self._lo].T @ h_lo[at & (len(h_lo) - 1)]
+            self._bufs[0].view(np.int64)[:] = product.ravel()
+            spectrum = 0
+        else:
+            counts = self._bufs[0]
+            counts.fill(0)
+            np.add.at(counts, at, 1)
+            spectrum = self._wht(0)
         self._bufs[spectrum] *= self._kernel
         scores = self._bufs[self._wht(spectrum)]
         scores >>= n

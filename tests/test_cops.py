@@ -400,6 +400,29 @@ def test_random_cop_move_distribution_uniform():
         assert abs(c / samples - 0.2) < 0.02, (v, c)
 
 
+@pytest.mark.parametrize("text", ["grid:1x1", "grid:1x2", "grid:3x3", "cube:3", "torus:3x3"])
+def test_random_cops_draw_like_randrange(text):
+    # closed neighbourhoods of 1 vertex (grid:1x1), 2 (grid:1x2), 3 to 5
+    # (grid:3x3), 4 (cube:3) and 5 (torus:3x3): the moves, and the state the
+    # generator is left in, equal a loop of randrange draws
+    import random
+
+    g = parse_graph(text)
+    for seed in range(4):
+        cops, rng, reference = RandomCops(), random.Random(seed), random.Random(seed)
+        positions = list(range(g.vertex_count)) * 2
+        cops.reset(g, len(positions), rng)
+        for round_no in range(1, 21):
+            state = GameState(g, tuple(positions), 0, Phase.COP_TURN, round_no)
+            expected = []
+            for c in positions:
+                near = sorted(map(g.index, {g.vertex_at(c)} | g.neighbors(g.vertex_at(c))))
+                expected.append(near[reference.randrange(len(near))])
+            positions = cops.move(state)
+            assert positions == expected
+        assert rng.random() == reference.random()
+
+
 def test_registry_names():
     for name in ("row-sweep", "diagonal-pairs", "torus-two-rows", "blockade-3d", "blockade-ddim", "greedy", "random"):
         assert make_cop_strategy(name).name == name

@@ -247,13 +247,18 @@ def _random_cops(g, k, seed):
 
 
 # (n, cops): random configurations for n = 1..12, stacked and zero cops, k far
-# above the budget (0 cops on cube:8, the vertex (0, ..., 0)), and the
-# bench's cube:14 size
+# above the budget (0 cops on cube:8, the vertex (0, ..., 0)), the bench's
+# cube:14 size, and stacked cops on either side of k = 2^ceil(n/2), the most
+# cops whose spectrum is a matrix product rather than a fast transform
 POTENTIAL_CASES = [(n, _random_cops(cube(n), n, n)) for n in range(1, 13)] + [
     (6, [*ix(cube(6), (0, 1, 1, 0, 1, 0))] * 5 + [*ix(cube(6), (1, 1, 1, 1, 1, 1))] * 3),
     (5, []),
     (8, _random_cops(cube(8), 300, 8) + [0] * 100),
     (14, _random_cops(cube(14), 54, 14)),
+    (7, _random_cops(cube(7), 8, 7) * 2),
+    (7, _random_cops(cube(7), 8, 7) * 2 + [0]),
+    (10, _random_cops(cube(10), 16, 10) * 2),
+    (10, _random_cops(cube(10), 16, 10) * 2 + [0]),
 ]
 
 
