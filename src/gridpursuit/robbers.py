@@ -780,16 +780,16 @@ class PotentialEvader(RobberStrategy):
     counts with w[pop(.)]: WHT(WHT(cnt) * WHT(w[pop(.)])) = 2^n * score,
     with WHT the Walsh-Hadamard transform (Fino and Algazi, IEEE Trans.
     Computers 1976).  The kernel WHT(w[pop(.)]) is made once, at reset.
-    The spectrum WHT(cnt) of k <= 2^ceil(n/2) cops is one matrix product
-    of two Sylvester-Hadamard factors, H_hi[:, c >> lo] @ H_lo[c & (2^lo -
-    1), :] with lo = n // 2, in O(k 2^n) time; it is float64 and exact,
-    since every entry is a sum of k signs.  More cops take the fast
-    transform of the counts instead, in O(n 2^n) time whatever k.  The
-    spectrum times the kernel goes through one more fast transform.  The
-    transforms' arithmetic is uint64: it wraps modulo 2^64, but the true
-    result 2^n * score is below 2^64 whenever k * lcm < 2^(64-n), so the
-    shift by n recovers every score exactly.  Each call checks that
-    condition and raises ConfigurationError when it fails.
+    The spectrum WHT(cnt) is one float32 matrix product of two
+    Sylvester-Hadamard factors, H_hi[:, c >> lo] @ H_lo[c & (2^lo - 1), :]
+    with lo = n // 2, in O(k 2^n) time for every k.  Every entry and every
+    partial sum is an integer of magnitude at most k, so the product is
+    exact in any summation order while k <= 2^24.  The spectrum times the
+    kernel goes through one inverse fast transform in uint64 arithmetic:
+    it wraps modulo 2^64, but the true result 2^n * score is below 2^64
+    whenever k * lcm < 2^(64-n), so the shift by n recovers every score
+    exactly.  Each call checks both conditions and raises
+    ConfigurationError when one fails.
 
     A move floods the robber's component only when a check needs it: the
     cops' vertices get a score above every other, and the least free
@@ -822,19 +822,19 @@ class PotentialEvader(RobberStrategy):
         self._stages = ((a[:half], a[half:], b[0::2], b[1::2]),
                         (b[:half], b[half:], a[0::2], a[1::2]))
         a[:] = np.array(weights, dtype=np.uint64)[pop]
-        self._kernel = self._bufs[self._wht(0)].copy()
+        self._kernel = self._bufs[self._wht()].copy()
         # the spectrum's Sylvester-Hadamard factors, H[i, j] = (-1)^pop(i & j):
         # H_hi of 2^(n - lo) rows, and H_lo of 2^lo rows, its top left corner
         lo = self._lo = n // 2
         i = np.arange(1 << (n - lo))
-        h_hi = (1.0 - 2.0 * (pop[i] & 1))[np.bitwise_and.outer(i, i)]
+        h_hi = (1 - 2 * (pop[i] & 1)).astype(np.float32)[np.bitwise_and.outer(i, i)]
         self._factors = h_hi, h_hi[:1 << lo, :1 << lo]
         self._budget = max(potential_cop_budget(n), 0)
 
-    def _wht(self, src):
-        """Unnormalized Walsh-Hadamard transform, modulo 2^64, of buffer
-        src (0 or 1); returns the buffer that holds the result, which the
-        next call overwrites.
+    def _wht(self):
+        """Unnormalized Walsh-Hadamard transform, modulo 2^64, of buffer 0;
+        returns the buffer that holds the result, which the next call
+        overwrites.
 
         Constant-geometry order: every stage combines the two halves of one
         buffer and interleaves the sums and differences into the other,
@@ -842,37 +842,30 @@ class PotentialEvader(RobberStrategy):
         n stages transform every bit and leave the order as it was; all
         reads are contiguous.
         """
-        for stage in range(src, src + self._n):
+        for stage in range(self._n):
             lo, hi, even, odd = self._stages[stage & 1]
             np.add(lo, hi, even)
             np.subtract(lo, hi, odd)
-        return (src + self._n) & 1
+        return self._n & 1
 
     def _scores(self, graph, cops):
         """Each vertex's potential times lcm, as an int64 array in vertex
         index order; it is a transform buffer, overwritten by the next
         call."""
-        n = self._n
-        if len(cops) * self._lcm >= 1 << (64 - n):
+        n, k = self._n, len(cops)
+        if k > 1 << 24 or k * self._lcm >= 1 << (64 - n):
             raise ConfigurationError(
-                f"{len(cops)} cops on cube:{n} exceed exact scoring (k * lcm < 2^{64 - n})"
+                f"{k} cops on cube:{n} exceed exact scoring (k <= 2^24 and k * lcm < 2^{64 - n})"
             )
-        at = np.fromiter(cops, dtype=np.intp, count=len(cops))
+        at = np.fromiter(cops, dtype=np.intp, count=k)
         h_hi, h_lo = self._factors
-        if len(at) <= len(h_hi):
-            # H_hi[:, c >> lo] @ H_lo[c & (2^lo - 1), :]; H_hi is symmetric,
-            # so its columns at the cops are its rows.  Through the int64
-            # view a negative entry lands as its residue modulo 2^64
-            product = h_hi[at >> self._lo].T @ h_lo[at & (len(h_lo) - 1)]
-            self._bufs[0].view(np.int64)[:] = product.ravel()
-            spectrum = 0
-        else:
-            counts = self._bufs[0]
-            counts.fill(0)
-            np.add.at(counts, at, 1)
-            spectrum = self._wht(0)
-        self._bufs[spectrum] *= self._kernel
-        scores = self._bufs[self._wht(spectrum)]
+        # H_hi[:, c >> lo] @ H_lo[c & (2^lo - 1), :]; H_hi is symmetric, so
+        # its columns at the cops are its rows.  Through the int64 view a
+        # negative entry lands as its residue modulo 2^64
+        spectrum = self._bufs[0]
+        spectrum.view(np.int64)[:] = (h_hi[at >> self._lo].T @ h_lo[at & (len(h_lo) - 1)]).ravel()
+        spectrum *= self._kernel
+        scores = self._bufs[self._wht()]
         scores >>= n
         return scores.view(np.int64)
 

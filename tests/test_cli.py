@@ -568,6 +568,12 @@ def test_integer_arguments_take_ascii_digits_only(capsys, argv):
     assert "Traceback" not in err
 
 
+def test_count_refuses_a_zero_dimension(capsys):
+    code, out, err = run_cli(capsys, "count", "--dims", "0,3", "--level", "1")
+    assert code == 3 and out == ""
+    assert "dims must be positive integers" in err
+
+
 def test_integer_arguments_keep_a_leading_minus_and_blanks(capsys):
     # a negative count reaches the library, which refuses it
     code, out, err = run_cli(capsys, "solve", "--graph", "grid:3x3", "--k=-1")

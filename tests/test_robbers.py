@@ -241,24 +241,27 @@ def test_potential_evader_annotates_exact_phi():
     assert phi < Fraction(1, 2)
 
 
-def _random_cops(g, k, seed):
+def _random_indices(g, k, seed):
     rng = random.Random(seed)
     return [rng.randrange(g.vertex_count) for _ in range(k)]
 
 
 # (n, cops): random configurations for n = 1..12, stacked and zero cops, k far
 # above the budget (0 cops on cube:8, the vertex (0, ..., 0)), the bench's
-# cube:14 size, and stacked cops on either side of k = 2^ceil(n/2), the most
-# cops whose spectrum is a matrix product rather than a fast transform
-POTENTIAL_CASES = [(n, _random_cops(cube(n), n, n)) for n in range(1, 13)] + [
+# cube:14 size, and cop counts on either side of 2^ceil(n/2), the rows of the
+# spectrum's larger Hadamard factor: stacked cops on cube:7 and cube:10, and
+# above it 70 random cops plus 10 stacked on cube:11 and 150 on cube:13
+POTENTIAL_CASES = [(n, _random_indices(cube(n), n, n)) for n in range(1, 13)] + [
     (6, [*ix(cube(6), (0, 1, 1, 0, 1, 0))] * 5 + [*ix(cube(6), (1, 1, 1, 1, 1, 1))] * 3),
     (5, []),
-    (8, _random_cops(cube(8), 300, 8) + [0] * 100),
-    (14, _random_cops(cube(14), 54, 14)),
-    (7, _random_cops(cube(7), 8, 7) * 2),
-    (7, _random_cops(cube(7), 8, 7) * 2 + [0]),
-    (10, _random_cops(cube(10), 16, 10) * 2),
-    (10, _random_cops(cube(10), 16, 10) * 2 + [0]),
+    (8, _random_indices(cube(8), 300, 8) + [0] * 100),
+    (14, _random_indices(cube(14), 54, 14)),
+    (7, _random_indices(cube(7), 8, 7) * 2),
+    (7, _random_indices(cube(7), 8, 7) * 2 + [0]),
+    (10, _random_indices(cube(10), 16, 10) * 2),
+    (10, _random_indices(cube(10), 16, 10) * 2 + [0]),
+    (11, _random_indices(cube(11), 70, 11) + [0] * 10),
+    (13, _random_indices(cube(13), 150, 13)),
 ]
 
 
@@ -280,7 +283,8 @@ def test_potential_scores_match_the_fraction_reference(n, cops):
 
 
 def test_potential_scores_refuse_cop_counts_past_exact_arithmetic():
-    # the transform's result 2^n * score stays below 2^64 while k * lcm < 2^(64-n)
+    # the transform's result 2^n * score stays below 2^64 while k * lcm <
+    # 2^(64-n), and the float32 spectrum is exact while k <= 2^24
     g = cube(20)
     evader = PotentialEvader(allow_excess_cops=True)
     evader.reset(g, None)
@@ -288,6 +292,14 @@ def test_potential_scores_refuse_cop_counts_past_exact_arithmetic():
     assert k == 1_586_975
     with pytest.raises(ConfigurationError, match="exact scoring"):
         evader._scores(g, [0] * k)
+    # the first count past float32's integers passes the k * lcm check on
+    # cube:10, and a range is refused before anything is allocated for it
+    g = cube(10)
+    evader.reset(g, None)
+    cops = range((1 << 24) + 1)
+    assert len(cops) * evader._lcm < 1 << (64 - 10)
+    with pytest.raises(ConfigurationError, match="exact scoring"):
+        evader._scores(g, cops)
 
 
 def test_potential_evader_survives_greedy_small_cube():
@@ -732,6 +744,12 @@ def test_potential_evader_with_no_free_vertex_faults():
     evader.reset(g, None)
     with pytest.raises(StrategyFault, match="no free vertex") as fault:
         evader.place(g, (0, 1))
+    assert fault.value.side == "robber"
+
+
+def test_max_component_robber_with_no_free_vertex_faults():
+    with pytest.raises(StrategyFault, match="no free vertex") as fault:
+        MaxComponentRobber().place(grid(2, 2), (0, 1, 2, 3))
     assert fault.value.side == "robber"
 
 

@@ -146,6 +146,19 @@ def test_optimal_robber_escapes_single_cop_forever():
     assert trace.outcome == "timeout"
 
 
+def test_table_cops_stand_still_from_a_losing_table():
+    # two cops lose on the 4x4 grid: no witness, so both start on (0, 0),
+    # and no move of theirs settles, so they never leave it
+    g = grid(4, 4)
+    res = solve_game(g, 2)
+    assert res.cops_win is False
+    cop_policy, robber_policy = extract_policies(res)
+    trace = run_match(g, cop_policy, robber_policy, 2, max_rounds=12)
+    assert (trace.outcome, trace.rounds) == ("timeout", 12)
+    start = g.index((0, 0))
+    assert all(ev["cops"] == (start, start) for ev in trace.events)
+
+
 def test_optimal_policies_emit_only_legal_moves():
     res = solve_game(cube(3), 2)
     cop_policy, robber_policy = extract_policies(res)
