@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import compress, count
@@ -137,7 +137,8 @@ def reachable_set(g: GraphSpec, cops, frm: int) -> set:
 def place_cops(state: GameState, positions) -> GameState:
     if state.phase is not Phase.COP_PLACEMENT:
         raise RuleViolation(f"cannot place cops during {state.phase.value}")
-    return replace(state, cops=_vertices(state.graph, positions), phase=Phase.ROBBER_PLACEMENT)
+    return GameState(state.graph, _vertices(state.graph, positions), state.robber,
+                     Phase.ROBBER_PLACEMENT, state.round, state.winner)
 
 
 def place_robber(state: GameState, v) -> GameState:
@@ -146,7 +147,7 @@ def place_robber(state: GameState, v) -> GameState:
     _check_vertex(state.graph, v)
     if v in state.cops:
         raise RuleViolation(f"robber placement {state.graph.vertex_at(v)} is cop-occupied")
-    return replace(state, robber=v, phase=Phase.COP_TURN, round=1)
+    return GameState(state.graph, state.cops, v, Phase.COP_TURN, 1, state.winner)
 
 
 def apply_cop_move(state: GameState, dests) -> GameState:
@@ -354,7 +355,7 @@ def _play(graph, cop_side, robber_side, k, max_rounds, emit):
         emit(state, phase, 0, None, cop_side.last_annotations)
         if len(set(state.cops)) >= graph.vertex_count:
             # every vertex is occupied: the robber cannot be placed
-            state = replace(state, phase=Phase.OVER, winner="cops")
+            state = GameState(graph, state.cops, state.robber, Phase.OVER, state.round, "cops")
             emit(state, Phase.ROBBER_PLACEMENT, 0, "capture", {"reason": "no-free-vertex"})
             return "capture", 0, None, state
         phase = Phase.ROBBER_PLACEMENT

@@ -212,7 +212,20 @@ def parse_graph(text: str) -> GraphSpec:
     Grammar: ``grid:AxBx...``, ``torus:AxBx...``, ``cube:D``, and
     ``product:P1,P2,...`` where each Pi is an integer with an optional ``w``
     suffix marking a wrapped dimension.
+
+    The GraphSpec returned for a str is shared: every call with the same
+    text returns the same immutable object (the 256 texts used last are
+    kept), so its cached vertex_count, strides and moves are derived once per
+    process.  Any other argument, a str subclass included, is parsed on
+    every call and raises as it always has: a list or a dict has no ':',
+    and a number, None or bytes is a TypeError.  A text that does not
+    parse is never kept and raises again on every call.
     """
+    return _parse_text(text) if type(text) is str else _parse(text)
+
+
+def _parse(text) -> GraphSpec:
+    """parse_graph, without the shared answers."""
     if ":" not in text:
         raise GraphFormatError(f"missing ':' in graph spec {text!r}")
     family, _, rest = text.partition(":")
@@ -230,6 +243,10 @@ def parse_graph(text: str) -> GraphSpec:
             dims.append((_parse_int(part[:-1] if wrap else part, text), wrap))
         return product(dims)
     raise GraphFormatError(f"unknown graph family {family!r} in {text!r}")
+
+
+# the one GraphSpec of each description text, sized like lattice's cache
+_parse_text = lru_cache(maxsize=256)(_parse)
 
 
 def _is_digits(text: str) -> bool:

@@ -562,16 +562,29 @@ def test_match_is_deterministic_and_replayable():
 
 
 def test_trace_jsonl_roundtrip():
-    from gridpursuit.cops import GreedyCops
-    from gridpursuit.robbers import RandomRobber
+    # parse_graph shares one graph per text, and with it the lattice's kept
+    # mask and flood and the codec table: two traces of one graph, written,
+    # parsed, re-written and replayed twice each in turn, must not see each
+    # other's state, also when the matches were played on an equal graph
+    # built directly, which is not the shared object
+    from gridpursuit.cops import GreedyCops, RandomCops
+    from gridpursuit.grid import Dim, GraphSpec
+    from gridpursuit.robbers import MaxComponentRobber, RandomRobber
 
-    trace = run_match(grid(4, 4), GreedyCops(), RandomRobber(), 2, max_rounds=30, seed=3)
-    text = trace_to_jsonl(trace)
-    parsed = trace_from_jsonl(text)
-    assert parsed.header == trace.header
-    assert trace_to_jsonl(parsed) == text
-    assert parsed.outcome == trace.outcome
-    replay_trace(parsed)
+    shared = parse_graph("grid:4x4")
+    assert shared is parse_graph("grid:4x4")
+    for g in (shared, GraphSpec((Dim(4), Dim(4)))):
+        assert g == shared
+        traces = [run_match(g, GreedyCops(), RandomRobber(), 2, max_rounds=30, seed=3),
+                  run_match(g, RandomCops(), MaxComponentRobber(), 3, max_rounds=30, seed=4)]
+        texts = [trace_to_jsonl(trace) for trace in traces]
+        for _ in range(2):
+            for trace, text in zip(traces, texts):
+                parsed = trace_from_jsonl(text)
+                assert parsed.header == trace.header
+                assert trace_to_jsonl(parsed) == text == trace_to_jsonl(trace)
+                assert parsed.outcome == trace.outcome
+                assert replay_trace(parsed) == trace.final_state
 
 
 def _as_written(g, record):

@@ -176,6 +176,31 @@ def test_wrap_needs_length_three():
 )
 def test_parse_graph_grammar(text, expected):
     assert parse_graph(text) == expected
+    # one shared object per text, whatever the family
+    assert parse_graph(text) is parse_graph(text)
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        ("grid:3x3", "product:3,3", "grid: 3x3 ", "product:3, 3"),
+        ("torus:4x5", "product:4w,5w"),
+        ("cube:2", "grid:2x2", "product:2,2"),
+    ],
+)
+def test_equal_graphs_spelled_differently_stay_equal(texts):
+    graphs = [parse_graph(t) for t in texts]
+    assert len({id(g) for g in graphs}) == len(texts)
+    assert all(g == graphs[0] and hash(g) == hash(graphs[0]) for g in graphs)
+    assert all(lattice(g) is lattice(graphs[0]) for g in graphs)
+
+
+def test_a_str_subclass_is_parsed_afresh():
+    class Text(str):
+        pass
+
+    g = parse_graph(Text("grid:3x3"))
+    assert g == parse_graph("grid:3x3") and g is not parse_graph("grid:3x3")
 
 
 @pytest.mark.parametrize(
@@ -190,10 +215,41 @@ def test_grid_2x2_formats_as_cube():
     assert parse_graph("cube:2") == grid(2, 2)
 
 
-@pytest.mark.parametrize("bad", ["grid", "blob:3x3", "grid:3xx3", "grid:-1x2", "cube:axe", "product:5q"])
-def test_parse_graph_rejects_garbage(bad):
-    with pytest.raises(GraphFormatError):
-        parse_graph(bad)
+GARBAGE = [
+    ("grid", "missing ':' in graph spec 'grid'"),
+    ("blob:3x3", "unknown graph family 'blob' in 'blob:3x3'"),
+    ("grid:3xx3", "bad dimension '' in graph spec 'grid:3xx3'"),
+    ("grid:-1x2", "bad dimension '-1' in graph spec 'grid:-1x2'"),
+    ("cube:axe", "bad dimension 'axe' in graph spec 'cube:axe'"),
+    ("product:5q", "bad dimension '5q' in graph spec 'product:5q'"),
+    ("grid:0x3", "dimension length must be >= 1, got 0"),
+    ("torus:2x3", "wrapped dimension needs length >= 3, got 2"),
+    ("cube:0", "cube dimension must be >= 1"),
+    (["grid:3x3"], "missing ':' in graph spec ['grid:3x3']"),
+    ({"a": 1}, "missing ':' in graph spec {'a': 1}"),
+]
+
+
+@pytest.mark.parametrize("bad,message", GARBAGE,
+                         ids=[bad if type(bad) is str else type(bad).__name__ for bad, _ in GARBAGE])
+def test_parse_graph_rejects_garbage(bad, message):
+    # a text that fails is not kept: it fails the same way every time, and
+    # a list or a dict, which a cache could not hash, fails as a text would
+    for _ in range(2):
+        with pytest.raises(GraphFormatError) as err:
+            parse_graph(bad)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("bad", [5, None, b"grid:3x3"], ids=["int", "None", "bytes"])
+def test_parse_graph_of_a_non_text_is_a_type_error(bad):
+    # the error Python raises for the ':' membership test, on this version
+    with pytest.raises(TypeError) as want:
+        ":" in bad
+    for _ in range(2):
+        with pytest.raises(TypeError) as err:
+            parse_graph(bad)
+        assert str(err.value) == str(want.value)
 
 
 # -- bitboards ----------------------------------------------------------------
