@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, combinations_with_replacement
 from math import comb
 
@@ -48,7 +48,7 @@ import numpy as np
 
 from .engine import CopStrategy, RobberStrategy, run_match
 from .errors import ConfigurationError, ReplayError, ResourceLimitError, StrategyFault
-from .grid import GraphSpec
+from .grid import GraphSpec, format_graph
 
 __all__ = ["SolveResult", "CopNumberResult", "solve_game", "cop_number", "extract_policies"]
 
@@ -88,6 +88,7 @@ class _Table:
     configs: np.ndarray  # (n_cfg, k) sorted vertex indices, lexicographic order
     index: object  # coordinate columns of sorted configurations -> their ranks
     nbhd: list  # closed neighborhood index lists, sorted, per vertex
+    padded: np.ndarray  # (V, max |nbhd|) the same, padded with the vertex itself
     cop_win: np.ndarray  # [r, ci] bool: the cops-to-move state is won
     cop_rank: np.ndarray  # [r, ci] settle order from 1, 0 where unsettled
     comp_id: np.ndarray  # [r, ci] component of r in G - configs[ci]
@@ -149,7 +150,7 @@ def _config_ranker(n_vertices, k):
     def index(columns):
         rank = top
         for column, weight in zip(columns, weights):
-            rank = rank - weight[column]
+            rank = rank - weight.take(column)
         return rank
 
     return index
@@ -200,6 +201,20 @@ def _row_bound(configs, padded):
     return int(bound.sum())
 
 
+def _sort_columns(columns):
+    """Sort k coordinate columns elementwise with an odd-even transposition
+    network (k rounds of compare-exchange between neighbours), so that
+    columns[0] <= ... <= columns[k - 1] at every position afterwards.  The
+    list is updated and returned; the arrays in it are replaced, never
+    written, and may broadcast against each other."""
+    k = len(columns)
+    for step in range(k):
+        for i in range(step % 2, k - 1, 2):
+            a, b = columns[i], columns[i + 1]
+            columns[i], columns[i + 1] = np.minimum(a, b), np.maximum(a, b)
+    return columns
+
+
 def _successors(configs, padded, index, size):
     """CSR table of each configuration's successors: sorted, no repeats.
 
@@ -221,12 +236,7 @@ def _successors(configs, padded, index, size):
             shape = [m] + [1] * k
             shape[i + 1] = width
             columns.append(padded[configs[lo:hi, i]].reshape(shape))
-        # sort each joint move's coordinates: odd-even transposition network
-        for step in range(k):
-            for i in range(step % 2, k - 1, 2):
-                a, b = columns[i], columns[i + 1]
-                columns[i], columns[i + 1] = np.minimum(a, b), np.maximum(a, b)
-        succ = index(columns).reshape(m, moves)
+        succ = index(_sort_columns(columns)).reshape(m, moves)
         succ.sort(axis=1)
         first = np.ones(succ.shape, dtype=bool)
         np.not_equal(succ[:, 1:], succ[:, :-1], out=first[:, 1:])
@@ -392,6 +402,7 @@ def solve_game(g: GraphSpec, k: int, cap: int = DEFAULT_STATE_CAP, verify_witnes
         configs=configs,
         index=index,
         nbhd=nbhd,
+        padded=padded,
         cop_win=cop_rank > 0,
         cop_rank=cop_rank,
         comp_id=comp_id,
@@ -473,11 +484,42 @@ def cop_number(g: GraphSpec, k_max: int | None = None, cap: int = DEFAULT_STATE_
 # --------------------------------------------------------------------------
 
 
+# entries of the _local_columns cache: every size tuple of a 2D grid with
+# four cops (3^4 = 81) fits
+LOCAL_COLUMNS_CACHE = 128
+
+
+@lru_cache(maxsize=LOCAL_COLUMNS_CACHE)
+def _local_columns(sizes):
+    """(k, J) int8, J = prod(sizes): row i holds cop i's option (a position
+    in its sorted closed neighbourhood, of sizes[i]) in each joint move, in
+    itertools.product order.  int8 holds positions up to 127: a closed
+    neighbourhood of 128 vertices needs a graph of at least 3^63 vertices,
+    far past INDEX_STATE_LIMIT."""
+    local = np.indices(sizes, dtype=np.int8).reshape(len(sizes), -1)
+    local.flags.writeable = False
+    return local
+
+
 class TableCops(CopStrategy):
-    """Plays the solved table: capture now if possible, otherwise the joint
-    move whose successor robber-state settled earliest (ties: first in the
-    lexicographic joint-move enumeration).  Falls back to standing still
-    from losing states."""
+    """Plays the solved table: the first capturing joint move, otherwise the
+    joint move whose successor robber-state settled earliest, otherwise
+    (from a losing state) standing still.  Joint moves are ordered as
+    itertools.product over the cops, in state order, of their sorted closed
+    neighbourhoods; "first" is in that order.
+
+    A capture turn builds no joint move: when the cops' first options
+    already hold the robber they are the move, and otherwise the first
+    capturing move is theirs with the last cop whose neighbourhood holds
+    the robber stepping onto it.  Any other turn gathers every joint move
+    from per-cop columns of local option indices, sorts each move's
+    coordinates with the solver's network, ranks the configurations and
+    takes the first minimum of comp_key.  The columns are cached per tuple
+    of neighbourhood sizes (_local_columns), at most LOCAL_COLUMNS_CACHE =
+    128 entries of J x k int8 for J <= JOINT_MOVE_CAP joint moves: at most
+    JOINT_MOVE_CAP x k bytes (64 KiB per cop) an entry, and 8 MiB per cop
+    for a full cache.  reset raises ConfigurationError on a graph or cop
+    count the table was not solved for."""
 
     name = "table-optimal-cops"
 
@@ -485,32 +527,43 @@ class TableCops(CopStrategy):
         super().__init__()
         self.table = table
 
+    def reset(self, graph, k, rng):
+        t = self.table
+        if graph != t.graph or k != t.k:
+            raise ConfigurationError(f"table solved for k={t.k} on {format_graph(t.graph)}, "
+                                     f"not for k={k} on {format_graph(graph)}")
+        super().reset(graph, k, rng)
+
     def place(self, graph, k):
         t = self.table
         return t.configs[t.witness if t.witness is not None else 0].tolist()
 
     def move(self, state):
         t = self.table
-        r = state.robber
-        # every joint move, in the order of itertools.product over the cops
-        axes = np.meshgrid(*(t.nbhd[c] for c in state.cops), indexing="ij")
-        joints = np.stack(axes, axis=-1).reshape(-1, len(state.cops))
-        capture = (joints == r).any(axis=1)
-        if capture.any():
-            best = joints[capture.argmax()]
-        else:
-            succ = t.index(np.sort(joints, axis=1).T)
-            # settle order of the successor robber-to-move state
-            key = t.comp_key[t.comp_id[r, succ]]
-            if key.min() == _UNSETTLED:
-                return list(state.cops)
-            best = joints[key.argmin()]
-        return best.tolist()
+        cops, r = state.cops, state.robber
+        best = [t.nbhd[c][0] for c in cops]
+        if r in best:
+            return best
+        for i in range(len(cops) - 1, -1, -1):
+            if r in t.nbhd[cops[i]]:
+                best[i] = r
+                return best
+        local = _local_columns(tuple(len(t.nbhd[c]) for c in cops))
+        joints = [t.padded[c].take(options) for c, options in zip(cops, local)]
+        succ = t.index(_sort_columns(list(joints)))
+        # settle order of the successor robber-to-move state
+        key = t.comp_key.take(t.comp_id[r].take(succ))
+        i = int(key.argmin())
+        if key[i] == _UNSETTLED:
+            return list(cops)
+        return [column.item(i) for column in joints]
 
 
 class TableRobber(RobberStrategy):
     """Plays the solved table: any surviving destination (first in index
-    order), otherwise the destination that settled last (slowest loss)."""
+    order), otherwise the destination that settled last (slowest loss).
+    reset raises ConfigurationError on a graph the table was not solved
+    on."""
 
     name = "table-optimal-robber"
 
@@ -525,6 +578,13 @@ class TableRobber(RobberStrategy):
         if not won.all():
             return int(options[won.argmin()])
         return int(options[t.cop_rank[options, cfg_i].argmax()])
+
+    def reset(self, graph, rng):
+        t = self.table
+        if graph != t.graph:
+            raise ConfigurationError(f"table solved on {format_graph(t.graph)}, "
+                                     f"not on {format_graph(graph)}")
+        super().reset(graph, rng)
 
     def place(self, graph, cops):
         t = self.table

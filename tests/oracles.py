@@ -150,6 +150,37 @@ def cops_win_naive(dims, k):
     return any(win[C] | occupied[C] == full for C in configs)
 
 
+# comp_key of a component with an unsettled member: the robber survives there
+UNSETTLED = np.iinfo(np.int64).max
+
+
+def table_cops_reference(table, cops, robber):
+    """The joint move table-optimal cops make, by brute force.
+
+    Walks itertools.product over the cops' sorted closed neighbourhoods,
+    built with `neighbours` (a vertex's index is its position in the
+    lexicographic vertex list), and returns the first move that lands on
+    the robber.  Otherwise it returns the first move with the least
+    table.comp_key of its successor robber-to-move state (configurations
+    ranked with table.config_index), or the cops as they stand when every
+    successor is unsettled.
+    """
+    dims = dims_of(table.graph)
+    verts = all_vertices(dims)
+    at = {v: i for i, v in enumerate(verts)}
+    closed = [sorted(at[u] for u in neighbours(verts[c], dims) | {verts[c]}) for c in cops]
+    moves = list(product(*closed))
+    for move in moves:
+        if robber in move:
+            return list(move)
+    best, best_key = list(cops), UNSETTLED
+    for move in moves:
+        key = table.comp_key[table.comp_id[robber, table.config_index(move)]]
+        if key < best_key:
+            best, best_key = list(move), key
+    return best
+
+
 def robber_certificate_violations(dims, k, safe):
     """Check a claimed robber win: `safe` is a set of cops-to-move states
     (sorted cop tuple, robber vertex), robber off the cops.  It proves k

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 import time
 import tracemalloc
 
@@ -9,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridpursuit.errors import ReplayError, ResourceLimitError
+from gridpursuit.cops import GreedyCops
+from gridpursuit.errors import ConfigurationError, ReplayError, ResourceLimitError
 from gridpursuit.grid import cube, grid, parse_graph, product, torus
 from gridpursuit.engine import GameState, Phase, run_match, trace_to_jsonl
+from gridpursuit.robbers import RandomRobber
 from gridpursuit import solver
 from gridpursuit.solver import TableCops, TableRobber, cop_number, extract_policies, solve_game
 
@@ -21,6 +24,7 @@ from oracles import (
     explicit_adjacency,
     flood,
     robber_certificate_violations,
+    table_cops_reference,
 )
 
 
@@ -140,8 +144,6 @@ def test_optimal_robber_escapes_single_cop_forever():
     res = solve_game(grid(3, 3), 1)
     assert res.cops_win is False
     cop_policy, robber_policy = extract_policies(res)
-    from gridpursuit.cops import GreedyCops
-
     trace = run_match(grid(3, 3), GreedyCops(), robber_policy, 1, max_rounds=100)
     assert trace.outcome == "timeout"
 
@@ -419,6 +421,79 @@ def test_table_cops_capture_or_enter_a_settled_component(text, k, states):
                 violations.append((cops, robber, dests))
     assert checked == states
     assert violations == []
+
+
+def _assert_table_cops_match_the_reference(res, states):
+    """TableCops.move equals table_cops_reference on every (cops, robber)
+    state; returns how many of them were capture turns."""
+    cop_policy, _ = extract_policies(res)
+    captures = 0
+    for cops, r in states:
+        answer = cop_policy.move(GameState(res.graph, cops, r, Phase.COP_TURN, 1))
+        assert {type(d) for d in answer} == {int}
+        assert answer == table_cops_reference(res.table, cops, r), (cops, r)
+        captures += r in answer
+    return captures
+
+
+@pytest.mark.parametrize("text, k, states", [
+    ("grid:3x3", 2, 324), ("cube:3", 2, 224), ("torus:3x3", 3, 1080), ("grid:3x4", 3, 3432),
+    ("grid:4x4", 3, 10880),
+])
+def test_table_cops_match_the_reference_on_every_state(text, k, states):
+    # every cops-to-move state with the robber off the cops, won or lost
+    # (grid:4x4 k=3 is a loss table), stacked cops included, with the cops
+    # in sorted order and reversed, since the joint-move order is that of
+    # the cops in the state
+    res = solve_game(parse_graph(text), k)
+    n_vertices = res.graph.vertex_count
+    cases = [(tuple(cfg), r) for cfg in res.table.configs.tolist()
+             for r in range(n_vertices) if r not in cfg]
+    assert len(cases) == states
+    cases += [(cops[::-1], r) for cops, r in cases]
+    assert 0 < _assert_table_cops_match_the_reference(res, cases) < len(cases)
+
+
+def test_table_cops_match_the_reference_on_torus_4x4_with_four_cops():
+    # 625 joint moves a turn: the witness line, then a seeded sample of
+    # states with the cops in any order, stacked or not
+    g = parse_graph("torus:4x4")
+    res = solve_game(g, 4)
+    cop_policy, robber_policy = extract_policies(res)
+    trace = run_match(g, cop_policy, robber_policy, 4, max_rounds=res.states_explored + 4)
+    assert trace.outcome == "capture"
+    line = [(ev["cops"], ev["robber"]) for ev in trace.events
+            if ev["phase"] in (Phase.ROBBER_PLACEMENT.value, Phase.ROBBER_TURN.value)]
+    assert len(line) == trace.rounds
+    assert _assert_table_cops_match_the_reference(res, line) == 1
+    rng = random.Random(0)
+    sample = []
+    while len(sample) < 500:
+        cops = tuple(rng.randrange(16) for _ in range(4))
+        r = rng.randrange(16)
+        if r not in cops:
+            sample.append((cops, r))
+    assert 0 < _assert_table_cops_match_the_reference(res, sample) < len(sample)
+
+
+def test_local_columns_list_each_cops_options_in_product_order():
+    local = solver._local_columns((2, 3, 1))
+    assert local.dtype == np.int8 and not local.flags.writeable
+    assert [tuple(m) for m in local.T.tolist()] == list(itertools.product(range(2), range(3), range(1)))
+
+
+def test_table_policies_refuse_a_graph_or_cop_count_they_were_not_solved_for():
+    t = solve_game(grid(3, 3), 2).table
+    for g in (grid(5, 5), torus(3, 3)):
+        with pytest.raises(ConfigurationError, match="grid:3x3"):
+            run_match(g, TableCops(t), RandomRobber(), 2)
+        with pytest.raises(ConfigurationError, match="grid:3x3"):
+            run_match(g, GreedyCops(), TableRobber(t), 2)
+    with pytest.raises(ConfigurationError, match="k=3"):
+        run_match(grid(3, 3), TableCops(t), RandomRobber(), 3)
+    # the same graph under another description plays
+    trace = run_match(parse_graph("product:3,3"), TableCops(t), TableRobber(t), 2)
+    assert trace.outcome == "capture"
 
 
 # --------------------------------------------------------------------------
