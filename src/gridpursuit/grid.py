@@ -5,12 +5,13 @@ materialized: adjacency, distance, and subgrid queries are coordinate
 arithmetic, or index arithmetic on vertex indices (a vertex's mixed-radix
 rank, the form positions take inside the library).  Vertex *sets* are
 manipulated as arbitrary-precision integer bitboards (one bit per vertex,
-mixed-radix index order).  A flood fill
-fills whole free runs along one axis at a time by prefix doubling, so a
-pass over an axis of length L costs about 2 log2(L) big-integer shifts,
-whatever the component's radius.  Bitboards convert to and from vertex
-lists in one numpy pass over their bytes; only mask_of of a few vertices
-sets their bits one at a time.
+mixed-radix index order).  The lattice shifts a set along each positive
+index offset of GraphSpec.moves, so its edges are the ones the engine
+checks.  A flood fill fills whole free runs along one shift at a time by
+prefix doubling, so a pass over an axis of length L costs about
+2 log2(L) big-integer shifts, whatever the component's radius.  Bitboards
+convert to and from vertex lists in one numpy pass over their bytes; only
+mask_of of a few vertices sets their bits one at a time.
 
 All operations here are pure functions of immutable values and safe for
 concurrent use.  A lattice keeps two caches, mask_of's last answer and
@@ -93,7 +94,8 @@ class GraphSpec:
         coordinate i // stride % length lies in [low, high].  On a cycle the
         steps across the seam are offsets of -(length - 1) and length - 1
         strides.  Offsets never repeat: a step along a dimension moves the
-        index by less than one stride of any earlier dimension."""
+        index by less than one stride of any earlier dimension.  The
+        bitboard lattice builds its shift masks from these ranges."""
         out = {}
         for d, s in zip(self.dims, self.strides):
             n = d.length
@@ -285,7 +287,7 @@ def format_graph(g: GraphSpec) -> str:
 
 # Largest graph a lattice is built for, so the largest graph run_match
 # accepts.  Every turn floods bitboards of one bit per vertex, and the
-# lattice holds a mask of that size per dimension, so cost grows with the
+# lattice holds two masks of that size per shift, so cost grows with the
 # vertex count: at the cap (grid:1024x1024 or cube:20) one round takes about
 # 1-3 s and a random robber's move decode about 400 MiB, and cube:30 would
 # need 8 GiB before the first move.  The largest graph the tests, demos and
@@ -304,13 +306,17 @@ _NUMPY_MIN_VERTICES = 48
 class BitLattice:
     """Vertex-set arithmetic over one graph, sets encoded as Python ints.
 
-    Bit i corresponds to the vertex with mixed-radix index i.  expand, one
-    breadth-first layer, is a constant number of shift/mask operations per
-    dimension, and farthest runs a whole breadth-first search confined to
-    a region.  component fills whole free runs along one axis per pass by
-    Kogge-Stone doubling, O(log L) operations for an axis of length L, and
-    repeats passes until every axis is closed; the fill masks depend only
-    on the blocked set and are built once per cop configuration.
+    Bit i corresponds to the vertex with mixed-radix index i.  The lattice
+    holds one shift per positive offset of GraphSpec.moves, a cycle's seam
+    included: (offset, up, down), where down holds the vertices whose
+    neighbor at +offset exists and up = down << offset those whose
+    neighbor at -offset does.  expand, one breadth-first layer, is two
+    shift/mask pairs per shift, and farthest runs a whole breadth-first
+    search confined to a region.  component fills whole free runs along
+    one shift per pass by Kogge-Stone doubling, O(log L) operations for an
+    axis of length L, and repeats passes until every shift is closed; the
+    fill masks depend only on the blocked set and are built once per cop
+    configuration.
     """
 
     def __init__(self, g: GraphSpec):
@@ -319,26 +325,12 @@ class BitLattice:
         self.full = (1 << self.size) - 1
         self._last = ((), 0)  # mask_of's last (tuple of indices, mask)
         self._flood = (None, [], 0)  # component's last (blocked, fill masks, component)
-        self._steps = []
-        # farthest's stride along the first axis with an edge, and for every
-        # other shift (shift, the vertices a shift up may reach, those a
-        # shift down may reach)
-        self._lead, self._folds = 0, []
         index = np.arange(self.size)
-        for d, stride in zip(g.dims, g.strides):
-            length = d.length
-            if length == 1:
-                continue
-            not_hi = self._pack(index // stride % length < length - 1)
-            wrap_shift = (length - 1) * stride
-            hi_mask = self.full & ~not_hi if d.wrap else 0
-            if self._steps:
-                self._folds.append((stride, self.full & (not_hi << stride), not_hi))
-            else:
-                self._lead = stride
-            if d.wrap:
-                self._folds.append((wrap_shift, hi_mask, hi_mask >> wrap_shift))
-            self._steps.append((stride, not_hi, d.wrap, wrap_shift, hi_mask))
+        self._shifts = []
+        for offset, (stride, length, _, high) in g.moves.items():
+            if offset > 0:  # a step up starts from coordinates 0 to high
+                down = self._pack(index // stride % length <= high)
+                self._shifts.append((offset, down << offset, down))
 
     @staticmethod
     def _pack(bits) -> int:
@@ -348,12 +340,8 @@ class BitLattice:
     def expand(self, mask: int) -> int:
         """Union of open neighborhoods of the set."""
         out = 0
-        for stride, not_hi, wrap, wrap_shift, hi_mask in self._steps:
-            out |= (mask & not_hi) << stride
-            out |= (mask >> stride) & not_hi
-            if wrap:
-                out |= (mask & hi_mask) >> wrap_shift
-                out |= (mask << wrap_shift) & hi_mask
+        for offset, up, down in self._shifts:
+            out |= (mask << offset) & up | (mask >> offset) & down
         return out
 
     def farthest(self, sources: int, region: int, targets: int) -> int:
@@ -363,24 +351,13 @@ class BitLattice:
         set that holds no source, until every member of targets in region
         is reached; the answer is the part in targets of the last layer
         that meets them, or 0 when none does.  A layer is the expand of
-        the one before, with the lattice's boundary masks folded into
-        region once per call: a shift by one stride keeps region's
-        vertices whose coordinate it can reach (above 0 going up, below
-        length - 1 going down), a cycle's seam those at coordinate
-        length - 1 and 0.  The first axis with an edge shifts with no
-        mask: every axis before it has length 1, so a step off its ends
-        also leaves the lattice, and the AND with region's unvisited part
-        that ends each layer drops it.
+        the one before, confined to the part of region not yet reached.
         """
-        last, left, lead = sources & targets, region, self._lead
+        last, left = sources & targets, region
         todo = targets & left
-        folded = [(shift, left & up, left & down) for shift, up, down in self._folds]
         frontier = sources
         while frontier and todo:
-            layer = frontier << lead | frontier >> lead
-            for shift, up, down in folded:
-                layer |= (frontier << shift) & up | (frontier >> shift) & down
-            frontier = layer & left
+            frontier = self.expand(frontier) & left
             left ^= frontier
             hit = frontier & todo
             if hit:
@@ -430,13 +407,13 @@ class BitLattice:
         """Connected component of the graph-minus-blocked containing start,
         or 0 when start is blocked.
 
-        Each pass fills, along one axis, every free run that holds a bit of
-        the component (see _fill_masks); a wrapped axis also steps across
-        its seam and fills again.  A pass leaves the component closed along
-        its axis, so the passes cycle through the axes until as many passes
-        in a row as there are axes add nothing, or the component is every
-        free vertex.  With a nonzero stop mask the fill ends as soon as it
-        meets stop, returning the part of the component found by then.
+        Each pass fills, along one shift, every free run that holds a bit
+        of the component (see _fill_masks); a cycle's seam is a shift of
+        its own.  A pass leaves the component closed along its shift, so
+        the passes cycle through the shifts until as many passes in a row
+        as there are shifts add nothing, or the component is every free
+        vertex.  With a nonzero stop mask the fill ends as soon as it meets
+        stop, returning the part of the component found by then.
 
         The fill masks of the last blocked set are kept with the last whole
         component found for it, in one attribute replaced in a single store;
@@ -445,60 +422,51 @@ class BitLattice:
         start = 1 << start_index
         if blocked & start:
             return 0
-        kept_blocked, axes, kept = self._flood
+        kept_blocked, fills, kept = self._flood
         free = self.full & ~blocked
         if blocked != kept_blocked:
-            axes, kept = self._fill_masks(free), 0
+            fills, kept = self._fill_masks(free), 0
         elif kept & start:
             return kept
         comp, quiet = start, 0
-        for steps, wrap_shift, seam in cycle(axes):
-            if quiet == len(axes) or comp == free:
+        for steps in cycle(fills):
+            if quiet == len(fills) or comp == free:
                 break
             if comp & stop:
-                self._flood = (blocked, axes, kept)
+                self._flood = (blocked, fills, kept)
                 return comp
             before = comp
-            while True:
-                for shift, fwd, bwd in steps:
-                    comp |= fwd & (comp << shift)
-                    comp |= bwd & (comp >> shift)
-                if not seam:
-                    break
-                crossed = comp | comp >> wrap_shift & seam | (comp & seam) << wrap_shift
-                if crossed == comp:
-                    break
-                comp = crossed
+            for shift, fwd, bwd in steps:
+                comp |= fwd & (comp << shift)
+                comp |= bwd & (comp >> shift)
             quiet = quiet + 1 if comp == before else 1
-        self._flood = (blocked, axes, comp)
+        self._flood = (blocked, fills, comp)
         return comp
 
     def _fill_masks(self, free: int) -> list:
-        """Per axis that has a free edge, (steps, wrap_shift, seam).
+        """Per shift that joins two free vertices, its run fill's steps.
 
-        Step j of a run fill is (s * 2**j, fwd_j, bwd_j) for the axis
-        stride s: fwd_j holds every x whose segment from x - s * 2**j up to
-        x lies in one free run, and bwd_j = fwd_j >> s * 2**j the mirror
-        image.  fwd_{j+1} = fwd_j & (fwd_j << s * 2**j), so taking
+        Step j of the fill along a shift by s is (s * 2**j, fwd_j, bwd_j):
+        fwd_j holds every x whose segment from x - s * 2**j up to x, in
+        steps of s, lies in one free run, and bwd_j = fwd_j >> s * 2**j the
+        mirror image.  fwd_{j+1} = fwd_j & (fwd_j << s * 2**j), so taking
         comp |= fwd_j & (comp << s * 2**j) and its mirror for j = 0, 1, ...
         (Kogge-Stone doubling) reaches every vertex of a run that holds a
         bit of comp; the steps end at the first empty fwd_j, when no run is
-        longer than 2**j.  seam holds the vertices at coordinate 0 of a
-        wrapped axis whose neighbor across the seam is also free (0 on a
-        path).
+        longer than 2**j.  A seam's runs are single edges, from coordinate
+        0 to length - 1, so its doubling ends after one step.
         """
-        axes = []
-        for stride, not_hi, _, wrap_shift, hi_mask in self._steps:
-            run = free & ((free & not_hi) << stride)
-            steps, shift = [], stride
+        fills = []
+        for offset, up, _ in self._shifts:
+            run = free & up & (free << offset)
+            steps, shift = [], offset
             while run:
                 steps.append((shift, run, run >> shift))
                 run &= run << shift
                 shift <<= 1
-            seam = free & ((free & hi_mask) >> wrap_shift)
-            if steps or seam:
-                axes.append((steps, wrap_shift, seam))
-        return axes
+            if steps:
+                fills.append(steps)
+        return fills
 
     def components(self, blocked: int) -> list[int]:
         """All connected components of the graph minus the blocked set."""

@@ -86,6 +86,24 @@ def distances_from(adj, sources):
     return dist
 
 
+def farthest_in_region(adj, sources, region, targets):
+    """The members of targets farthest from the nearest source by a
+    multi-source BFS that enters only vertices of region: those at the
+    greatest distance among the targets it reaches (a source is at 0), or
+    the empty set when it reaches none."""
+    dist = {v: 0 for v in sources}
+    queue = deque(dist)
+    while queue:
+        v = queue.popleft()
+        for w in adj[v]:
+            if w in region and w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    reached = {t: dist[t] for t in targets if t in dist}
+    top = max(reached.values(), default=None)
+    return {t for t, d in reached.items() if d == top}
+
+
 def flood(adj, blocked, src):
     """Connected component of src after deleting the blocked vertices."""
     assert src not in blocked

@@ -964,6 +964,12 @@ PINNED_TRACES = [
     # components; captured at round 11
     ("grid:12x12", "row-sweep", "max-component", 12, 0, None,
      "66d4b6a9dea10f42edf32a6bd9c2e51270297ee5e0797840a0a3e22dbf8b4ac3"),
+    # max-component floods and searches across the seam of a 3-cycle,
+    # which is two strides long: a timeout, and a capture by the walls
+    ("product:3w,1,40w", "random", "max-component", 4, 3, 200,
+     "2141258dcd02d3b72c4a667e7a45b5e12dfdc822eb24e4f80d9cd505409662f4"),
+    ("torus:3x40", "torus-two-rows", "max-component", 6, 0, None,
+     "15d43e4fc9d97168ce87e0f6d2415348ad734573fcf73b6472c6b5adc2edd687"),
 ]
 
 

@@ -255,6 +255,17 @@ def test_parse_graph_of_a_non_text_is_a_type_error(bad):
 # -- bitboards ----------------------------------------------------------------
 
 
+@st.composite
+def graphs_and_masks(draw):
+    dims = draw(st.lists(
+        st.one_of(st.tuples(st.integers(1, 6), st.just(False)),
+                  st.tuples(st.integers(3, 6), st.just(True))),
+        min_size=1, max_size=4))
+    g = product(dims)
+    mask = draw(st.integers(0, (1 << g.vertex_count) - 1))
+    return g, mask
+
+
 @pytest.mark.parametrize("g", [grid(4, 3), torus(4, 5), cube(4), product([(3, True), (2, False), (2, False)])])
 def test_bitboard_expand_matches_explicit_neighbors(g):
     lat = lattice(g)
@@ -266,6 +277,42 @@ def test_bitboard_expand_matches_explicit_neighbors(g):
         mask = lat.mask_of(ix(g, chosen))
         expected = set().union(*(adj[v] for v in chosen))
         assert coords_of(g, lat.set_of(lat.expand(mask))) == expected
+
+
+@given(graphs_and_masks())
+@settings(max_examples=150, deadline=None)
+def test_bitboard_expand_matches_explicit_neighbors_on_drawn_shapes(case):
+    # length-1 axes have no shift, and a 3-cycle's seam is two strides long
+    g, mask = case
+    lat = lattice(g)
+    dims = oracles.dims_of(g)
+    members = coords_of(g, [i for i in range(g.vertex_count) if mask >> i & 1])
+    expected = set().union(*(oracles.neighbours(v, dims) for v in members))
+    assert coords_of(g, lat.set_of(lat.expand(mask))) == expected
+
+
+@pytest.mark.parametrize("g", [grid(1, 6, 5), torus(3, 4), parse_graph("product:3w,1,4"),
+                               parse_graph("product:5,4w"), cube(5)], ids=format_graph)
+def test_farthest_matches_a_bfs_confined_to_the_region(g):
+    # regions are random vertex sets, not components, and targets lie
+    # inside and outside them; a repeated source is a stacked cop
+    lat = lattice(g)
+    adj = _adjacency(tuple(oracles.dims_of(g)))
+    verts = list(g.vertices())
+    rng = random.Random(37)
+    outside = 0
+    for _ in range(200):
+        sources = rng.choices(verts, k=rng.randint(0, 3))
+        sources += sources[:1]
+        density = rng.choice((0.3, 0.6, 0.9, 1.0))
+        region = {v for v in verts if rng.random() < density} - set(sources)
+        targets = {v for v in verts if rng.random() < 0.3}
+        outside += bool(targets - region)
+        got = lat.farthest(lat.mask_of(ix(g, sources)), lat.mask_of(ix(g, region)),
+                           lat.mask_of(ix(g, targets)))
+        assert coords_of(g, lat.set_of(got)) == oracles.farthest_in_region(
+            adj, sources, region, targets)
+    assert outside
 
 
 @pytest.mark.parametrize("g", [grid(4, 4), torus(5, 4), cube(4)])
@@ -280,17 +327,6 @@ def test_bitboard_component_matches_flood(g):
         src = rng.choice(free)
         mask = lat.component(g.index(src), lat.mask_of(ix(g, blocked)))
         assert coords_of(g, lat.set_of(mask)) == oracles.flood(adj, blocked, src)
-
-
-@st.composite
-def graphs_and_masks(draw):
-    dims = draw(st.lists(
-        st.one_of(st.tuples(st.integers(1, 6), st.just(False)),
-                  st.tuples(st.integers(3, 6), st.just(True))),
-        min_size=1, max_size=4))
-    g = product(dims)
-    mask = draw(st.integers(0, (1 << g.vertex_count) - 1))
-    return g, mask
 
 
 @given(graphs_and_masks())
