@@ -18,8 +18,7 @@ exception: its reset clears a per-match neighbourhood cache.
 """
 from __future__ import annotations
 
-from itertools import compress, count
-from operator import ne
+import numpy as np
 
 from .counts import level_closed_form
 from .engine import CopStrategy, GameState
@@ -219,11 +218,15 @@ class _LevelBlockadeCops(CopStrategy):
     stays strictly below the wall level throughout, which forces capture
     when the level reaches the corner.
 
-    The round-1 move fixes the reflection and the canonical positions and
-    coordinate sums, which each later move updates along with the wall's
-    level and the reserves' targets.  The wall and the reserve are read
-    off the sums: a shift runs only when no reserve is in transit, and then
-    the wall is exactly the set of cops on the level.
+    The play is worked out on the board's own vertex indices.  The round-1
+    move fixes the reflection, which maps index i to V - 1 - i: it sets the
+    wall's coordinate sum on the board, the floor of the shift axis, the
+    wall's step, and the order in which the reserve is paired with its
+    targets.  Between turns the blockade keeps only the reflection, the
+    canonical wall level (the one annotated) and the reserves' targets.  The
+    cops on the wall are read off their coordinate sums, at a phase start
+    (every other cop is reserve) and at a shift, which runs only when no
+    reserve is in transit, so that the wall is exactly the cops on the level.
 
     shift_axis selects which coordinate the wall decreases (and therefore
     which slice the reserves must cover at coordinate n-1).  ndim is the
@@ -280,52 +283,49 @@ class _LevelBlockadeCops(CopStrategy):
         g = state.graph
         n = g.dims[0].length
         stride = g.strides[self.shift_axis]
-        # reflecting every coordinate maps index i to top - i
-        top = g.vertex_count - 1
         if state.round == 1:
             # the play is reflected when the robber starts above the wall
             middle = g.ndim * (n - 1) // 2
             self._flip = sum(g.vertex_at(state.robber)) > middle
             self._level = g.ndim * (n - 1) - middle if self._flip else middle
-            self._canon = [top - c if self._flip else c for c in state.cops]
-            self._sums = [sum(g.vertex_at(c)) for c in self._canon]
             self._targets = {}
 
-        canon, sums, level = self._canon, self._sums, self._level
-        dests = list(canon)
+        flip, level = self._flip, self._level
+        # the wall's coordinate sum on the board, the floor of the shift
+        # axis and the wall's step
+        wall, floor, step = (g.ndim * (n - 1) - level, n - 1, stride) if flip else (level, 0, -stride)
+        cops = list(state.cops)
+        coords = None  # the cops' coordinates, one array per axis
 
         if not self._targets:
-            # the reserve: every cop off the wall's level
+            # the reserve: every cop off the wall's level, in canonical index
+            # order (index order is lexicographic; a stable sort keeps
+            # stacked cops in cop order, reversed or not)
+            coords = np.unravel_index(cops, g.lengths)
+            pool = sorted(np.flatnonzero(sum(coords) != wall).tolist(), key=cops.__getitem__, reverse=flip)
             wanted = map(g.index, self._slice_targets(g, level))
-            pool = sorted(compress(count(), map(level.__ne__, sums)),
-                          key=canon.__getitem__)  # index order is lexicographic
+            if flip:  # reflecting every coordinate maps index t to V - 1 - t
+                wanted = [g.vertex_count - 1 - t for t in wanted]
             self._targets = dict(zip(pool, wanted))
 
         in_transit = {
-            i: t for i, t in self._targets.items() if canon[i] != t
+            i: t for i, t in self._targets.items() if cops[i] != t
         }
         if in_transit:
             for i, target in in_transit.items():
-                dests[i] = _lex_step(g, canon[i], target)
-                sums[i] += 1 if dests[i] > canon[i] else -1  # one coordinate, one step
+                cops[i] = _lex_step(g, cops[i], target)
             self.last_annotations = {"phase": "transit", "level": level}
         else:
             # shift: with no reserve in transit the wall is every cop on the
             # level; it steps down along the shift axis, cops already on the
             # axis floor hold still, and arrived reserves become wall
-            for i in compress(count(), map(level.__eq__, sums)):
-                if canon[i] // stride % n:
-                    dests[i] -= stride
-                    sums[i] -= 1
+            if coords is None:
+                coords = np.unravel_index(cops, g.lengths)
+            for i in np.flatnonzero((sum(coords) == wall) & (coords[self.shift_axis] != floor)).tolist():
+                cops[i] += step
             self._level = level - 1
             self._targets = {}
             self.last_annotations = {"phase": "shift", "level": level - 1, "boundary": 1}
-
-        # only the cops that move need mapping back
-        cops = list(state.cops)
-        for i in compress(count(), map(ne, canon, dests)):
-            cops[i] = top - dests[i] if self._flip else dests[i]
-        self._canon = dests
         return cops
 
 

@@ -619,7 +619,7 @@ class TorusEvader(_ProofEvader):
 
 
 def grid3d_cop_budget(n: int) -> int:
-    return int(0.7172 * n * n)
+    return 7172 * n * n // 10000
 
 
 _HALVES_ORDER = (

@@ -11,6 +11,7 @@ from gridpursuit.cops import (
     RandomCops,
     RowSweepCops,
     TorusTwoRowsCops,
+    _lex_step,
     blockade_3d_cop_count,
     blockade_nd_cop_count,
     make_cop_strategy,
@@ -255,15 +256,58 @@ def test_blockade_nd_captures(d, n):
     assert trace.outcome == "capture"
 
 
-def test_blockade_3d_high_side_robber_is_mirrored():
-    g = grid(3, 3, 3)
+class _PlacedRobber(StationaryRobber):
+    """A robber that starts on a given vertex and never moves."""
 
-    class HighCorner(StationaryRobber):
-        def place(self, graph, cops):
-            return graph.index((2, 2, 1))  # coordinate sum 5: the far side of the wall
+    def __init__(self, start):
+        super().__init__()
+        self.start = start
 
-    trace = run_match(g, Blockade3DCops(), HighCorner(), blockade_3d_cop_count(3))
-    assert trace.outcome == "capture"
+    def place(self, graph, cops):
+        return self.start
+
+
+@pytest.mark.parametrize("name, text, worst", [
+    ("blockade-3d", "grid:3x3x3", 7),
+    ("blockade-3d", "grid:5x5x5", 22),
+    ("blockade-ddim", "grid:3x3x3x3", 15),
+    ("blockade-ddim", "grid:5x5x5", 23),
+])
+def test_blockade_catches_a_robber_on_every_free_vertex(name, text, worst):
+    # a robber above the middle level is played on the mirrored board: the
+    # wall covers the level set total - level and he stays above it
+    g = parse_graph(text)
+    cops = make_cop_strategy(name)
+    k = cops.required_cops(g)
+    total = g.ndim * (g.dims[0].length - 1)  # the corner's coordinate sum
+    sums = [sum(v) for v in g.vertices()]
+    occupied = set(cops.place(g, k))
+    rounds = []
+    for start in range(g.vertex_count):
+        if start in occupied:
+            continue
+        trace = run_match(g, cops, _PlacedRobber(start), k)
+        rounds.append(capture_rounds(trace))
+        above = sums[start] > total // 2
+        for ev in level_boundary_events(trace):
+            level = int(ev["annotations"]["level"])
+            wall = total - level if above else level
+            assert {v for v, s in enumerate(sums) if s == wall} <= set(ev["cops"]), (start, ev["round"])
+            if ev["event"] is None:
+                assert sums[start] > wall if above else sums[start] < wall
+    assert max(rounds) == worst
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 3), (2, 3, 4), (1, 4, 3), (3, 3, 3, 3)],
+                         ids=lambda dims: "x".join(map(str, dims)))
+def test_lex_step_commutes_with_the_reflection(dims):
+    # the reflected blockade walks its reserves on the board's own indices
+    # toward reflected targets, which relies on this identity
+    g = grid(*dims)
+    top = g.vertex_count - 1
+    for a in range(g.vertex_count):
+        for b in range(g.vertex_count):
+            assert _lex_step(g, top - a, top - b) == top - _lex_step(g, a, b), (a, b)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

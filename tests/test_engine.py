@@ -960,6 +960,11 @@ PINNED_TRACES = [
      "d5d0d0b06984b8a658dbfa923d5ab76503d27353f0afd2e1452083910fa71e2c"),
     ("grid:5x5x5", "blockade-ddim", "max-component", 21, 0, None,
      "b3596296c0ce34cc86bcac4711d31c48dff009bb9ab328f96f0547c457301bec"),
+    # reflected d-dimensional plays: captured at rounds 19 and 11
+    ("grid:5x5x5", "blockade-ddim", "random", 21, 2, None,
+     "ffbea14fa22ec737c0e5c623c430fa73ac1615e267d220f010c488cca1aa3419"),
+    ("grid:3x3x3x3", "blockade-ddim", "random", 22, 8, None,
+     "444e0380f2eba3baf626ec94d3d5c47e29a8a8444e43836f1765367f352ff5df"),
     # the wall sweeps row by row, so max-component searches ever smaller
     # components; captured at round 11
     ("grid:12x12", "row-sweep", "max-component", 12, 0, None,

@@ -169,6 +169,9 @@ def test_grid3d_zero_cops_walks_fixed_orientation_chain():
 def test_grid3d_budget_value():
     assert grid3d_cop_budget(10) == 71
     assert grid3d_cop_budget(20) == 286
+    # a float product truncates one low at n = 250, 450, 500, ..., 1,000
+    for n in range(2001):
+        assert grid3d_cop_budget(n) == math.floor(Fraction(7172, 10000) * n * n), n
 
 
 def test_grid3d_survives_greedy_with_checks():
