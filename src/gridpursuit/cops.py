@@ -23,7 +23,7 @@ import numpy as np
 from .counts import level_closed_form
 from .engine import CopStrategy, GameState
 from .errors import ConfigurationError, require
-from .grid import GraphSpec
+from .grid import format_graph, is_box
 
 __all__ = [
     "RowSweepCops",
@@ -40,13 +40,6 @@ __all__ = [
 ]
 
 
-def _require_grid_2d(graph):
-    require(
-        graph.ndim == 2 and not any(d.wrap for d in graph.dims),
-        f"strategy needs a two-dimensional grid, got {graph.dims}",
-    )
-
-
 class RowSweepCops(CopStrategy):
     """One cop per column on the top row; the whole wall steps down each turn.
 
@@ -58,7 +51,7 @@ class RowSweepCops(CopStrategy):
     name = "row-sweep"
 
     def place(self, graph, k):
-        _require_grid_2d(graph)
+        require(is_box(graph, 2), f"row sweep needs a two-dimensional grid, got {format_graph(graph)}")
         width = graph.dims[0].length
         require(k >= width, f"row sweep needs k >= {width}, got {k}")
         return [graph.index((x, 0)) for x in range(width)] + [0] * (k - width)
@@ -80,10 +73,8 @@ class TorusTwoRowsCops(CopStrategy):
     name = "torus-two-rows"
 
     def place(self, graph, k):
-        require(
-            graph.ndim == 2 and all(d.wrap for d in graph.dims),
-            f"strategy needs a two-dimensional torus, got {graph.dims}",
-        )
+        require(is_box(graph, 2, wrap=True),
+                f"torus pincer needs a two-dimensional torus, got {format_graph(graph)}")
         width, height = graph.lengths
         require(k >= 2 * width, f"torus pincer needs k >= {2 * width}, got {k}")
         wall = [graph.index((x, 0)) for x in range(width)]
@@ -122,9 +113,8 @@ class DiagonalPairsCops(CopStrategy):
     name = "diagonal-pairs"
 
     def place(self, graph, k):
-        _require_grid_2d(graph)
+        require(is_box(graph, 2, equal=True), f"diagonal pairs needs a square grid, got {format_graph(graph)}")
         n = graph.dims[0].length
-        require(n == graph.dims[1].length, "diagonal pairs needs a square grid")
         require(n % 2 == 1 and n >= 3, f"diagonal pairs needs odd n >= 3, got {n}")
         require(k >= n - 1, f"diagonal pairs needs k >= {n - 1}, got {k}")
         pairs = []
@@ -249,12 +239,9 @@ class _LevelBlockadeCops(CopStrategy):
     def _validate(self, graph, k):
         require(
             self.ndim is None or graph.ndim == self.ndim,
-            f"{self.name} needs {self.ndim} dimensions, got {graph.ndim}",
+            f"{self.name} needs {self.ndim} dimensions, got {format_graph(graph)}",
         )
-        require(
-            len({d.length for d in graph.dims}) == 1 and not any(d.wrap for d in graph.dims),
-            f"blockade needs an equal-sided grid, got {graph.dims}",
-        )
+        require(is_box(graph, equal=True), f"blockade needs an equal-sided grid, got {format_graph(graph)}")
         n = graph.dims[0].length
         if not self.allow_understaffed:
             require(n % 2 == 1, f"blockade is only guaranteed for odd side lengths, got {n}")

@@ -199,6 +199,14 @@ def product(dims) -> GraphSpec:
     return GraphSpec(tuple(Dim(int(n), bool(w)) for n, w in dims))
 
 
+def is_box(g: GraphSpec, ndim=None, wrap=False, equal=False) -> bool:
+    """Whether every factor of g is a path, or a cycle when wrap; with ndim
+    given, whether g has ndim factors; with equal, whether all factors
+    have one length.  Every strategy's board test is one call of it."""
+    return ((ndim is None or g.ndim == ndim) and all(bool(d.wrap) == wrap for d in g.dims)
+            and not (equal and len(set(g.lengths)) > 1))
+
+
 def is_hypercube(g: GraphSpec) -> bool:
     return all(d.length == 2 and not d.wrap for d in g.dims)
 
@@ -271,9 +279,9 @@ def format_graph(g: GraphSpec) -> str:
     """Canonical description string; parse_graph(format_graph(g)) == g."""
     if is_hypercube(g):
         return f"cube:{g.ndim}"
-    if not any(d.wrap for d in g.dims):
+    if is_box(g):
         return "grid:" + "x".join(str(d.length) for d in g.dims)
-    if all(d.wrap for d in g.dims):
+    if is_box(g, wrap=True):
         return "torus:" + "x".join(str(d.length) for d in g.dims)
     return "product:" + ",".join(
         f"{d.length}w" if d.wrap else str(d.length) for d in g.dims

@@ -42,6 +42,7 @@ name vertices by their coordinates.
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple
@@ -50,7 +51,7 @@ import numpy as np
 
 from .engine import GameState, Phase, RobberStrategy, reachable_mask
 from .errors import ConfigurationError, StrategyFault, require
-from .grid import GraphSpec, format_graph, is_hypercube, lattice, parse_graph
+from .grid import GraphSpec, format_graph, is_box, is_hypercube, lattice, parse_graph
 
 __all__ = [
     "StationaryRobber",
@@ -440,13 +441,8 @@ class Grid2DEvader(_ProofEvader):
     _safe_rows = staticmethod(lambda count: count == 0)
 
     def reset(self, graph, rng):
+        require(is_box(graph, 2, equal=True), f"grid evader needs a square grid, got {format_graph(graph)}")
         super().reset(graph, rng)
-        require(
-            graph.ndim == 2
-            and not any(d.wrap for d in graph.dims)
-            and graph.dims[0].length == graph.dims[1].length,
-            f"grid evader needs a square grid, got {format_graph(graph)}",
-        )
         self._degraded = self._n <= 3
 
     def _in_budget(self, cops):
@@ -582,13 +578,9 @@ class TorusEvader(_ProofEvader):
     _safe_rows = staticmethod(lambda count: count <= 1)
 
     def reset(self, graph, rng):
+        require(is_box(graph, 2, wrap=True, equal=True),
+                f"torus evader needs a square torus, got {format_graph(graph)}")
         super().reset(graph, rng)
-        require(
-            graph.ndim == 2
-            and all(d.wrap for d in graph.dims)
-            and graph.dims[0].length == graph.dims[1].length,
-            f"torus evader needs a square torus, got {format_graph(graph)}",
-        )
         require(self._n >= 18, f"torus evader needs n >= 18, got {self._n}")
 
     def select(self, board):
@@ -657,13 +649,8 @@ class Grid3DEvader(_ProofEvader):
     component_failures = 0
 
     def reset(self, graph, rng):
+        require(is_box(graph, 3, equal=True), f"3d evader needs a cubic grid, got {format_graph(graph)}")
         super().reset(graph, rng)
-        require(
-            graph.ndim == 3
-            and not any(d.wrap for d in graph.dims)
-            and len({d.length for d in graph.dims}) == 1,
-            f"3d evader needs a cubic grid, got {format_graph(graph)}",
-        )
         require(self._n % 10 == 0, f"3d evader needs n divisible by 10, got {self._n}")
         self.component_failures = 0
 
@@ -741,10 +728,16 @@ class Grid3DEvader(_ProofEvader):
 
 def potential_cop_budget(n: int) -> int:
     """floor(2^(n-3) / (n ln n)) - 1, negative (no cops) for small n; the
-    formula's ln 1 = 0 makes n = 1 a special case."""
+    formula's ln 1 = 0 makes n = 1 a special case.
+
+    Evaluated in decimal with n + 20 significant digits: the quotient has
+    about 0.3 n digits before the point, and a float's 53 bits already get
+    its floor wrong from n = 64 on."""
     if n < 2:
         return -1
-    return int(2 ** (n - 3) / (n * math.log(n))) - 1
+    with localcontext() as ctx:
+        ctx.prec = n + 20
+        return int(Decimal(2) ** (n - 3) / (n * Decimal(n).ln())) - 1
 
 
 def potential(g: GraphSpec, cops, v) -> Fraction:
@@ -755,7 +748,7 @@ def potential(g: GraphSpec, cops, v) -> Fraction:
     rational arithmetic: the 1/2 threshold the evader plays against is
     sharp.
     """
-    require(is_hypercube(g), "potential is defined on hypercubes only")
+    require(is_hypercube(g), f"potential is defined on hypercubes only, got {format_graph(g)}")
     n = g.ndim
     total = Fraction(0)
     for c in cops:
@@ -906,16 +899,15 @@ class PotentialEvader(RobberStrategy):
 
 
 def clamp_retraction(outer: GraphSpec, inner: GraphSpec):
-    """Coordinatewise clamp onto a lower corner subgrid of the same arity."""
-    require(outer.ndim == inner.ndim, "clamp needs matching dimension counts")
-    require(
-        not any(d.wrap for d in outer.dims) and not any(d.wrap for d in inner.dims),
-        "clamp retraction applies to products of paths",
-    )
-    require(
-        all(i.length <= o.length for i, o in zip(inner.dims, outer.dims)),
-        "inner graph must fit inside the outer graph",
-    )
+    """Coordinatewise clamp onto a lower corner subgrid of the same arity.
+
+    Such a clamp is always a retraction: it fixes the inner box, and a step
+    along one axis moves one clamped coordinate by at most one."""
+    names = f"{format_graph(outer)} and {format_graph(inner)}"
+    require(is_box(outer) and is_box(inner, outer.ndim),
+            f"clamp retraction needs two products of paths of one arity, got {names}")
+    require(all(i <= o for i, o in zip(inner.lengths, outer.lengths)),
+            f"inner graph must fit inside the outer graph, got {names}")
     tops = tuple(d.length - 1 for d in inner.dims)
     return lambda v: tuple(min(c, t) for c, t in zip(v, tops))
 
@@ -968,12 +960,12 @@ class RetractLift(RobberStrategy):
         self.outer = outer
         self.inner = inner
         self.phi = clamp_retraction(outer, inner)
-        validate_retraction(self.phi, outer, inner)
         self.name = f"retract:{inner_strategy.name}/{format_graph(inner)}"
 
     def reset(self, graph, rng):
         super().reset(graph, rng)
-        require(graph == self.outer, "retract lift bound to a different graph")
+        require(graph == self.outer,
+                f"retract lift bound to {format_graph(self.outer)}, got {format_graph(graph)}")
         self.inner_strategy.reset(self.inner, rng)
         self.inner_strategy.check_invariants = self.check_invariants
         # the inner strategy's violations, and the lift's own, in one list

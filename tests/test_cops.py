@@ -18,7 +18,7 @@ from gridpursuit.cops import (
 )
 from gridpursuit.engine import GameState, Phase, reachable_set, run_match, trace_to_jsonl
 from gridpursuit.errors import ConfigurationError
-from gridpursuit.grid import cube, grid, parse_graph, torus
+from gridpursuit.grid import cube, format_graph, grid, parse_graph, torus
 from gridpursuit.robbers import MaxComponentRobber, RandomRobber, StationaryRobber
 
 
@@ -199,6 +199,27 @@ def test_blockade_3d_rejects_other_dimension_counts():
             Blockade3DCops().place(g, 1000)
         with pytest.raises(ConfigurationError, match="needs 3 dimensions"):
             Blockade3DCops(allow_understaffed=True).place(g, 1000)
+
+
+# every board each placement refuses: the wrong factor kind, the wrong
+# number of factors, or unequal sides where the strategy needs them equal
+BOARD_REFUSALS = {
+    "row-sweep": ["torus:5x5", "grid:5", "grid:5x5x5", "product:5w,5", "product:5,5w"],
+    "torus-two-rows": ["grid:5x5", "torus:5", "torus:5x5x5", "product:5w,5"],
+    "diagonal-pairs": ["grid:5x6", "grid:7x5", "torus:5x5", "grid:5", "grid:5x5x5", "product:5,5w"],
+    "blockade-3d": ["grid:5x5x6", "torus:5x5x5", "product:5,5,5w", "grid:5x5", "grid:5x5x5x5"],
+    "blockade-ddim": ["grid:5x6", "grid:5x5x4", "torus:5x5", "torus:5x5x5", "product:5w,5,5"],
+}
+
+
+@pytest.mark.parametrize(
+    "name, text", [(name, text) for name, texts in BOARD_REFUSALS.items() for text in texts]
+)
+def test_placement_refuses_a_board_by_its_description(name, text):
+    g = parse_graph(text)
+    with pytest.raises(ConfigurationError) as err:
+        make_cop_strategy(name).place(g, 1000)
+    assert format_graph(g) in str(err.value) and "Dim(" not in str(err.value)
 
 
 def test_blockade_required_cops_follow_the_graph():

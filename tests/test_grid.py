@@ -14,6 +14,7 @@ from gridpursuit.grid import (
     cube,
     format_graph,
     grid,
+    is_box,
     lattice,
     parse_graph,
     product,
@@ -213,6 +214,19 @@ def test_format_parse_roundtrip(g):
 def test_grid_2x2_formats_as_cube():
     assert format_graph(grid(2, 2)) == "cube:2"
     assert parse_graph("cube:2") == grid(2, 2)
+
+
+@pytest.mark.parametrize("text", [
+    "grid:5", "grid:5x5", "grid:5x6", "grid:3x3x3", "grid:3x3x4", "cube:4", "torus:5x5",
+    "torus:5x6", "torus:4x4x4", "product:5w,5", "product:5,5w,5", "product:1,1",
+])
+def test_is_box_reads_the_factors(text):
+    g = parse_graph(text)
+    wraps = {d.wrap for d in g.dims}
+    for ndim, wrap, equal in itertools.product((None, 1, 2, 3), (False, True), (False, True)):
+        expected = (wraps == {wrap} and ndim in (None, g.ndim)
+                    and (not equal or len(set(g.lengths)) == 1))
+        assert is_box(g, ndim, wrap, equal) == expected, (text, ndim, wrap, equal)
 
 
 GARBAGE = [

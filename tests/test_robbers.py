@@ -1,7 +1,9 @@
 import hashlib
+import itertools
 import math
 import random
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -192,6 +194,27 @@ def test_grid3d_rejects_wrong_board():
         Grid3DEvader().reset(grid(10, 10), None)
 
 
+# every board each evader's reset refuses: the wrong factor kind, the wrong
+# number of factors, or unequal sides
+BOARD_REFUSALS = {
+    "grid2d-evader": ["grid:20x21", "grid:20", "grid:20x20x20", "torus:20x20", "product:20,20w"],
+    "torus-evader": ["torus:18x19", "torus:18", "torus:18x18x18", "grid:18x18", "product:18w,18"],
+    "grid3d-evader": ["grid:10x10x20", "grid:10x10", "grid:10x10x10x10", "torus:10x10x10",
+                      "product:10,10,10w"],
+    "cube-potential": ["grid:2x3", "grid:3", "torus:3x3", "product:2,2,3w"],
+}
+
+
+@pytest.mark.parametrize(
+    "name, text", [(name, text) for name, texts in BOARD_REFUSALS.items() for text in texts]
+)
+def test_reset_refuses_a_board_by_its_description(name, text):
+    g = parse_graph(text)
+    with pytest.raises(ConfigurationError) as err:
+        make_robber_strategy(name).reset(g, random.Random(0))
+    assert format_graph(g) in str(err.value) and "Dim(" not in str(err.value)
+
+
 # -- potential --------------------------------------------------------------------
 
 
@@ -221,6 +244,19 @@ def test_potential_aggregate_matches_counting_identity():
 def test_potential_budget_example():
     assert potential_cop_budget(10) == 4
     assert potential_cop_budget(1) == potential_cop_budget(2) == -1  # no cops; ln 1 = 0
+
+
+def test_potential_budget_is_exact():
+    # twice the precision the budget evaluates in; a float floor is off by
+    # one from n = 64 on, and the budget of every smaller n is unchanged
+    for n in range(2, 401):
+        with localcontext() as ctx:
+            ctx.prec = 2 * (n + 20)
+            exact = int(Decimal(2) ** (n - 3) / (n * Decimal(n).ln())) - 1
+        assert potential_cop_budget(n) == exact, n
+        if n < 64:
+            assert exact == int(2 ** (n - 3) / (n * math.log(n))) - 1, n
+    assert potential_cop_budget(64) == 8_663_094_464_742_396
 
 
 def test_potential_evader_zero_cops_stays_put():
@@ -667,6 +703,21 @@ def test_clamp_retraction_validates():
     assert phi((2, 5)) == (2, 5)
 
 
+def test_every_clamp_of_a_grid_is_a_retraction():
+    # RetractLift trusts clamp_retraction without validating it: every
+    # corner sub-box of every grid of 1-3 dimensions, sides up to 4 (3 in
+    # three dimensions), passes the exhaustive check
+    pairs = 0
+    for ndim, top in ((1, 4), (2, 4), (3, 3)):
+        for outer_sides in itertools.product(range(1, top + 1), repeat=ndim):
+            outer = grid(*outer_sides)
+            for inner_sides in itertools.product(*(range(1, s + 1) for s in outer_sides)):
+                inner = grid(*inner_sides)
+                validate_retraction(clamp_retraction(outer, inner), outer, inner)
+                pairs += 1
+    assert pairs == 10 + 100 + 216
+
+
 def test_bad_retraction_rejected():
     outer, inner = grid(5, 5), grid(3, 3)
     swap = lambda v: (min(v[1], 2), min(v[0], 2))  # moves inner vertices
@@ -675,10 +726,11 @@ def test_bad_retraction_rejected():
 
 
 def test_clamp_needs_fitting_subgrid():
-    with pytest.raises(ConfigurationError):
-        clamp_retraction(grid(5, 5), grid(6, 5))
-    with pytest.raises(ConfigurationError):
-        clamp_retraction(torus(5, 5), grid(3, 3))
+    for outer, inner in ((grid(5, 5), grid(6, 5)), (torus(5, 5), grid(3, 3)),
+                         (grid(5, 5), torus(3, 3)), (grid(5, 5), grid(3, 3, 3)), (grid(5), grid(3, 3))):
+        with pytest.raises(ConfigurationError) as err:
+            clamp_retraction(outer, inner)
+        assert f"{format_graph(outer)} and {format_graph(inner)}" in str(err.value)
 
 
 def test_identity_retraction_behaves_like_inner():
